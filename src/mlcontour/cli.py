@@ -7,9 +7,13 @@ so identical invocations produce byte-identical output.  z is always given as
 Cartesian input would be ambiguous exactly where they are most useful
 (arg z = pi).
 
+Which Mittag-Leffler route runs, and with which contour parameters, is the
+library's decision (``mittag_leffler.evaluate_ml`` and ``ml_route``); the
+commands here parse flags, call it and format what comes back.  Grid rows
+are computed one after another, in order.
+
 Exit codes: 0 success, 1 threshold/criterion failure, 2 precondition or
-validation error, 3 numerical non-convergence.  ``MLC_THREADS`` caps grid
-parallelism (0 or unset = auto).
+validation error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .errors import ContourValidityError, ConvergenceError, IntegrandError, PreconditionError
@@ -43,13 +45,12 @@ from .mittag_leffler import (
     MLParams,
     SeriesDiagnostics,
     compare_methods,
-    default_ml_spec,
-    dzhrbashyan_theta_window,
-    ml_bateman,
+    evaluate_ml,
     ml_contour,
-    ml_dzhrbashyan,
-    ml_series,
+    ml_route,
 )
+# Unused here; kept because perfbench's tracer wraps these names in this module.
+from .mittag_leffler import default_ml_spec, ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
 from .quadrature import QuadratureConfig, QuadratureResult
 
 EXIT_OK = 0
@@ -60,17 +61,6 @@ EXIT_NON_CONVERGENCE = 3
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MLC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError(f"MLC_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise PreconditionError("MLC_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def load_config_args(path: str) -> list[str]:
@@ -198,53 +188,20 @@ def record_for_csv(rec: dict) -> dict:
 # eval
 # --------------------------------------------------------------------------
 
-def _contour_admits(params: MLParams, z: PolarComplex) -> bool:
-    if params.rho <= 0.5 or z.modulus == 0.0:
-        return False
-    try:
-        spec = default_ml_spec(params, z)
-    except (PreconditionError, ValueError):
-        return False
-    if not validate_ml_contour(spec).ok:
-        return False
-    growth = (z.modulus * (1.0 + spec.epsilon_hat)) ** params.rho
-    return growth <= 690.0
-
-
 def cmd_eval(ns: argparse.Namespace) -> int:
     params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
     z = resolve_z(ns)
     cfg = quadrature_config(ns)
-    method = ns.method
-    if method == "auto":
-        method = "contour" if _contour_admits(params, z) else "series"
-
-    if method == "series":
-        ev = ml_series(params, z, cfg, max_terms=ns.max_terms)
-    elif method == "contour":
-        spec = None
-        if ns.epsilon_hat is not None or ns.delta1_rho is not None or ns.delta2_rho is not None:
-            deltas = None
-            if ns.delta1_rho is not None or ns.delta2_rho is not None:
-                if ns.delta1_rho is None or ns.delta2_rho is None:
-                    raise PreconditionError("--delta1-rho and --delta2-rho go together")
-                deltas = (ns.delta1_rho, ns.delta2_rho)
-            spec = default_ml_spec(params, z, epsilon_hat=ns.epsilon_hat, deltas=deltas)
-        ev = ml_contour(params, z, spec, cfg)
-    elif method == "bateman":
-        radius = ns.arc_radius if ns.arc_radius is not None \
-            else 1.5 * z.modulus ** params.rho + 0.5
-        ev = ml_bateman(params, z.to_complex(), radius, cfg)
-    elif method == "dzhrbashyan":
-        radius = ns.arc_radius if ns.arc_radius is not None else z.modulus + 1.0
-        if ns.theta is not None and ns.theta_pi is not None:
-            raise PreconditionError("--theta and --theta-pi are mutually exclusive")
-        theta = ns.theta if ns.theta is not None else (
-            ns.theta_pi * math.pi if ns.theta_pi is not None
-            else 0.5 * sum(dzhrbashyan_theta_window(params.rho)))
-        ev = ml_dzhrbashyan(params, z.to_complex(), radius, theta, cfg)
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown method {method}")
+    # Only the dzhrbashyan route reads theta, so only it rejects both flags.
+    if ns.method == "dzhrbashyan" and ns.theta is not None and ns.theta_pi is not None:
+        raise PreconditionError("--theta and --theta-pi are mutually exclusive")
+    theta = ns.theta
+    if theta is None and ns.theta_pi is not None:
+        theta = ns.theta_pi * math.pi
+    ev = evaluate_ml(params, z, ns.method, cfg, max_terms=ns.max_terms,
+                     epsilon_hat=ns.epsilon_hat,
+                     delta1_rho=ns.delta1_rho, delta2_rho=ns.delta2_rho,
+                     epsilon=ns.arc_radius, theta=theta)
 
     rec = evaluation_record(ev)
     emit(ns, [record_for_csv(rec)], json_payload=rec)
@@ -297,24 +254,13 @@ def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig) -> 
 
 def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
             cfg: QuadratureConfig) -> dict:
-    row = {"z_mod": z_mod, "z_arg": z_arg, "value_re": None, "value_im": None,
-           "err_estimate": None, "method": method, "flags": "", "status": "ok"}
     z = PolarComplex(z_mod, z_arg)
-    chosen = method
-    if method == "auto":
-        chosen = "contour" if _contour_admits(params, z) else "series"
-    row["method"] = chosen
+    # Resolved here so that a failed row still names the route it was sent to.
+    route = ml_route(params, z) if method == "auto" else method
+    row = {"z_mod": z_mod, "z_arg": z_arg, "value_re": None, "value_im": None,
+           "err_estimate": None, "method": route, "flags": "", "status": "ok"}
     try:
-        if chosen == "series":
-            ev = ml_series(params, z, cfg)
-        elif chosen == "contour":
-            ev = ml_contour(params, z, None, cfg)
-        elif chosen == "bateman":
-            ev = ml_bateman(params, z.to_complex(),
-                            1.5 * z.modulus ** params.rho + 0.5, cfg)
-        else:
-            theta = 0.5 * sum(dzhrbashyan_theta_window(params.rho))
-            ev = ml_dzhrbashyan(params, z.to_complex(), z.modulus + 1.0, theta, cfg)
+        ev = evaluate_ml(params, z, route, cfg)
     except ContourValidityError:
         row["status"] = "window_violation"
         return row
@@ -338,17 +284,12 @@ def cmd_grid(ns: argparse.Namespace) -> int:
     if ns.target == "gamma":
         re_axis = _axis(ns.re_min, ns.re_max, ns.re_step)
         im_axis = _axis(ns.im_min, ns.im_max, ns.im_step)
-        points = [(a, b) for a in re_axis for b in im_axis]
-        task = lambda p: _gamma_row(p[0], p[1], ns.method, cfg)
+        rows = [_gamma_row(a, b, ns.method, cfg) for a in re_axis for b in im_axis]
     else:
         params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
         mod_axis = _axis(ns.zmod_min, ns.zmod_max, ns.zmod_step)
         arg_axis = _axis(ns.zarg_min, ns.zarg_max, ns.zarg_step)
-        points = [(m, a) for m in mod_axis for a in arg_axis]
-        task = lambda p: _ml_row(p[0], p[1], params, ns.method, cfg)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(task, points))
+        rows = [_ml_row(m, a, params, ns.method, cfg) for m in mod_axis for a in arg_axis]
 
     emit(ns, [record_for_csv(r) for r in rows], json_payload=rows)
     return EXIT_OK if any(r["status"] == "ok" for r in rows) else EXIT_THRESHOLD
@@ -358,7 +299,8 @@ def cmd_grid(ns: argparse.Namespace) -> int:
 # invariance
 # --------------------------------------------------------------------------
 
-def _spread(values: list[complex]) -> float:
+def relative_spread(values: list[complex]) -> float:
+    """Largest pairwise distance over the modulus of the mean."""
     worst = max(abs(a - b) for a in values for b in values)
     scale = abs(sum(values) / len(values))
     return worst / max(scale, 1e-300)
@@ -406,7 +348,7 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
     if len(values) < 3:
         raise PreconditionError("fewer than 3 admissible sweep points")
 
-    spread = _spread(values)
+    spread = relative_spread(values)
     passed = spread < ns.threshold
     payload = {
         "target": ns.target,

@@ -282,6 +282,15 @@ def _finite(violations: list, **fields) -> bool:
     return ok
 
 
+def _check_gamma_deltas(violations: list, spec: GammaContourSpec, margin: float) -> None:
+    """Gamma-loop ray half-angles: open at pi/2 (plus ``margin``), closed at pi."""
+    for name, d in (("delta1", spec.delta1), ("delta2", spec.delta2)):
+        if d <= HALF_PI + margin:
+            violations.append(Violation(f"{name} at or below pi/2", HALF_PI - d))
+        elif d > math.pi:
+            violations.append(Violation(f"{name} above pi", d - math.pi))
+
+
 def validate_gamma_contour(spec: GammaContourSpec,
                            margin: float = DEFAULT_BOUNDARY_MARGIN) -> ValidityReport:
     """Check a gamma loop spec against its admissibility window.
@@ -296,11 +305,7 @@ def validate_gamma_contour(spec: GammaContourSpec,
 
     if spec.epsilon <= 0:
         violations.append(Violation("epsilon must be positive", -spec.epsilon))
-    for name, d in (("delta1", spec.delta1), ("delta2", spec.delta2)):
-        if d <= HALF_PI + margin:
-            violations.append(Violation(f"{name} at or below pi/2", HALF_PI - d))
-        elif d > math.pi:
-            violations.append(Violation(f"{name} above pi", d - math.pi))
+    _check_gamma_deltas(violations, spec, margin)
     if not violations:
         low, high = gamma_psi_window(spec.delta1, spec.delta2)
         if spec.psi <= low + margin:
@@ -328,11 +333,7 @@ def validate_lambda_contour(lam: LambdaSpec, spec: GammaContourSpec,
         violations.append(Violation("lambda must be nonzero", 0.0))
     if spec.epsilon <= 0:
         violations.append(Violation("epsilon must be positive", -spec.epsilon))
-    for name, d in (("delta1", spec.delta1), ("delta2", spec.delta2)):
-        if d <= HALF_PI + margin:
-            violations.append(Violation(f"{name} at or below pi/2", HALF_PI - d))
-        elif d > math.pi:
-            violations.append(Violation(f"{name} above pi", d - math.pi))
+    _check_gamma_deltas(violations, spec, margin)
     if not violations:
         low = HALF_PI - spec.delta2 - lam.lam.argument
         high = -HALF_PI + spec.delta1 - lam.lam.argument
@@ -391,6 +392,16 @@ def validate_ml_contour(spec: MLContourSpec,
 # Path construction
 # --------------------------------------------------------------------------
 
+def loop_path(radius: float, a_in: float, a_out: float) -> IntegrationPath:
+    """Ray in at angle ``a_in``, arc of ``radius`` from ``a_in`` to ``a_out``,
+    ray out at ``a_out``: the loop shape every route integrates over."""
+    return IntegrationPath((
+        RaySegment(a_in, radius, "inbound"),
+        ArcSegment(radius, a_in, a_out),
+        RaySegment(a_out, radius, "outbound"),
+    ))
+
+
 def build_gamma_path(spec: GammaContourSpec,
                      margin: float = DEFAULT_BOUNDARY_MARGIN) -> IntegrationPath:
     """Loop for the gamma integral: ray in at -delta1+psi, arc of radius
@@ -400,13 +411,7 @@ def build_gamma_path(spec: GammaContourSpec,
     report = validate_gamma_contour(spec, margin)
     if not report.ok:
         raise ContourValidityError(report)
-    a_in = -spec.delta1 + spec.psi
-    a_out = spec.delta2 + spec.psi
-    return IntegrationPath((
-        RaySegment(a_in, spec.epsilon, "inbound"),
-        ArcSegment(spec.epsilon, a_in, a_out),
-        RaySegment(a_out, spec.epsilon, "outbound"),
-    ))
+    return loop_path(spec.epsilon, -spec.delta1 + spec.psi, spec.delta2 + spec.psi)
 
 
 def build_lambda_path(lam: LambdaSpec, spec: GammaContourSpec,
@@ -417,14 +422,8 @@ def build_lambda_path(lam: LambdaSpec, spec: GammaContourSpec,
     report = validate_lambda_contour(lam, spec, margin)
     if not report.ok:
         raise ContourValidityError(report)
-    radius = spec.epsilon / lam.lam.modulus
-    a_in = -spec.delta1 + lam.psi_lambda
-    a_out = spec.delta2 + lam.psi_lambda
-    return IntegrationPath((
-        RaySegment(a_in, radius, "inbound"),
-        ArcSegment(radius, a_in, a_out),
-        RaySegment(a_out, radius, "outbound"),
-    ))
+    return loop_path(spec.epsilon / lam.lam.modulus,
+                     -spec.delta1 + lam.psi_lambda, spec.delta2 + lam.psi_lambda)
 
 
 def build_zeta_path(spec: MLContourSpec,
@@ -436,11 +435,5 @@ def build_zeta_path(spec: MLContourSpec,
     report = validate_ml_contour(spec, margin)
     if not report.ok:
         raise ContourValidityError(report)
-    radius = 1.0 + spec.epsilon_hat
-    a_in = -spec.delta1_rho - math.pi
-    a_out = spec.delta2_rho - math.pi
-    return IntegrationPath((
-        RaySegment(a_in, radius, "inbound"),
-        ArcSegment(radius, a_in, a_out),
-        RaySegment(a_out, radius, "outbound"),
-    ))
+    return loop_path(1.0 + spec.epsilon_hat,
+                     -spec.delta1_rho - math.pi, spec.delta2_rho - math.pi)

@@ -9,6 +9,10 @@ Routes:
 * ``ml_bateman``     -- classical loop with the pole factor t^(1/rho) - z.
 * ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z.
 
+All four take ``(params, z: PolarComplex, ..., cfg)`` and own their default
+contour parameters.  ``evaluate_ml`` dispatches on a route name, and
+``ml_route`` is the rule behind ``method="auto"``.
+
 All power factors inside contour integrands are computed from accumulated
 (unwrapped) arguments; reducing them to the principal range would hop sheets
 whenever the loop opens wider than pi.
@@ -26,14 +30,14 @@ import numpy as np
 from .errors import ConvergenceError, IntegrandError, PreconditionError
 from .gamma import is_gamma_pole, log_gamma, recip_gamma_oracle
 from .geometry import (
-    ArcSegment,
+    ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
     MLContourSpec,
     PolarComplex,
     RaySegment,
     build_zeta_path,
     default_ml_deltas,
-    ml_arg_window,
+    loop_path,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -117,8 +121,9 @@ def ml_series(params: MLParams, z: PolarComplex,
     two and the gamma factor then absorbs the scale through its logarithm.
     Summation stops once three consecutive terms fall below
     abs_tol + rel_tol*|partial sum| and the peak term has been passed.
-    Non-convergence within the term budget is reported in the diagnostics,
-    not raised.
+    Non-convergence within the term budget, and overflow of a term or of
+    the sum, are reported in the diagnostics (not converged; overflow also
+    sets infinite cancellation), not raised.
     """
     mu = complex(params.mu)
     if z.modulus == 0.0:
@@ -159,11 +164,18 @@ def ml_series(params: MLParams, z: PolarComplex,
         t = total + y
         comp = (t - total) - y
         total = t
-        mod = abs(term)
+        try:
+            mod = abs(term)
+            total_mod = abs(total)
+        except OverflowError:  # a modulus past the largest double
+            total_mod = math.inf
+        if not total_mod < math.inf:
+            overflowed = True
+            break
         if mod > max_term:
             max_term = mod
             max_index = n
-        if mod < cfg.abs_tol + cfg.rel_tol * abs(total):
+        if mod < cfg.abs_tol + cfg.rel_tol * total_mod:
             small_streak += 1
             if small_streak >= 3 and n > max_index:
                 converged = True
@@ -175,15 +187,15 @@ def ml_series(params: MLParams, z: PolarComplex,
             z_pow *= 2.0 ** -_RESCALE_SHIFT
             scale_exp += _RESCALE_SHIFT
 
-    if abs(total) == 0.0:
+    if overflowed:
+        converged = False
+        cancellation = math.inf
+    elif abs(total) == 0.0:
         cancellation = math.inf if max_term > 0 else 0.0
     elif max_term == 0.0:
         cancellation = 0.0
     else:
         cancellation = math.log10(max_term / abs(total))
-    if overflowed:
-        converged = False
-        cancellation = math.inf
     diag = SeriesDiagnostics(terms_used, max_term, cancellation, converged)
     return MLEvaluation(params, z, total, "series", diag)
 
@@ -240,16 +252,10 @@ def _zeta_ray_decay(params: MLParams, z: PolarComplex, spec: MLContourSpec,
     return DecayModel.with_power_growth(base, poly, rate, rho, ray.start_radius)
 
 
-def ml_contour(params: MLParams, z: PolarComplex,
-               spec: Optional[MLContourSpec] = None,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
-    """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
-    arg z inside the admissibility window).
-
-    Raises ContourValidityError outside the window, PreconditionError when
-    the spec disagrees with (params, z) or exp((|z|(1+eps))^rho) would
-    overflow, and ConvergenceError when the quadrature stalls.
-    """
+def _zeta_loop(params: MLParams, z: PolarComplex,
+               spec: Optional[MLContourSpec]) -> tuple[MLContourSpec, IntegrationPath]:
+    """Every check ``ml_contour`` makes before integrating, and the loop it
+    integrates over."""
     if spec is None:
         spec = default_ml_spec(params, z)
     else:
@@ -262,7 +268,31 @@ def ml_contour(params: MLParams, z: PolarComplex,
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
-    path = build_zeta_path(spec)
+    return spec, build_zeta_path(spec)
+
+
+def ml_route(params: MLParams, z: PolarComplex) -> str:
+    """The route ``method="auto"`` takes at z: "contour" when the zeta loop's
+    default spec passes every check ``ml_contour`` makes before integrating,
+    else "series"."""
+    try:
+        _zeta_loop(params, z, None)
+    except (ValueError, OverflowError):  # a failed check, or (|z|(1+eps))^rho past a double
+        return "series"
+    return "contour"
+
+
+def ml_contour(params: MLParams, z: PolarComplex,
+               spec: Optional[MLContourSpec] = None,
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
+    """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
+    arg z inside the admissibility window).
+
+    Raises ContourValidityError outside the window, PreconditionError when
+    the spec disagrees with (params, z) or exp((|z|(1+eps))^rho) would
+    overflow, and ConvergenceError when the quadrature stalls.
+    """
+    spec, path = _zeta_loop(params, z, spec)
     raw = integrate_path(_zeta_integrand(params, z), path,
                          decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
                          cfg=cfg)
@@ -279,21 +309,24 @@ def ml_contour(params: MLParams, z: PolarComplex,
 # Legacy loops (cross-check routes)
 # --------------------------------------------------------------------------
 
-def ml_bateman(params: MLParams, z: complex, epsilon: float,
+def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
-    """Classical loop route: rays along the cut, arc radius epsilon.
+    """Classical loop route: rays along the cut, arc radius epsilon
+    (default 1.5|z|^rho + 0.5).
 
     Valid for real mu > 0 and epsilon > |z|^rho (the arc must clear every
     zero of the pole factor t^(1/rho) - z).
     """
-    z = complex(z)
+    if epsilon is None:
+        epsilon = 1.5 * z.modulus ** params.rho + 0.5
+    zc = z.to_complex()
     mu = complex(params.mu)
     if mu.imag != 0.0 or mu.real <= 0.0:
         raise PreconditionError("this route requires real mu > 0; "
                                 "complex mu is served by the other routes")
     alpha = 1.0 / params.rho
     beta = mu.real
-    pole_radius = abs(z) ** params.rho
+    pole_radius = abs(zc) ** params.rho
     if not epsilon > pole_radius:
         raise PreconditionError(
             f"arc radius {epsilon:g} must exceed |z|^rho = {pole_radius:g}")
@@ -303,23 +336,18 @@ def ml_bateman(params: MLParams, z: complex, epsilon: float,
     def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
         log_t = np.log(mod) + 1j * ang
         t = mod * np.exp(1j * ang)
-        return np.exp(t + (alpha - beta) * log_t) / (np.exp(alpha * log_t) - z)
+        return np.exp(t + (alpha - beta) * log_t) / (np.exp(alpha * log_t) - zc)
 
-    path = IntegrationPath((
-        RaySegment(-math.pi, epsilon, "inbound"),
-        ArcSegment(epsilon, -math.pi, math.pi),
-        RaySegment(math.pi, epsilon, "outbound"),
-    ))
-    base = 1.0 / (epsilon ** alpha - abs(z))
+    path = loop_path(epsilon, -math.pi, math.pi)
+    base = 1.0 / (epsilon ** alpha - abs(zc))
     decay = DecayModel.with_power_growth(base, alpha - beta, 1.0, 1.0, epsilon)
     raw = integrate_path(f, path, decay=decay, cfg=cfg)
     if not raw.converged:
         raise ConvergenceError(
             f"classical-loop quadrature did not converge for rho={params.rho}, "
-            f"mu={params.mu}, z={z} (error estimate {raw.error_estimate:.3g})")
+            f"mu={params.mu}, z={zc} (error estimate {raw.error_estimate:.3g})")
     result = raw.scaled(1.0 / TWO_PI_I)
-    return MLEvaluation(params, PolarComplex.from_complex(z), result.value,
-                        "bateman", result)
+    return MLEvaluation(params, z, result.value, "bateman", result)
 
 
 def dzhrbashyan_theta_window(rho: float) -> tuple[float, float]:
@@ -330,21 +358,27 @@ def dzhrbashyan_theta_window(rho: float) -> tuple[float, float]:
     return (math.pi / (2.0 * rho), high)
 
 
-def ml_dzhrbashyan(params: MLParams, z: complex, epsilon: float, theta: float,
+def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
+                   theta: Optional[float] = None,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
-    """Loop at opening angle theta with pole factor tau - z.
+    """Loop at opening angle theta (default: mid-window) with pole factor
+    tau - z and arc radius epsilon (default |z| + 1).
 
     Valid for epsilon > |z| and theta strictly inside the admissible window;
     the window guarantees cos(rho*theta) < 0, i.e. ray decay.
     """
-    z = complex(z)
-    mu = complex(params.mu)
     lo, hi = dzhrbashyan_theta_window(params.rho)
+    if theta is None:
+        theta = 0.5 * (lo + hi)
+    if epsilon is None:
+        epsilon = z.modulus + 1.0
+    zc = z.to_complex()
+    mu = complex(params.mu)
     if not (lo < theta < hi):
         raise PreconditionError(
             f"theta {theta:g} outside the open window ({lo:.6g}, {hi:.6g})")
-    if not epsilon > abs(z):
-        raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(z):g}")
+    if not epsilon > abs(zc):
+        raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(zc):g}")
     if epsilon ** params.rho > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     rho = params.rho
@@ -352,25 +386,60 @@ def ml_dzhrbashyan(params: MLParams, z: complex, epsilon: float, theta: float,
     def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
         log_t = np.log(mod) + 1j * ang
         tau = mod * np.exp(1j * ang)
-        return np.exp(np.exp(rho * log_t) + rho * (1.0 - mu) * log_t) / (tau - z)
+        return np.exp(np.exp(rho * log_t) + rho * (1.0 - mu) * log_t) / (tau - zc)
 
-    path = IntegrationPath((
-        RaySegment(-theta, epsilon, "inbound"),
-        ArcSegment(epsilon, -theta, theta),
-        RaySegment(theta, epsilon, "outbound"),
-    ))
+    path = loop_path(epsilon, -theta, theta)
     rate = abs(math.cos(rho * theta))
     poly = rho * (1.0 - mu.real)
-    base = math.exp(min(rho * abs(mu.imag) * theta, 700.0)) / (epsilon - abs(z))
+    base = math.exp(min(rho * abs(mu.imag) * theta, 700.0)) / (epsilon - abs(zc))
     decay = DecayModel.with_power_growth(base, poly, rate, rho, epsilon)
     raw = integrate_path(f, path, decay=decay, cfg=cfg)
     if not raw.converged:
         raise ConvergenceError(
             f"theta-loop quadrature did not converge for rho={params.rho}, "
-            f"mu={params.mu}, z={z} (error estimate {raw.error_estimate:.3g})")
+            f"mu={params.mu}, z={zc} (error estimate {raw.error_estimate:.3g})")
     result = raw.scaled(params.rho / TWO_PI_I)
-    return MLEvaluation(params, PolarComplex.from_complex(z), result.value,
-                        "dzhrbashyan", result)
+    return MLEvaluation(params, z, result.value, "dzhrbashyan", result)
+
+
+# --------------------------------------------------------------------------
+# One dispatch over the routes
+# --------------------------------------------------------------------------
+
+def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
+                cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
+                max_terms: int = 10000,
+                epsilon_hat: Optional[float] = None,
+                delta1_rho: Optional[float] = None,
+                delta2_rho: Optional[float] = None,
+                epsilon: Optional[float] = None,
+                theta: Optional[float] = None) -> MLEvaluation:
+    """E(rho, mu; z) by ``method``: "series", "contour", "bateman",
+    "dzhrbashyan", or "auto" for the route ``ml_route`` picks.
+
+    Each option reaches only the route that reads it: ``max_terms`` the
+    series; ``epsilon_hat`` and the ray half-angles ``delta1_rho``,
+    ``delta2_rho`` (both or neither) override the zeta loop's default spec;
+    ``epsilon`` is the Bateman or Dzhrbashyan arc radius and ``theta`` the
+    Dzhrbashyan opening angle.  Unset, each route uses its own default.
+    """
+    if method == "auto":
+        method = ml_route(params, z)
+    if method == "series":
+        return ml_series(params, z, cfg, max_terms=max_terms)
+    if method == "contour":
+        spec = None
+        if epsilon_hat is not None or delta1_rho is not None or delta2_rho is not None:
+            if (delta1_rho is None) != (delta2_rho is None):
+                raise PreconditionError("delta1_rho and delta2_rho go together")
+            deltas = None if delta1_rho is None else (delta1_rho, delta2_rho)
+            spec = default_ml_spec(params, z, epsilon_hat=epsilon_hat, deltas=deltas)
+        return ml_contour(params, z, spec, cfg)
+    if method == "bateman":
+        return ml_bateman(params, z, epsilon, cfg)
+    if method == "dzhrbashyan":
+        return ml_dzhrbashyan(params, z, epsilon, theta, cfg)
+    raise PreconditionError(f"unknown method {method!r}")
 
 
 # --------------------------------------------------------------------------
@@ -419,11 +488,6 @@ class ComparisonReport:
         raise KeyError(method)
 
 
-def _default_theta(rho: float) -> float:
-    lo, hi = dzhrbashyan_theta_window(rho)
-    return 0.5 * (lo + hi)
-
-
 def compare_methods(params: MLParams, z: PolarComplex,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                     contour_spec: Optional[MLContourSpec] = None,
@@ -437,7 +501,6 @@ def compare_methods(params: MLParams, z: PolarComplex,
     computed only among converged results, excluding a series result flagged
     for cancellation.
     """
-    zc = z.to_complex()
     outcomes: list[MethodOutcome] = []
 
     series = ml_series(params, z, cfg)
@@ -459,20 +522,10 @@ def compare_methods(params: MLParams, z: PolarComplex,
             outcomes.append(MethodOutcome(method, "ok", ev.value, err))
 
     run("contour", lambda: ml_contour(params, z, contour_spec, cfg))
+    run("bateman", lambda: ml_bateman(params, z, bateman_epsilon, cfg))
+    run("dzhrbashyan", lambda: ml_dzhrbashyan(params, z, dzh_epsilon, dzh_theta, cfg))
 
-    b_eps = bateman_epsilon
-    if b_eps is None:
-        b_eps = 1.5 * z.modulus ** params.rho + 0.5
-    run("bateman", lambda: ml_bateman(params, zc, b_eps, cfg))
-
-    d_eps = dzh_epsilon if dzh_epsilon is not None else z.modulus + 1.0
-    if params.rho > 0.5:
-        d_theta = dzh_theta if dzh_theta is not None else _default_theta(params.rho)
-    else:
-        d_theta = dzh_theta if dzh_theta is not None else 0.0
-    run("dzhrbashyan", lambda: ml_dzhrbashyan(params, zc, d_eps, d_theta, cfg))
-
-    closed = ml_closed_form(params, zc)
+    closed = ml_closed_form(params, z.to_complex())
     if closed is not None:
         outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0))
 

@@ -14,11 +14,13 @@ from mlcontour import (
     default_ml_deltas,
     default_ml_spec,
     dzhrbashyan_theta_window,
+    evaluate_ml,
     ml_arg_window,
     ml_bateman,
     ml_closed_form,
     ml_contour,
     ml_dzhrbashyan,
+    ml_route,
     ml_series,
     recip_gamma_oracle,
 )
@@ -101,6 +103,15 @@ class TestSeries:
     def test_term_budget(self):
         ev = ml_series(MLParams(4.0, 0.5), PolarComplex(5.0, PI), max_terms=50)
         assert not ev.diagnostics.converged
+
+    @pytest.mark.parametrize("mu,z", [
+        (1.0, PolarComplex(10.0, 0.0)),        # the sum passes the largest double
+        (0.5, PolarComplex(10.0, 0.75 * PI)),  # |term| passes it, parts do not
+    ])
+    def test_overflow_is_flagged_not_raised(self, mu, z):
+        ev = ml_series(MLParams(4.0, mu), z)
+        assert not ev.diagnostics.converged
+        assert ev.diagnostics.cancellation_digits == math.inf
 
 
 class TestContour:
@@ -185,44 +196,44 @@ class TestContour:
 
 class TestBateman:
     def test_exp_at_minus_one(self):
-        ev = ml_bateman(MLParams(1.0, 1.0), -1.0, 2.0)
+        ev = ml_bateman(MLParams(1.0, 1.0), PolarComplex(1.0, PI), 2.0)
         assert ev.method == "bateman"
         assert ev.value == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_mu_two(self):
-        ev = ml_bateman(MLParams(1.0, 2.0), 1.0, 2.0)
+        ev = ml_bateman(MLParams(1.0, 2.0), PolarComplex(1.0, 0.0), 2.0)
         assert ev.value == pytest.approx(math.e - 1.0, rel=1e-9)
 
     def test_alpha_half_against_series(self):
         # alpha = 1/rho = 0.5
-        ev = ml_bateman(MLParams(2.0, 1.0), -0.5, 1.5)
+        ev = ml_bateman(MLParams(2.0, 1.0), PolarComplex(0.5, PI), 1.5)
         series = ml_series(MLParams(2.0, 1.0), PolarComplex(0.5, PI)).value
         assert abs(ev.value - series) / abs(series) < 1e-8
 
     def test_requires_real_positive_mu(self):
         with pytest.raises(PreconditionError, match="real mu"):
-            ml_bateman(MLParams(1.0, 1 + 0.5j), -1.0, 2.0)
+            ml_bateman(MLParams(1.0, 1 + 0.5j), PolarComplex(1.0, PI), 2.0)
         with pytest.raises(PreconditionError, match="real mu"):
-            ml_bateman(MLParams(1.0, -1.0), -1.0, 2.0)
+            ml_bateman(MLParams(1.0, -1.0), PolarComplex(1.0, PI), 2.0)
 
     def test_arc_radius_must_clear_pole_factor(self):
         with pytest.raises(PreconditionError, match="exceed"):
-            ml_bateman(MLParams(2.0, 1.0), -2.0, 3.0)  # needs eps > |z|^2 = 4
+            ml_bateman(MLParams(2.0, 1.0), PolarComplex(2.0, PI), 3.0)  # needs eps > |z|^2 = 4
 
 
 class TestDzhrbashyan:
     def test_exp_at_minus_one(self):
-        ev = ml_dzhrbashyan(MLParams(1.0, 1.0), -1.0, 2.0, 3 * PI / 4)
+        ev = ml_dzhrbashyan(MLParams(1.0, 1.0), PolarComplex(1.0, PI), 2.0, 3 * PI / 4)
         assert ev.method == "dzhrbashyan"
         assert ev.value == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_imaginary_argument_against_series(self):
-        ev = ml_dzhrbashyan(MLParams(2.0, 1.0), 0.5j, 1.2, 0.4 * PI)
+        ev = ml_dzhrbashyan(MLParams(2.0, 1.0), PolarComplex(0.5, PI / 2), 1.2, 0.4 * PI)
         series = ml_series(MLParams(2.0, 1.0), PolarComplex(0.5, PI / 2)).value
         assert abs(ev.value - series) / abs(series) < 1e-8
 
     def test_wide_angle_mu_two(self):
-        ev = ml_dzhrbashyan(MLParams(1.0, 2.0), 1.0, 2.0, 0.9 * PI)
+        ev = ml_dzhrbashyan(MLParams(1.0, 2.0), PolarComplex(1.0, 0.0), 2.0, 0.9 * PI)
         assert ev.value == pytest.approx(math.e - 1.0, rel=1e-9)
 
     def test_theta_window(self):
@@ -233,11 +244,11 @@ class TestDzhrbashyan:
 
     def test_theta_out_of_window_rejected(self):
         with pytest.raises(PreconditionError, match="theta"):
-            ml_dzhrbashyan(MLParams(2.0, 1.0), 0.5, 1.5, PI / 2)
+            ml_dzhrbashyan(MLParams(2.0, 1.0), PolarComplex(0.5, 0.0), 1.5, PI / 2)
 
     def test_epsilon_must_exceed_z(self):
         with pytest.raises(PreconditionError, match="exceed"):
-            ml_dzhrbashyan(MLParams(1.0, 1.0), -3.0, 2.0, 3 * PI / 4)
+            ml_dzhrbashyan(MLParams(1.0, 1.0), PolarComplex(3.0, PI), 2.0, 3 * PI / 4)
 
 
 class TestClosedForm:
@@ -307,3 +318,50 @@ class TestWindowMidpointAgreement:
         assert not series.diagnostics.unreliable
         contour = ml_contour(params, z)
         assert abs(contour.value - series.value) / abs(series.value) < 1e-6
+
+
+class TestRouteSelection:
+    @pytest.mark.parametrize("rho,z,route", [
+        (0.5, PolarComplex(1.0, PI), "series"),
+        (1.0, PolarComplex(0.0, PI), "series"),
+        (1.0, PolarComplex(1.0, PI), "contour"),
+        (1.0, PolarComplex(1.0, PI / 2), "series"),
+        (4.0, PolarComplex(5.0, PI), "contour"),
+        (4.0, PolarComplex(5.2, PI), "series"),
+        (2.0, PolarComplex(1e200, PI), "series"),
+    ])
+    def test_route_matches_contour_preconditions(self, rho, z, route):
+        params = MLParams(rho, 1.0)
+        assert ml_route(params, z) == route
+        if route == "series":
+            with pytest.raises((ValueError, OverflowError)):
+                ml_contour(params, z)
+
+    def test_auto_runs_the_selected_route(self):
+        params = MLParams(1.0, 1.0)
+        for z in (PolarComplex(1.0, PI), PolarComplex(1.0, 0.0)):
+            auto = evaluate_ml(params, z)
+            assert auto.method == ml_route(params, z)
+            assert auto.value == evaluate_ml(params, z, auto.method).value
+
+    def test_route_defaults(self):
+        params = MLParams(2.0, 1.0)
+        z = PolarComplex(1.0, PI)
+        lo, hi = dzhrbashyan_theta_window(2.0)
+        assert evaluate_ml(params, z, "bateman").value == \
+            ml_bateman(params, z, 1.5 * 1.0 ** 2.0 + 0.5).value
+        assert evaluate_ml(params, z, "dzhrbashyan").value == \
+            ml_dzhrbashyan(params, z, 2.0, 0.5 * (lo + hi)).value
+
+    def test_contour_overrides(self):
+        params = MLParams(1.0, 1.0)
+        z = PolarComplex(1.0, PI)
+        ev = evaluate_ml(params, z, "contour", epsilon_hat=0.5,
+                         delta1_rho=0.9 * PI, delta2_rho=0.9 * PI)
+        assert ev.value == pytest.approx(math.exp(-1.0), rel=1e-9)
+        with pytest.raises(PreconditionError, match="go together"):
+            evaluate_ml(params, z, "contour", delta1_rho=0.9 * PI)
+
+    def test_unknown_method(self):
+        with pytest.raises(PreconditionError, match="unknown method"):
+            evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "trapezoid")
