@@ -215,19 +215,16 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def _axis(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, where a point at most 1e-9 steps past
+    hi (a rounding error) still counts as hi.  The points are counted
+    before they are made: stepping until a value passes hi would never end
+    once lo + step rounds to lo."""
     if step <= 0:
         raise PreconditionError("grid step must be positive")
     if hi < lo:
         raise PreconditionError("grid max must be >= min")
-    values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + 1e-12 * max(1.0, abs(hi)):
-            break
-        values.append(v)
-        k += 1
-    return values
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    return [lo + k * step for k in range(count)]
 
 
 def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig) -> dict:

@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConvergenceError, IntegrandError, PreconditionError
-from .gamma import is_gamma_pole, log_gamma, recip_gamma_oracle
+from .gamma import log_gamma, recip_gamma_oracle
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
@@ -61,6 +61,15 @@ OVERFLOW_EXPONENT_LIMIT = 690.0
 #: doubles lose roughly exp(cap)*eps absolutely; 8.5 keeps that floor below
 #: the default quadrature tolerance.
 _ARC_GROWTH_CAP = 8.5
+
+
+def _float_power(base: float, exponent: float) -> float:
+    """base**exponent for floats, inf where the power overflows a double
+    (Python raises OverflowError there), so a size check reads inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,8 @@ _LN2 = math.log(2.0)
 # keeps the running power representable without touching its phase.
 _RESCALE_TRIGGER = 2.0 ** 800
 _RESCALE_SHIFT = 831
+#: Terms per array call for 1/Gamma(mu + n/rho) or its logarithm.
+_SERIES_BLOCK = 32
 
 
 def ml_series(params: MLParams, z: PolarComplex,
@@ -116,9 +127,13 @@ def ml_series(params: MLParams, z: PolarComplex,
     The accumulation runs in ordinary complex arithmetic: z^n is built by an
     iterative product (keeping term phases coherent to a few ulp, which the
     exp(n log z) form cannot do once n arg z is large) and multiplied by the
-    reciprocal-gamma oracle.  Log-space magnitudes are used only to screen
-    and survive overflow: the running power is rescaled by exact powers of
-    two and the gamma factor then absorbs the scale through its logarithm.
+    reciprocal-gamma oracle, called once per block of ``_SERIES_BLOCK``
+    terms; its exact zeros at the poles of Gamma give zero terms.  Log-space
+    magnitudes are used only to screen and survive overflow: the running
+    power is rescaled by exact powers of two and the gamma factor then
+    absorbs the scale through its logarithm (also fetched per block, real
+    part +inf at a pole).  An underflowed 1/Gamma is not a pole, so once
+    rescaling has started only the logarithm is read.
     Summation stops once three consecutive terms fall below
     abs_tol + rel_tol*|partial sum| and the peak term has been passed.
     Non-convergence within the term budget, and overflow of a term or of
@@ -144,13 +159,17 @@ def ml_series(params: MLParams, z: PolarComplex,
     scale_exp = 0
 
     for n in range(max_terms):
-        arg = mu + n / params.rho
-        if is_gamma_pole(arg):
-            term = 0j
-        elif scale_exp == 0:
-            term = z_pow * complex(recip_gamma_oracle(arg))
+        i = n % _SERIES_BLOCK
+        if i == 0:
+            args = mu + np.arange(n, n + _SERIES_BLOCK) / params.rho
+            recips = recip_gamma_oracle(args).tolist() if scale_exp == 0 else None
+            logs = None
+        if scale_exp == 0:
+            term = z_pow * recips[i]
         else:
-            lg = complex(log_gamma(arg))
+            if logs is None:
+                logs = log_gamma(args).tolist()
+            lg = logs[i]
             magnitude = -lg.real + scale_exp * _LN2
             if magnitude > 709.0:
                 overflowed = True
@@ -219,7 +238,7 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
     if deltas is None:
         deltas = default_ml_deltas(params.rho)
     if epsilon_hat is None:
-        cap = _ARC_GROWTH_CAP ** (1.0 / params.rho) / z.modulus - 1.0
+        cap = _float_power(_ARC_GROWTH_CAP, 1.0 / params.rho) / z.modulus - 1.0
         epsilon_hat = min(1.0, max(0.01, cap))
     return MLContourSpec(params.rho, params.mu, epsilon_hat, z.argument,
                          deltas[0], deltas[1])
@@ -263,7 +282,7 @@ def _zeta_loop(params: MLParams, z: PolarComplex,
             raise PreconditionError("spec (rho, mu) disagree with params")
         if spec.arg_z != z.argument:
             raise PreconditionError("spec.arg_z must equal z.argument")
-    growth = (z.modulus * (1.0 + spec.epsilon_hat)) ** params.rho
+    growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), params.rho)
     if growth > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
@@ -277,7 +296,7 @@ def ml_route(params: MLParams, z: PolarComplex) -> str:
     else "series"."""
     try:
         _zeta_loop(params, z, None)
-    except (ValueError, OverflowError):  # a failed check, or (|z|(1+eps))^rho past a double
+    except ValueError:  # a failed check
         return "series"
     return "contour"
 
@@ -318,7 +337,7 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
     zero of the pole factor t^(1/rho) - z).
     """
     if epsilon is None:
-        epsilon = 1.5 * z.modulus ** params.rho + 0.5
+        epsilon = 1.5 * _float_power(z.modulus, params.rho) + 0.5
     zc = z.to_complex()
     mu = complex(params.mu)
     if mu.imag != 0.0 or mu.real <= 0.0:
@@ -326,7 +345,7 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
                                 "complex mu is served by the other routes")
     alpha = 1.0 / params.rho
     beta = mu.real
-    pole_radius = abs(zc) ** params.rho
+    pole_radius = _float_power(abs(zc), params.rho)
     if not epsilon > pole_radius:
         raise PreconditionError(
             f"arc radius {epsilon:g} must exceed |z|^rho = {pole_radius:g}")
@@ -379,7 +398,7 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
             f"theta {theta:g} outside the open window ({lo:.6g}, {hi:.6g})")
     if not epsilon > abs(zc):
         raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(zc):g}")
-    if epsilon ** params.rho > OVERFLOW_EXPONENT_LIMIT:
+    if _float_power(epsilon, params.rho) > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     rho = params.rho
 

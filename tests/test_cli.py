@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from mlcontour.cli import main
+from mlcontour.cli import _axis, main
 
 PI = math.pi
 
@@ -95,6 +95,62 @@ class TestSeriesOverflow:
         rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
                 if r["record"] == "method"}
         assert rows["series"]["status"] == "failed"
+
+
+class TestFloatPowerOverflow:
+    """Where a float power in a loop route's checks overflows a double, the
+    route refuses with a precondition error instead of a traceback."""
+
+    POINT = ("--rho", 2, "--mu-re", 1, "--z-mod", 1e200, "--z-arg-pi", 1)
+
+    @pytest.mark.parametrize("method", ["contour", "bateman"])
+    def test_eval_is_precondition_error(self, capsys, method):
+        code, _ = run(capsys, "eval", *self.POINT, "--method", method)
+        assert code == 2
+
+    def test_dzhrbashyan_arc_power(self, capsys):
+        code, _ = run(capsys, "eval", "--rho", 40, "--mu-re", 1, "--z-mod", 1e10,
+                      "--z-arg-pi", 1, "--method", "dzhrbashyan")
+        assert code == 2
+
+    def test_default_arc_at_tiny_rho(self, capsys):
+        # 8.5^(1/rho) in the default arc radius overflows before the rho check
+        code, _ = run(capsys, "eval", "--rho", 0.001, "--mu-re", 1, "--z-mod", 1,
+                      "--z-arg-pi", 1, "--method", "contour",
+                      "--delta1-rho", 1, "--delta2-rho", 1)
+        assert code == 2
+
+    def test_compare_skips_loop_routes(self, capsys):
+        code, out = run(capsys, "compare", *self.POINT)
+        assert code == 0
+        rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
+                if r["record"] == "method"}
+        assert rows["contour"]["status"] == "skipped"
+        assert rows["bateman"]["status"] == "skipped"
+
+    def test_grid_row_reads_precondition_violation(self, capsys):
+        code, out = run(capsys, "grid", "ml", "--rho", 2, "--mu-re", 1,
+                        "--zmod-min", 1e200, "--zmod-max", 1e200, "--zmod-step", 1e200,
+                        "--zarg-min", repr(PI), "--zarg-max", repr(PI), "--zarg-step", 1,
+                        "--method", "contour")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 1
+        assert [r["status"] for r in rows] == ["precondition_violation"]
+
+
+class TestAxis:
+    def test_decimal_steps_reach_max(self):
+        assert len(_axis(0.0, 0.3, 0.1)) == 4
+        assert _axis(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    def test_small_step_stops_at_max(self):
+        lo, hi, step = 1e5 - 0.001, 1e5, 1e-8
+        values = _axis(lo, hi, step)
+        assert values[-1] <= hi < values[-1] + step
+
+    def test_step_below_resolution(self):
+        # 1e200 + 1 rounds to 1e200: the axis is that one point
+        assert _axis(1e200, 1e200, 1.0) == [1e200]
 
 
 class TestAutoRoute:

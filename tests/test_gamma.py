@@ -79,10 +79,34 @@ class TestOracle:
             assert rel_err(complex(recip_gamma_oracle(s)), ref) < 1e-12, s
 
     def test_vectorized_matches_scalar(self):
-        grid = np.array([0.5 + 0j, -1.5 + 2j, 3 - 1j, -4.5 - 3j])
-        vec = recip_gamma_oracle(grid)
-        for s, v in zip(grid, vec):
-            assert rel_err(complex(recip_gamma_oracle(complex(s))), complex(v)) < 1e-15
+        # One kernel serves both: the same bits on either side of Re s = 1/2,
+        # at the poles and where 1/Gamma underflows.
+        grid = np.array([0.5 + 0j, -1.5 + 2j, 3 - 1j, -4.5 - 3j, 0.3 + 0.7j,
+                         0.49 + 0j, -7.25 + 0.1j, -12.6 - 5j, 0j, -3 + 0j, 400 + 0j])
+        for fn in (recip_gamma_oracle, log_gamma):
+            vec = fn(grid)
+            for s, v in zip(grid, vec):
+                assert fn(complex(s)) == v, (fn.__name__, s)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a in np.arange(-15.25, 30.0, 1.5):
+            for b in (-12.0, -3.5, -0.5, 0.0, 0.25, 4.0, 15.0):
+                s = complex(a, b)
+                with mpmath.workdps(30):
+                    ref = complex(mpmath.rgamma(mpmath.mpc(a, b)))
+                assert rel_err(recip_gamma_oracle(s), ref) <= 1e-12, s
+                assert rel_err(cmath.exp(log_gamma(s)), 1.0 / ref) <= 1e-12, s
+
+    def test_left_half_plane_large_imaginary_part(self):
+        # sin(pi s) overflows a double past |Im s| ~ 226; the reflection
+        # works with its logarithm instead.
+        mpmath = pytest.importorskip("mpmath")
+        for s in (-3.3 + 250j, -10.5 - 400j, 0.2 + 300j):
+            with mpmath.workdps(30):
+                ref = complex(mpmath.rgamma(mpmath.mpc(s.real, s.imag)))
+            assert rel_err(recip_gamma_oracle(s), ref) < 1e-11, s
+            assert rel_err(cmath.exp(log_gamma(s)), 1.0 / ref) < 1e-11, s
 
     def test_underflow_region_returns_zero(self):
         assert recip_gamma_oracle(400.0) == 0

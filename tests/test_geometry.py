@@ -5,22 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcontour import (
-    ArcSegment,
     ContourValidityError,
     GammaContourSpec,
-    IntegrationPath,
     LambdaSpec,
     MLContourSpec,
     PolarComplex,
-    RaySegment,
-    build_gamma_path,
-    build_zeta_path,
     default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
     validate_gamma_contour,
     validate_lambda_contour,
     validate_ml_contour,
+)
+from mlcontour.geometry import (
+    ArcSegment,
+    IntegrationPath,
+    RaySegment,
+    build_gamma_path,
+    build_zeta_path,
 )
 
 PI = math.pi

@@ -85,6 +85,20 @@ class TestSeries:
         # sum_{n>=1} 1/Gamma(n) = sum_{k>=0} 1/k! = e
         assert ev.value == pytest.approx(math.e, rel=1e-12)
 
+    def test_block_boundary(self):
+        # 58 terms: the reciprocal gammas come in more than one block
+        ev = ml_series(MLParams(1.0, 1.0), PolarComplex(20.0, 0.0))
+        assert ev.diagnostics.terms_used == 58
+        assert ev.value == pytest.approx(math.exp(20.0), rel=1e-10)
+
+    def test_poles_at_first_two_terms(self):
+        # E(1, -1; z) = z^2 e^z: the n = 0 and n = 1 terms sit on poles
+        z = PolarComplex(3.0, 1.0)
+        zc = z.to_complex()
+        ev = ml_series(MLParams(1.0, -1.0), z)
+        assert ev.diagnostics.converged
+        assert ev.value == pytest.approx(zc * zc * cmath.exp(zc), rel=1e-12)
+
     def test_cancellation_flagged(self):
         ev = ml_series(MLParams(2.0, 1.0), PolarComplex(5.0, PI))
         assert ev.diagnostics.cancellation_digits > 9

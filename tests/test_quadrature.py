@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mlcontour import (
-    ArcSegment,
-    DecayModel,
-    IntegrandError,
-    IntegrationPath,
-    QuadratureConfig,
-    RaySegment,
-    integrate_arc,
-    integrate_path,
-    integrate_ray,
-)
+from mlcontour import IntegrandError, QuadratureConfig
+from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
+from mlcontour.quadrature import DecayModel, integrate_arc, integrate_path, integrate_ray
 
 PI = math.pi
 SQRT_PI_HALF = 0.8862269254527580  # sqrt(pi)/2, Gaussian integral
