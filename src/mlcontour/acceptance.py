@@ -24,7 +24,6 @@ import numpy as np
 from .gamma import (
     DEFAULT_GAMMA_SPEC,
     recip_gamma_contour,
-    recip_gamma_lambda,
     recip_gamma_oracle,
     reflection_residual,
 )
@@ -32,7 +31,6 @@ from .geometry import (
     ArcSegment,
     GammaContourSpec,
     IntegrationPath,
-    LambdaSpec,
     MLContourSpec,
     PolarComplex,
     RaySegment,
@@ -116,13 +114,14 @@ def gamma_contour_parameter_invariance() -> tuple[bool, str]:
 
 def gamma_scaled_contour_invariance() -> tuple[bool, str]:
     """Scaled-loop value constant over lambda = e^{i theta},
-    theta in {-pi/3, 0, pi/3}, psi_lambda re-centered; spread < 1e-9."""
+    theta in {-pi/3, 0, pi/3}, psi re-centered to -theta; spread < 1e-9."""
     worst = 0.0
     for s in (0.5, 2 + 1j):
         values = []
         for theta in (-PI / 3, 0.0, PI / 3):
-            lam = LambdaSpec(PolarComplex(1.0, theta), -theta)
-            values.append(recip_gamma_lambda(complex(s), lam).value)
+            spec = GammaContourSpec(1.0, -theta, PI, PI)
+            values.append(recip_gamma_contour(complex(s), spec,
+                                              lam=PolarComplex(1.0, theta)).value)
         spread = relative_spread(values)
         worst = max(worst, spread)
         if spread >= 1e-9:

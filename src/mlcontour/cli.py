@@ -36,8 +36,10 @@ from .geometry import (
     GammaContourSpec,
     MLContourSpec,
     PolarComplex,
+    default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
+    ml_delta_range,
     validate_gamma_contour,
     validate_ml_contour,
 )
@@ -324,8 +326,7 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
     else:
         params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
         z = resolve_z(ns)
-        lo_d = 0.5 * math.pi / ns.rho
-        hi_d = min(math.pi, math.pi / ns.rho)
+        lo_d, hi_d = ml_delta_range(ns.rho)
         for k in range(ns.points):
             frac = (k + 1) / (ns.points + 1)
             eps = 0.3 + 1.2 * frac
@@ -380,7 +381,6 @@ def cmd_window(ns: argparse.Namespace) -> int:
         d1 = ns.delta1_rho
         d2 = ns.delta2_rho
         if d1 is None or d2 is None:
-            from .geometry import default_ml_deltas
             d1, d2 = default_ml_deltas(ns.rho)
         low, high = ml_arg_window(ns.rho, d1, d2)
     else:

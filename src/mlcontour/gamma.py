@@ -1,7 +1,10 @@
-"""Reciprocal gamma: rotated-loop contour engines plus an independent oracle.
+"""Reciprocal gamma: one rotated-loop contour route plus an independent oracle.
 
-The contour engines evaluate 1/Gamma(s) as loop integrals of e^t * t^(-s),
-where t^(-s) is always computed from the unwrapped path angle.  The oracle is
+The contour route evaluates 1/Gamma(s) as a loop integral of e^t * t^(-s),
+where t^(-s) is always computed from the unwrapped path angle.  An optional
+complex scaling lambda integrates e^(lambda t) t^(-s) instead, times
+lambda^(1-s), over the loop of radius epsilon/|lambda|; psi is then the
+rotation within the window shifted by -arg lambda.  The oracle is
 a fixed-coefficient Lanczos approximation with reflection for Re s < 1/2; it
 shares no code with the contour machinery and anchors all cross-checks.  One
 array kernel computes log Gamma, and ``log_gamma`` and ``recip_gamma_oracle``
@@ -17,11 +20,11 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import (
+    UNIT_LAMBDA,
     GammaContourSpec,
-    LambdaSpec,
+    PolarComplex,
     RaySegment,
     build_gamma_path,
-    build_lambda_path,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -145,18 +148,18 @@ def recip_gamma_oracle(s) -> complex | np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Contour engines
+# Contour route
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GammaEvaluation:
     s: complex
     value: complex
-    method: str  # "contour" | "contour-lambda" | "oracle"
+    method: str  # "contour"
     quadrature: QuadratureResult | None = None
 
 
-def _loop_integrand(s: complex, lam: complex = 1.0 + 0j):
+def _loop_integrand(s: complex, lam: complex):
     """exp(lam*t) * t^(-s) from polar samples with unwrapped angles."""
     s = complex(s)
     lam = complex(lam)
@@ -168,58 +171,37 @@ def _loop_integrand(s: complex, lam: complex = 1.0 + 0j):
     return f
 
 
-def _loop_ray_decay(s: complex, ray: RaySegment, lam_modulus: float = 1.0,
-                    lam_argument: float = 0.0) -> DecayModel:
+def _loop_ray_decay(s: complex, ray: RaySegment, lam: PolarComplex) -> DecayModel:
     """Decay of |exp(lam t) t^(-s)| along a ray: the exponential rate is
     |lam| |cos(arg lam + angle)| and the power prefactor is r^(-Re s)."""
-    rate = lam_modulus * abs(math.cos(lam_argument + ray.angle))
+    rate = lam.modulus * abs(math.cos(lam.argument + ray.angle))
     base = math.exp(min(s.imag * ray.angle, 700.0))
     return DecayModel.with_power_growth(base, -s.real, rate, 1.0, ray.start_radius)
 
 
 def recip_gamma_contour(s: complex,
                         spec: GammaContourSpec = DEFAULT_GAMMA_SPEC,
-                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> GammaEvaluation:
-    """1/Gamma(s) as (1/2pi i) times the loop integral of e^t t^(-s).
+                        cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+                        lam: PolarComplex = UNIT_LAMBDA) -> GammaEvaluation:
+    """1/Gamma(s) as lam^(1-s)/(2pi i) times the loop integral of
+    e^(lam t) t^(-s).
 
-    Raises ContourValidityError for an inadmissible spec and ConvergenceError
+    Substituting t -> lam t moves the loop to radius epsilon/|lam| and its
+    psi window by -arg lam; the prefactor is taken from the stored argument
+    of ``lam``, the same value that shifts the window.  Raises
+    ContourValidityError for an inadmissible (spec, lam) and ConvergenceError
     when the quadrature cannot reach its tolerance.
     """
     s = complex(s)
-    path = build_gamma_path(spec)
-    raw = integrate_path(_loop_integrand(s), path,
-                         decay=lambda ray: _loop_ray_decay(s, ray), cfg=cfg)
+    path = build_gamma_path(spec, lam=lam)
+    raw = integrate_path(_loop_integrand(s, lam.to_complex()), path,
+                         decay=lambda ray: _loop_ray_decay(s, ray, lam), cfg=cfg)
     if not raw.converged:
         raise ConvergenceError(
             f"gamma contour quadrature did not converge at s={s} "
             f"(error estimate {raw.error_estimate:.3g})")
-    result = raw.scaled(1.0 / TWO_PI_I)
+    result = raw.scaled(lam.power(1.0 - s) / TWO_PI_I)
     return GammaEvaluation(s, result.value, "contour", result)
-
-
-def recip_gamma_lambda(s: complex, lam: LambdaSpec,
-                       spec: GammaContourSpec = DEFAULT_GAMMA_SPEC,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> GammaEvaluation:
-    """1/Gamma(s) over the lambda-scaled loop.
-
-    The loop radius is epsilon/|lambda| and the rotation psi_lambda; the
-    prefactor lambda^(1-s) is computed from the argument stored in the spec,
-    the same value that defines the admissibility window.
-    """
-    s = complex(s)
-    path = build_lambda_path(lam, spec)
-    lam_c = lam.lam.to_complex()
-    raw = integrate_path(
-        _loop_integrand(s, lam_c), path,
-        decay=lambda ray: _loop_ray_decay(s, ray, lam.lam.modulus, lam.lam.argument),
-        cfg=cfg)
-    if not raw.converged:
-        raise ConvergenceError(
-            f"lambda-scaled gamma quadrature did not converge at s={s} "
-            f"(error estimate {raw.error_estimate:.3g})")
-    prefactor = lam.lam.power(1.0 - s) / TWO_PI_I
-    result = raw.scaled(prefactor)
-    return GammaEvaluation(s, result.value, "contour-lambda", result)
 
 
 def reflection_residual(s: complex,

@@ -79,6 +79,10 @@ class PolarComplex:
         return cmath.exp(complex(a) * self.log())
 
 
+#: The identity scaling of the gamma loop.
+UNIT_LAMBDA = PolarComplex(1.0, 0.0)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated constraint and the distance to the admissible region."""
@@ -100,24 +104,16 @@ class ValidityReport:
 @dataclass(frozen=True)
 class GammaContourSpec:
     """Loop for the reciprocal gamma integral: arc radius ``epsilon``, rotation
-    ``psi``, ray angles ``-delta1 + psi`` and ``delta2 + psi``."""
+    ``psi``, ray angles ``-delta1 + psi`` and ``delta2 + psi``.
+
+    Under a scaling lambda the arc radius becomes ``epsilon/|lambda|`` and
+    ``psi`` is the rotation within the psi window shifted by ``-arg lambda``.
+    """
 
     epsilon: float
     psi: float
     delta1: float
     delta2: float
-
-
-@dataclass(frozen=True)
-class LambdaSpec:
-    """Complex scaling of the gamma loop.
-
-    ``lam`` rotates/stretches the whole plane; ``psi_lambda`` is the residual
-    contour rotation, admissible in the window shifted by ``-lam.argument``.
-    """
-
-    lam: PolarComplex
-    psi_lambda: float
 
 
 @dataclass(frozen=True)
@@ -248,12 +244,17 @@ def gamma_psi_window(delta1: float, delta2: float) -> tuple[float, float]:
     return (HALF_PI - delta2, -HALF_PI + delta1)
 
 
-def ml_arg_window(rho: float, delta1_rho: float, delta2_rho: float) -> tuple[float, float]:
-    """Open interval of admissible arg z for the zeta-loop representation."""
+def ml_delta_range(rho: float) -> tuple[float, float]:
+    """Zeta-loop ray half-angles lie in (pi/(2 rho), min(pi, pi/rho)]: open
+    below, where the rays stop decaying, and closed above."""
     if not (rho > 0.5 and math.isfinite(rho)):
         raise ValueError("rho must exceed 1/2")
-    hi_delta = min(math.pi, math.pi / rho)
-    lo_delta = HALF_PI / rho
+    return (HALF_PI / rho, min(math.pi, math.pi / rho))
+
+
+def ml_arg_window(rho: float, delta1_rho: float, delta2_rho: float) -> tuple[float, float]:
+    """Open interval of admissible arg z for the zeta-loop representation."""
+    lo_delta, hi_delta = ml_delta_range(rho)
     for name, d in (("delta1_rho", delta1_rho), ("delta2_rho", delta2_rho)):
         if not (lo_delta < d <= hi_delta):
             raise ValueError(f"{name} delta out of range ({lo_delta:.6g}, {hi_delta:.6g}]")
@@ -262,9 +263,7 @@ def ml_arg_window(rho: float, delta1_rho: float, delta2_rho: float) -> tuple[flo
 
 def default_ml_deltas(rho: float) -> tuple[float, float]:
     """Widest admissible ray half-angles, maximizing the arg z window."""
-    if not (rho > 0.5 and math.isfinite(rho)):
-        raise ValueError("rho must exceed 1/2")
-    d = min(math.pi, math.pi / rho)
+    d = ml_delta_range(rho)[1]
     return (d, d)
 
 
@@ -292,57 +291,31 @@ def _check_gamma_deltas(violations: list, spec: GammaContourSpec, margin: float)
 
 
 def validate_gamma_contour(spec: GammaContourSpec,
-                           margin: float = DEFAULT_BOUNDARY_MARGIN) -> ValidityReport:
-    """Check a gamma loop spec against its admissibility window.
+                           margin: float = DEFAULT_BOUNDARY_MARGIN,
+                           lam: PolarComplex = UNIT_LAMBDA) -> ValidityReport:
+    """Check a gamma loop spec, scaled by ``lam``, against its window.
 
-    The psi window and the lower delta bounds are open (boundary rejected,
-    plus a guard band of ``margin``); the upper delta bounds are inclusive.
+    The psi window, shifted by ``-arg lam``, and the lower delta bounds are
+    open (boundary rejected, plus a guard band of ``margin``); the upper
+    delta bounds are inclusive.
     """
     violations: list[Violation] = []
     if not _finite(violations, epsilon=spec.epsilon, psi=spec.psi,
                    delta1=spec.delta1, delta2=spec.delta2):
         return ValidityReport(False, tuple(violations))
 
-    if spec.epsilon <= 0:
-        violations.append(Violation("epsilon must be positive", -spec.epsilon))
-    _check_gamma_deltas(violations, spec, margin)
-    if not violations:
-        low, high = gamma_psi_window(spec.delta1, spec.delta2)
-        if spec.psi <= low + margin:
-            violations.append(Violation("psi at or below lower window bound", low - spec.psi))
-        if spec.psi >= high - margin:
-            violations.append(Violation("psi at or above upper window bound", spec.psi - high))
-    return ValidityReport(not violations, tuple(violations))
-
-
-def validate_lambda_contour(lam: LambdaSpec, spec: GammaContourSpec,
-                            margin: float = DEFAULT_BOUNDARY_MARGIN) -> ValidityReport:
-    """Joint admissibility of a scaling lambda with a gamma loop's deltas.
-
-    Only epsilon and the deltas of ``spec`` matter here; the rotation is
-    ``lam.psi_lambda`` and its window is the gamma psi window shifted by
-    ``-arg lambda``.
-    """
-    violations: list[Violation] = []
-    if not _finite(violations, epsilon=spec.epsilon, delta1=spec.delta1,
-                   delta2=spec.delta2, lam_modulus=lam.lam.modulus,
-                   lam_argument=lam.lam.argument, psi_lambda=lam.psi_lambda):
-        return ValidityReport(False, tuple(violations))
-
-    if lam.lam.modulus == 0:
+    if lam.modulus == 0:
         violations.append(Violation("lambda must be nonzero", 0.0))
     if spec.epsilon <= 0:
         violations.append(Violation("epsilon must be positive", -spec.epsilon))
     _check_gamma_deltas(violations, spec, margin)
     if not violations:
-        low = HALF_PI - spec.delta2 - lam.lam.argument
-        high = -HALF_PI + spec.delta1 - lam.lam.argument
-        if lam.psi_lambda <= low + margin:
-            violations.append(Violation("psi_lambda at or below lower window bound",
-                                        low - lam.psi_lambda))
-        if lam.psi_lambda >= high - margin:
-            violations.append(Violation("psi_lambda at or above upper window bound",
-                                        lam.psi_lambda - high))
+        low, high = gamma_psi_window(spec.delta1, spec.delta2)
+        low, high = low - lam.argument, high - lam.argument
+        if spec.psi <= low + margin:
+            violations.append(Violation("psi at or below lower window bound", low - spec.psi))
+        if spec.psi >= high - margin:
+            violations.append(Violation("psi at or above upper window bound", spec.psi - high))
     return ValidityReport(not violations, tuple(violations))
 
 
@@ -367,8 +340,7 @@ def validate_ml_contour(spec: MLContourSpec,
     if spec.epsilon_hat <= 0:
         violations.append(Violation("epsilon_hat must be positive", -spec.epsilon_hat))
     if not violations:
-        lo_delta = HALF_PI / spec.rho
-        hi_delta = min(math.pi, math.pi / spec.rho)
+        lo_delta, hi_delta = ml_delta_range(spec.rho)
         for name, d in (("delta1_rho", spec.delta1_rho), ("delta2_rho", spec.delta2_rho)):
             if d <= lo_delta + margin:
                 violations.append(Violation(f"{name} at or below pi/(2 rho)", lo_delta - d))
@@ -403,36 +375,25 @@ def loop_path(radius: float, a_in: float, a_out: float) -> IntegrationPath:
 
 
 def build_gamma_path(spec: GammaContourSpec,
-                     margin: float = DEFAULT_BOUNDARY_MARGIN) -> IntegrationPath:
-    """Loop for the gamma integral: ray in at -delta1+psi, arc of radius
-    epsilon swept counterclockwise, ray out at delta2+psi."""
+                     lam: PolarComplex = UNIT_LAMBDA) -> IntegrationPath:
+    """Loop for the gamma integral scaled by ``lam``: ray in at -delta1+psi,
+    arc of radius epsilon/|lam| swept counterclockwise, ray out at
+    delta2+psi."""
     from .errors import ContourValidityError
 
-    report = validate_gamma_contour(spec, margin)
+    report = validate_gamma_contour(spec, lam=lam)
     if not report.ok:
         raise ContourValidityError(report)
-    return loop_path(spec.epsilon, -spec.delta1 + spec.psi, spec.delta2 + spec.psi)
+    return loop_path(spec.epsilon / lam.modulus,
+                     -spec.delta1 + spec.psi, spec.delta2 + spec.psi)
 
 
-def build_lambda_path(lam: LambdaSpec, spec: GammaContourSpec,
-                      margin: float = DEFAULT_BOUNDARY_MARGIN) -> IntegrationPath:
-    """Scaled gamma loop: radius epsilon/|lambda|, rotation psi_lambda."""
-    from .errors import ContourValidityError
-
-    report = validate_lambda_contour(lam, spec, margin)
-    if not report.ok:
-        raise ContourValidityError(report)
-    return loop_path(spec.epsilon / lam.lam.modulus,
-                     -spec.delta1 + lam.psi_lambda, spec.delta2 + lam.psi_lambda)
-
-
-def build_zeta_path(spec: MLContourSpec,
-                    margin: float = DEFAULT_BOUNDARY_MARGIN) -> IntegrationPath:
+def build_zeta_path(spec: MLContourSpec) -> IntegrationPath:
     """Zeta-plane loop: rays at -delta1_rho-pi and delta2_rho-pi, arc radius
     1+epsilon_hat.  The simple pole at zeta=1 stays at distance >= epsilon_hat."""
     from .errors import ContourValidityError
 
-    report = validate_ml_contour(spec, margin)
+    report = validate_ml_contour(spec)
     if not report.ok:
         raise ContourValidityError(report)
     return loop_path(1.0 + spec.epsilon_hat,

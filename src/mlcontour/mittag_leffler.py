@@ -38,6 +38,7 @@ from .geometry import (
     build_zeta_path,
     default_ml_deltas,
     loop_path,
+    ml_delta_range,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -351,6 +352,9 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
             f"arc radius {epsilon:g} must exceed |z|^rho = {pole_radius:g}")
     if epsilon > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError("arc radius too large: e^t overflows on the arc")
+    eps_alpha = _float_power(epsilon, alpha)
+    if math.isinf(eps_alpha):
+        raise PreconditionError(f"arc radius too large: {epsilon:g}^(1/rho) overflows")
 
     def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
         log_t = np.log(mod) + 1j * ang
@@ -358,7 +362,7 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
         return np.exp(t + (alpha - beta) * log_t) / (np.exp(alpha * log_t) - zc)
 
     path = loop_path(epsilon, -math.pi, math.pi)
-    base = 1.0 / (epsilon ** alpha - abs(zc))
+    base = 1.0 / (eps_alpha - abs(zc))
     decay = DecayModel.with_power_growth(base, alpha - beta, 1.0, 1.0, epsilon)
     raw = integrate_path(f, path, decay=decay, cfg=cfg)
     if not raw.converged:
@@ -373,8 +377,7 @@ def dzhrbashyan_theta_window(rho: float) -> tuple[float, float]:
     """Open interval of admissible opening angles for the theta loop."""
     if not rho > 0.5:
         raise PreconditionError("theta-loop route requires rho > 1/2")
-    high = math.pi if rho <= 1.0 else math.pi / rho
-    return (math.pi / (2.0 * rho), high)
+    return ml_delta_range(rho)
 
 
 def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
@@ -509,7 +512,6 @@ class ComparisonReport:
 
 def compare_methods(params: MLParams, z: PolarComplex,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                    contour_spec: Optional[MLContourSpec] = None,
                     bateman_epsilon: Optional[float] = None,
                     dzh_epsilon: Optional[float] = None,
                     dzh_theta: Optional[float] = None) -> ComparisonReport:
@@ -540,7 +542,7 @@ def compare_methods(params: MLParams, z: PolarComplex,
             err = ev.diagnostics.error_estimate if ev.diagnostics else None
             outcomes.append(MethodOutcome(method, "ok", ev.value, err))
 
-    run("contour", lambda: ml_contour(params, z, contour_spec, cfg))
+    run("contour", lambda: ml_contour(params, z, cfg=cfg))
     run("bateman", lambda: ml_bateman(params, z, bateman_epsilon, cfg))
     run("dzhrbashyan", lambda: ml_dzhrbashyan(params, z, dzh_epsilon, dzh_theta, cfg))
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import pytest
@@ -128,6 +129,21 @@ class TestFloatPowerOverflow:
         assert rows["contour"]["status"] == "skipped"
         assert rows["bateman"]["status"] == "skipped"
 
+    # epsilon^(1/rho) in the Bateman ray decay overflows at small rho
+    TINY_RHO = ("--rho", 0.005, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1)
+
+    def test_bateman_arc_power_at_tiny_rho(self, capsys):
+        code, _ = run(capsys, "eval", *self.TINY_RHO, "--method", "bateman",
+                      "--arc-radius", 600)
+        assert code == 2
+
+    def test_compare_skips_bateman_at_tiny_rho(self, capsys):
+        code, out = run(capsys, "compare", *self.TINY_RHO, "--bateman-radius", 600)
+        assert code == 0
+        rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
+                if r["record"] == "method"}
+        assert rows["bateman"]["status"] == "skipped"
+
     def test_grid_row_reads_precondition_violation(self, capsys):
         code, out = run(capsys, "grid", "ml", "--rho", 2, "--mu-re", 1,
                         "--zmod-min", 1e200, "--zmod-max", 1e200, "--zmod-step", 1e200,
@@ -175,3 +191,91 @@ class TestAutoRoute:
         row = rows[0]
         assert (row["method"], row["flags"], row["status"]) == (
             "contour", "", "non_convergence")
+
+
+class TestWindow:
+    def test_gamma_window(self, capsys):
+        code, out = run(capsys, "window", "gamma", "--delta1", 2.5, "--delta2", 3)
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert float(row["low"]) == PI / 2 - 3
+        assert float(row["high"]) == 2.5 - PI / 2
+        assert row["inclusive"] == "false"
+
+    def test_ml_boundary_samples(self, capsys):
+        code, out = run(capsys, "window", "ml", "--rho", 1.5, "--samples", 4,
+                        "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["boundary"]) == 4
+
+
+class TestInvariance:
+    S = ("--s-re", 2, "--s-im", 1)
+    ML = ("--rho", 1.5, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1)
+
+    def test_gamma_passes(self, capsys):
+        code, out = run(capsys, "invariance", "gamma", *self.S)
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["passed"] == "True"
+
+    def test_gamma_threshold_failure(self, capsys):
+        code, _ = run(capsys, "invariance", "gamma", *self.S, "--threshold", 1e-30)
+        assert code == 1
+
+    def test_ml_passes(self, capsys):
+        code, _ = run(capsys, "invariance", "ml", *self.ML)
+        assert code == 0
+
+    def test_ml_too_few_points(self, capsys):
+        code, _ = run(capsys, "invariance", "ml", *self.ML, "--points", 2)
+        assert code == 2
+
+
+class TestConfigFile:
+    POINT = ("--rho", 1, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1)
+
+    def test_file_values_apply_and_flags_override(self, capsys, tmp_path):
+        cfg = tmp_path / "mlc.conf"
+        cfg.write_text("# route\nmethod = series\nmax_terms = 500\n")
+        code, out = run(capsys, "eval", "--config", cfg, *self.POINT)
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["method"] == "series"
+        code, out = run(capsys, "eval", "--config", cfg, *self.POINT,
+                        "--method", "contour")
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["method"] == "contour"
+
+    def test_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "mlc.conf"
+        cfg.write_text("method series\n")
+        code, _ = run(capsys, "eval", "--config", cfg, *self.POINT)
+        assert code == 2
+
+    def test_missing_path(self, capsys):
+        code, _ = run(capsys, "eval", *self.POINT, "--config")
+        assert code == 2
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, _ = run(capsys, "eval", "--config", tmp_path / "absent.conf", *self.POINT)
+        assert code == 2
+
+
+class TestOutput:
+    def test_selftest_no_match(self, capsys):
+        code, _ = run(capsys, "selftest", "--only", "nomatch")
+        assert code == 2
+
+    def test_eval_json_matches_csv(self, capsys):
+        point = ("eval", "--rho", 1.5, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1)
+        _, out = run(capsys, *point)
+        row = next(csv.DictReader(io.StringIO(out)))
+        _, out = run(capsys, *point, "--format", "json")
+        rec = json.loads(out)
+        assert rec.keys() == row.keys()
+        for key, value in rec.items():
+            if value is None:
+                assert row[key] == ""
+            elif isinstance(value, float):
+                assert float(row[key]) == value
+            else:
+                assert row[key] == str(value)

@@ -8,14 +8,12 @@ from mlcontour import (
     ContourValidityError,
     ConvergenceError,
     GammaContourSpec,
-    LambdaSpec,
     PolarComplex,
     QuadratureConfig,
     gamma_psi_window,
     is_gamma_pole,
     log_gamma,
     recip_gamma_contour,
-    recip_gamma_lambda,
     recip_gamma_oracle,
     reflection_residual,
 )
@@ -188,36 +186,35 @@ class TestContour:
 class TestLambdaRoute:
     def test_identity_scaling_matches_plain_contour(self):
         s = 0.7 + 0.2j
-        lam = LambdaSpec(PolarComplex(1.0, 0.0), 0.0)
-        a = recip_gamma_lambda(s, lam).value
-        b = recip_gamma_contour(s).value
-        assert abs(a - b) < 1e-10
+        a = recip_gamma_contour(s, lam=PolarComplex(1.0, 0.0))
+        b = recip_gamma_contour(s)
+        assert a.value == b.value
+        assert a.quadrature == b.quadrature
 
     def test_value_independent_of_lambda(self):
         s = 1.0
-        lam = LambdaSpec(PolarComplex(1.0, PI / 4), -PI / 4)
-        ev = recip_gamma_lambda(s, lam)
-        assert ev.method == "contour-lambda"
+        spec = GammaContourSpec(1.0, -PI / 4, PI, PI)
+        ev = recip_gamma_contour(s, spec, lam=PolarComplex(1.0, PI / 4))
+        assert ev.method == "contour"
         assert abs(ev.value - 1.0) < 1e-10
 
     def test_conjugate_rotations_agree_with_oracle(self):
         s = 2 + 1j
         for arg in (-PI / 3, PI / 3):
-            lam = LambdaSpec(PolarComplex(1.0, arg), -arg)
-            ev = recip_gamma_lambda(s, lam)
+            spec = GammaContourSpec(1.0, -arg, PI, PI)
+            ev = recip_gamma_contour(s, spec, lam=PolarComplex(1.0, arg))
             assert rel_err(ev.value, RECIP_GAMMA_2_PLUS_I) < 1e-9
 
     def test_modulus_scaling(self):
         s = 0.5
-        lam = LambdaSpec(PolarComplex(2.5, 0.0), 0.0)
-        ev = recip_gamma_lambda(s, lam)
+        ev = recip_gamma_contour(s, lam=PolarComplex(2.5, 0.0))
         assert rel_err(ev.value, 0.5641895835477563) < 1e-9
 
     def test_joint_validity_enforced(self):
-        # psi_lambda outside the shifted window
-        lam = LambdaSpec(PolarComplex(1.0, PI / 3), PI / 2)
+        # psi outside the window shifted by -arg lambda
+        spec = GammaContourSpec(1.0, PI / 2, PI, PI)
         with pytest.raises(ContourValidityError):
-            recip_gamma_lambda(0.5, lam)
+            recip_gamma_contour(0.5, spec, lam=PolarComplex(1.0, PI / 3))
 
 
 class TestReflectionResidual:

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from mlcontour import (
     ContourValidityError,
     GammaContourSpec,
-    LambdaSpec,
     MLContourSpec,
     PolarComplex,
     default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
     validate_gamma_contour,
-    validate_lambda_contour,
     validate_ml_contour,
 )
 from mlcontour.geometry import (
@@ -23,6 +21,7 @@ from mlcontour.geometry import (
     RaySegment,
     build_gamma_path,
     build_zeta_path,
+    ml_delta_range,
 )
 
 PI = math.pi
@@ -87,6 +86,19 @@ class TestWindows:
     def test_default_deltas_rejects_small_rho(self):
         with pytest.raises(ValueError):
             default_ml_deltas(0.5)
+
+    @pytest.mark.parametrize("rho,expected", [
+        (0.75, (2 * PI / 3, PI)),
+        (1.0, (PI / 2, PI)),
+        (2.0, (PI / 4, PI / 2)),
+    ])
+    def test_ml_delta_range(self, rho, expected):
+        assert ml_delta_range(rho) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3, math.inf, math.nan])
+    def test_ml_delta_range_rejects_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must exceed 1/2"):
+            ml_delta_range(rho)
 
     def test_gamma_psi_window(self):
         lo, hi = gamma_psi_window(PI, PI)
@@ -185,19 +197,22 @@ class TestMLValidity:
 
 class TestLambdaValidity:
     def test_shifted_window(self):
-        spec = GammaContourSpec(1.0, 0.0, PI, PI)
-        lam = LambdaSpec(PolarComplex(1.0, PI / 3), -PI / 3)
-        assert validate_lambda_contour(lam, spec).ok
+        spec = GammaContourSpec(1.0, -PI / 3, PI, PI)
+        assert validate_gamma_contour(spec, lam=PolarComplex(1.0, PI / 3)).ok
+        # the window (-pi/2, pi/2) moves by -arg lambda = -0.3
+        lam = PolarComplex(1.0, 0.3)
+        assert validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 - 0.2, PI, PI), lam=lam).ok
+        assert not validate_gamma_contour(GammaContourSpec(1.0, PI / 2 - 0.2, PI, PI), lam=lam).ok
 
     def test_boundary_rejected(self):
-        spec = GammaContourSpec(1.0, 0.0, PI, PI)
-        lam = LambdaSpec(PolarComplex(1.0, PI / 3), PI / 2 - PI - PI / 3)
-        assert not validate_lambda_contour(lam, spec).ok
+        spec = GammaContourSpec(1.0, PI / 2 - PI - PI / 3, PI, PI)
+        assert not validate_gamma_contour(spec, lam=PolarComplex(1.0, PI / 3)).ok
 
     def test_zero_lambda_rejected(self):
         spec = GammaContourSpec(1.0, 0.0, PI, PI)
-        lam = LambdaSpec(PolarComplex(0.0, 0.0), 0.0)
-        assert not validate_lambda_contour(lam, spec).ok
+        report = validate_gamma_contour(spec, lam=PolarComplex(0.0, 0.0))
+        assert not report.ok
+        assert any("lambda" in v.constraint for v in report.violations)
 
 
 class TestPaths:
@@ -216,6 +231,13 @@ class TestPaths:
         assert ray_in.angle == pytest.approx(-1.7)
         assert ray_out.angle == pytest.approx(2.8)
         assert arc.radius == 2.0
+
+    def test_scaled_gamma_path(self):
+        # lambda shrinks the arc by |lambda|; the rays stay at -delta1+psi, delta2+psi
+        spec = GammaContourSpec(2.0, -0.3, PI, PI)
+        ray_in, arc, ray_out = build_gamma_path(spec, lam=PolarComplex(4.0, 0.3)).segments
+        assert arc.radius == 0.5
+        assert (ray_in.angle, ray_out.angle) == (-PI - 0.3, PI - 0.3)
 
     def test_arc_span_independent_of_psi(self):
         for psi in (-0.3, 0.0, 0.4):
