@@ -83,21 +83,12 @@ def load_config_args(path: str) -> list[str]:
 
 
 def quadrature_config(ns: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=ns.rel_tol,
-        abs_tol=ns.abs_tol,
-        max_refinements=ns.max_refinements,
-        initial_panels_per_segment=ns.initial_panels,
-        tail_safety_factor=ns.tail_safety,
-    )
+    return QuadratureConfig(ns.rel_tol, ns.abs_tol)
 
 
 def add_quadrature_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", type=float, default=1e-14)
-    p.add_argument("--max-refinements", type=int, default=30)
-    p.add_argument("--initial-panels", type=int, default=8)
-    p.add_argument("--tail-safety", type=float, default=10.0)
 
 
 def add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -229,6 +220,18 @@ def _axis(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
+#: The status a grid row reports for each error its evaluation may raise.
+_ROW_STATUS = {ContourValidityError: "window_violation",
+               PreconditionError: "precondition_violation",
+               ConvergenceError: "non_convergence",
+               IntegrandError: "non_convergence"}
+_ROW_ERRORS = tuple(_ROW_STATUS)
+
+
+def _row_status(exc: Exception) -> str:
+    return next(status for cls, status in _ROW_STATUS.items() if isinstance(exc, cls))
+
+
 def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig) -> dict:
     row = {"s_re": s_re, "s_im": s_im, "value_re": None, "value_im": None,
            "err_estimate": None, "method": method, "flags": "", "status": "ok"}
@@ -242,12 +245,8 @@ def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig) -> 
             value = ev.value
             err = ev.quadrature.error_estimate
         row["value_re"], row["value_im"], row["err_estimate"] = value.real, value.imag, err
-    except ContourValidityError:
-        row["status"] = "window_violation"
-    except PreconditionError:
-        row["status"] = "precondition_violation"
-    except (ConvergenceError, IntegrandError):
-        row["status"] = "non_convergence"
+    except _ROW_ERRORS as exc:
+        row["status"] = _row_status(exc)
     return row
 
 
@@ -260,14 +259,8 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
            "err_estimate": None, "method": route, "flags": "", "status": "ok"}
     try:
         ev = evaluate_ml(params, z, route, cfg)
-    except ContourValidityError:
-        row["status"] = "window_violation"
-        return row
-    except PreconditionError:
-        row["status"] = "precondition_violation"
-        return row
-    except (ConvergenceError, IntegrandError):
-        row["status"] = "non_convergence"
+    except _ROW_ERRORS as exc:
+        row["status"] = _row_status(exc)
         return row
     rec = evaluation_record(ev)
     row["value_re"], row["value_im"] = rec["value_re"], rec["value_im"]
@@ -635,21 +628,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _apply_config_file(argv)
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except ContourValidityError as exc:
+    except (ValueError, OSError) as exc:
+        # ContourValidityError and PreconditionError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ConvergenceError as exc:
+    except (ConvergenceError, IntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
-    except IntegrandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

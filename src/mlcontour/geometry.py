@@ -281,23 +281,22 @@ def _finite(violations: list, **fields) -> bool:
     return ok
 
 
-def _check_gamma_deltas(violations: list, spec: GammaContourSpec, margin: float) -> None:
-    """Gamma-loop ray half-angles: open at pi/2 (plus ``margin``), closed at pi."""
+def _check_gamma_deltas(violations: list, spec: GammaContourSpec) -> None:
+    """Gamma-loop ray half-angles: open at pi/2 (plus the guard band), closed at pi."""
     for name, d in (("delta1", spec.delta1), ("delta2", spec.delta2)):
-        if d <= HALF_PI + margin:
+        if d <= HALF_PI + DEFAULT_BOUNDARY_MARGIN:
             violations.append(Violation(f"{name} at or below pi/2", HALF_PI - d))
         elif d > math.pi:
             violations.append(Violation(f"{name} above pi", d - math.pi))
 
 
 def validate_gamma_contour(spec: GammaContourSpec,
-                           margin: float = DEFAULT_BOUNDARY_MARGIN,
                            lam: PolarComplex = UNIT_LAMBDA) -> ValidityReport:
     """Check a gamma loop spec, scaled by ``lam``, against its window.
 
     The psi window, shifted by ``-arg lam``, and the lower delta bounds are
-    open (boundary rejected, plus a guard band of ``margin``); the upper
-    delta bounds are inclusive.
+    open (boundary rejected, plus the ``DEFAULT_BOUNDARY_MARGIN`` guard band);
+    the upper delta bounds are inclusive.
     """
     violations: list[Violation] = []
     if not _finite(violations, epsilon=spec.epsilon, psi=spec.psi,
@@ -308,19 +307,18 @@ def validate_gamma_contour(spec: GammaContourSpec,
         violations.append(Violation("lambda must be nonzero", 0.0))
     if spec.epsilon <= 0:
         violations.append(Violation("epsilon must be positive", -spec.epsilon))
-    _check_gamma_deltas(violations, spec, margin)
+    _check_gamma_deltas(violations, spec)
     if not violations:
         low, high = gamma_psi_window(spec.delta1, spec.delta2)
         low, high = low - lam.argument, high - lam.argument
-        if spec.psi <= low + margin:
+        if spec.psi <= low + DEFAULT_BOUNDARY_MARGIN:
             violations.append(Violation("psi at or below lower window bound", low - spec.psi))
-        if spec.psi >= high - margin:
+        if spec.psi >= high - DEFAULT_BOUNDARY_MARGIN:
             violations.append(Violation("psi at or above upper window bound", spec.psi - high))
     return ValidityReport(not violations, tuple(violations))
 
 
-def validate_ml_contour(spec: MLContourSpec,
-                        margin: float = DEFAULT_BOUNDARY_MARGIN) -> ValidityReport:
+def validate_ml_contour(spec: MLContourSpec) -> ValidityReport:
     """Check a zeta-loop spec: rho, epsilon_hat, delta ranges and the arg z window.
 
     Delta upper bounds are inclusive; everything else is strict with a guard
@@ -342,16 +340,16 @@ def validate_ml_contour(spec: MLContourSpec,
     if not violations:
         lo_delta, hi_delta = ml_delta_range(spec.rho)
         for name, d in (("delta1_rho", spec.delta1_rho), ("delta2_rho", spec.delta2_rho)):
-            if d <= lo_delta + margin:
+            if d <= lo_delta + DEFAULT_BOUNDARY_MARGIN:
                 violations.append(Violation(f"{name} at or below pi/(2 rho)", lo_delta - d))
             elif d > hi_delta:
                 violations.append(Violation(f"{name} above min(pi, pi/rho)", d - hi_delta))
     if not violations:
         low, high = ml_arg_window(spec.rho, spec.delta1_rho, spec.delta2_rho)
-        if spec.arg_z <= low + margin:
+        if spec.arg_z <= low + DEFAULT_BOUNDARY_MARGIN:
             violations.append(Violation("arg z at or below lower window bound",
                                         low - spec.arg_z))
-        if spec.arg_z >= high - margin:
+        if spec.arg_z >= high - DEFAULT_BOUNDARY_MARGIN:
             violations.append(Violation("arg z at or above upper window bound",
                                         spec.arg_z - high))
     if not (HALF_PI < spec.arg_z < 3 * HALF_PI):

@@ -8,13 +8,15 @@ point cannot encode.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
-between the last two refinement levels.  Infinite rays are truncated at a
-radius computed from an analytic decay bound supplied by the caller, and the
-tail bound is folded into the error estimate.
+between the last two refinement levels; each segment is held to the
+tolerances on its own.  Infinite rays are cut where the caller's analytic
+decay bound puts the tail below abs_tol / 10, a radius ``truncation_radius``
+solves for directly, and the tail bound is folded into the error estimate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -27,31 +29,31 @@ from .geometry import ArcSegment, IntegrationPath, RaySegment
 _GAUSS_ORDER = 15
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
+# First-level panels per arc (fewest per ray): resolve a smooth segment at once.
+_INITIAL_PANELS = 8
+# The truncated tail may take a tenth of abs_tol; the panels keep the rest.
+_TAIL_SAFETY = 10.0
+# Refinement stops here, bounding the cost of a segment that cannot converge.
+_MAX_PANELS = 16384
+# with_power_growth's folded amplitude keeps twice the worst case, for slack.
+_POWER_GROWTH_SAFETY = 2.0
+
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances, applied per segment: a segment converges when its error
+    estimate is at most max(abs_tol, rel_tol * |segment value|).  A path is
+    ``converged`` when all its segments are; the summed error is not yet
+    checked against the summed value (defect D1 in ROADMAP.md)."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_refinements: int = 30
-    initial_panels_per_segment: int = 8
-    tail_safety_factor: float = 10.0
-    # Practical cap: 30 doublings of the panel count would be astronomically
-    # many panels, so refinement also stops at this budget per segment.
-    max_panels_per_segment: int = 16384
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
-        if self.initial_panels_per_segment < 1:
-            raise ValueError("initial_panels_per_segment must be >= 1")
-        if self.tail_safety_factor < 1:
-            raise ValueError("tail_safety_factor must be >= 1")
-        if self.max_panels_per_segment < self.initial_panels_per_segment:
-            raise ValueError("max_panels_per_segment too small")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -75,8 +77,7 @@ class DecayModel:
 
     @classmethod
     def with_power_growth(cls, base_amplitude: float, poly_power: float,
-                          rate: float, exponent: float, start_radius: float,
-                          safety: float = 2.0) -> "DecayModel":
+                          rate: float, exponent: float, start_radius: float) -> "DecayModel":
         """Fold a polynomially growing prefactor into a pure exponential bound.
 
         Given |f| <= B * r**m * exp(-c * r**p) for r >= r0, returns a model
@@ -88,7 +89,7 @@ class DecayModel:
             raise ValueError("with_power_growth requires positive bound parameters")
         if poly_power <= 0:
             amp = base_amplitude * start_radius ** poly_power
-            return cls(safety * amp, rate, exponent)
+            return cls(_POWER_GROWTH_SAFETY * amp, rate, exponent)
         c_eff = 0.5 * rate
         # max over r > 0 of r**m * exp(-c_eff * r**p), attained at
         # r* = (m / (c_eff p))**(1/p)
@@ -96,7 +97,7 @@ class DecayModel:
         r_star = max(r_star, start_radius)
         log_peak = poly_power * math.log(r_star) - c_eff * r_star ** exponent
         amp = base_amplitude * math.exp(min(log_peak, 700.0))
-        return cls(safety * amp, c_eff, exponent)
+        return cls(_POWER_GROWTH_SAFETY * amp, c_eff, exponent)
 
     def bound(self, r: float) -> float:
         return self.amplitude * math.exp(-self.rate * r ** self.exponent)
@@ -131,7 +132,7 @@ def _subdivide(base: np.ndarray, parts: int) -> np.ndarray:
     return np.concatenate(([base[0]], inner.ravel()))
 
 
-def _graded_boundaries(r0: float, r1: float, min_panels: int) -> np.ndarray:
+def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
     """Panel boundaries on [r0, r1], widths doubling away from r0.
 
     The integrands peak toward the arc junction at r0, so the smallest panel
@@ -140,7 +141,7 @@ def _graded_boundaries(r0: float, r1: float, min_panels: int) -> np.ndarray:
     """
     span = r1 - r0
     scale = max(r0, 1.0)
-    n = max(min_panels, math.ceil(math.log2(span / scale + 1.0)) + 1)
+    n = max(_INITIAL_PANELS, math.ceil(math.log2(span / scale + 1.0)) + 1)
     n = min(n, 48)
     j = np.arange(n + 1, dtype=float)
     return r0 + span * np.expm1(j * math.log(2.0)) / (2.0 ** n - 1.0)
@@ -155,10 +156,10 @@ def _refine(level_value: Callable[[int], tuple[complex, int]],
     budget so a converged result's total estimate stays within tolerance.
     """
     prev, panels = level_value(0)
-    diff = math.inf
     best_diff = math.inf
     stale = 0
-    for k in range(1, cfg.max_refinements + 1):
+    # The panel cap ends the loop: it allows at most 11 doublings.
+    for k in itertools.count(1):
         cur, panels = level_value(k)
         diff = abs(cur - prev)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(cur))
@@ -174,9 +175,8 @@ def _refine(level_value: Callable[[int], tuple[complex, int]],
             if k >= 4 and stale >= 2:
                 return cur, diff + extra_error, panels, False
         prev = cur
-        if panels * 2 > cfg.max_panels_per_segment:
+        if panels * 2 > _MAX_PANELS:
             return cur, diff + extra_error, panels, False
-    return prev, diff + extra_error, panels, False
 
 
 def _panel_sum(f: Integrand, bounds: np.ndarray, radial: bool,
@@ -214,8 +214,7 @@ def integrate_arc(f: Integrand, arc: ArcSegment,
     """Integral of f(zeta) dzeta over the arc, in its stated orientation."""
     if arc.start_angle == arc.end_angle:
         return QuadratureResult(0j, 0.0, 0.0, 0, True)
-    base = np.linspace(arc.start_angle, arc.end_angle,
-                       cfg.initial_panels_per_segment + 1)
+    base = np.linspace(arc.start_angle, arc.end_angle, _INITIAL_PANELS + 1)
 
     def level(k: int) -> tuple[complex, int]:
         bounds = _subdivide(base, 2 ** k)
@@ -227,32 +226,44 @@ def integrate_arc(f: Integrand, arc: ArcSegment,
 
 def truncation_radius(decay: DecayModel, start_radius: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Smallest radius R where the analytic tail bound sinks below
-    abs_tol / tail_safety_factor."""
-    target = cfg.abs_tol / cfg.tail_safety_factor
+    """Radius R, at least 1.5 r0 + 1, past which the tail bound stays below
+    abs_tol / 10.  With c = rate, p = exponent and r0 = ``start_radius``, R
+    solves c R**p + (p - 1) ln R = K = ln(amplitude / (c p abs_tol / 10)).
 
-    def small_enough(r: float) -> bool:
-        log_tail = (math.log(decay.amplitude) - decay.rate * r ** decay.exponent
-                    - math.log(decay.rate * decay.exponent)
-                    - (decay.exponent - 1.0) * math.log(r))
-        return log_tail < math.log(target)
-
-    lo = start_radius
-    hi = max(2.0 * start_radius, start_radius + 1.0)
-    for _ in range(200):
-        if small_enough(hi):
-            break
-        lo = hi
-        hi *= 2.0
+    For p = 1, R = K / c.  Otherwise h(u) = c e**(p u) + (p - 1) u - K is
+    convex in u = ln R: Newton's method, started where h' > 0, lands right of
+    the largest root within one step and then decreases to it.
+    """
+    c, p = decay.rate, decay.exponent
+    floor = 1.5 * start_radius + 1.0
+    k = math.log(decay.amplitude) - math.log(c * p) - math.log(cfg.abs_tol / _TAIL_SAFETY)
+    # Past 2**199 times the first bracket, max(2 r0, r0 + 1), the decay is too weak.
+    r_max = max(2.0 * start_radius, start_radius + 1.0) * 2.0 ** 199
+    if p == 1.0:
+        r = k / c
     else:
+        # Start no lower than the floor, right of h's minimum (h' >= 1 - p when
+        # p < 1) and near the root (one fixed-point step from c R**p = K).
+        log_c = math.log(c)
+        u_k = (math.log(k) - log_c) / p if k > 0 else 0.0
+        x = max(k - (p - 1.0) * u_k, 2.0 * (1.0 - p) / p)
+        u = max(math.log(floor), (math.log(x) - log_c) / p if x > 0 else 0.0)
+        if u > math.log(r_max):
+            raise IntegrandError("decay too weak to truncate ray")
+        r = math.exp(u)
+        for _ in range(100):  # the cap only stops rounding noise cycling
+            w = c * r ** p
+            slope = p * w + p - 1.0
+            if slope <= 0.0:  # left of h's minimum, h > 0 to its right: no root
+                return floor
+            step = (w + (p - 1.0) * math.log(r) - k) / slope
+            r *= math.exp(-step)
+            # Newton's next step would be about p * step**2 / 2: rounding.
+            if r < floor or abs(step) <= 1e-9:
+                break
+    if not r <= r_max:
         raise IntegrandError("decay too weak to truncate ray")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if small_enough(mid):
-            hi = mid
-        else:
-            lo = mid
-    return max(hi, start_radius * 1.5 + 1.0)
+    return max(r, floor)
 
 
 def integrate_ray(f: Integrand, ray: RaySegment,
@@ -260,9 +271,10 @@ def integrate_ray(f: Integrand, ray: RaySegment,
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
     """Integral of f(zeta) dzeta along the ray, in its stated orientation.
 
-    An infinite ray requires a decay model; it is truncated where the tail
-    bound drops below abs_tol / tail_safety_factor and the bound is added to
-    the error estimate.  Finite rays integrate the stated span exactly.
+    An infinite ray requires a decay model; it is truncated at
+    ``truncation_radius``, where the tail bound stays below abs_tol / 10, and
+    the bound is added to the error estimate.  Finite rays integrate the
+    stated span exactly.
     """
     if ray.infinite:
         if decay is None:
@@ -272,7 +284,7 @@ def integrate_ray(f: Integrand, ray: RaySegment,
     else:
         r_end = ray.end_radius
         tail = 0.0
-    base = _graded_boundaries(ray.start_radius, r_end, cfg.initial_panels_per_segment)
+    base = _graded_boundaries(ray.start_radius, r_end)
 
     def level(k: int) -> tuple[complex, int]:
         bounds = _subdivide(base, 2 ** k)

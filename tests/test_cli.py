@@ -279,3 +279,16 @@ class TestOutput:
                 assert float(row[key]) == value
             else:
                 assert row[key] == str(value)
+
+
+class TestQuadratureFlags:
+    @pytest.mark.parametrize("command", [("eval",), ("grid", "gamma"), ("grid", "ml"),
+                                         ("invariance", "gamma"), ("invariance", "ml"),
+                                         ("compare",)])
+    def test_only_tolerances(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        out = capsys.readouterr().out
+        assert "--rel-tol" in out and "--abs-tol" in out
+        for gone in ("--max-refinements", "--initial-panels", "--tail-safety"):
+            assert gone not in out

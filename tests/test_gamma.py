@@ -9,7 +9,6 @@ from mlcontour import (
     ConvergenceError,
     GammaContourSpec,
     PolarComplex,
-    QuadratureConfig,
     gamma_psi_window,
     is_gamma_pole,
     log_gamma,
@@ -171,10 +170,9 @@ class TestContour:
             recip_gamma_contour(1.0, GammaContourSpec(1.0, PI / 2 - PI, PI, PI))
 
     def test_non_convergence_raises(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-30, max_refinements=1,
-                               initial_panels_per_segment=1)
+        # rays 1e-6 off the imaginary axis decay too slowly to converge
         with pytest.raises(ConvergenceError):
-            recip_gamma_contour(2 + 1j, cfg=cfg)
+            recip_gamma_contour(2 + 1j, GammaContourSpec(1.0, 0.0, PI / 2 + 1e-6, PI / 2 + 1e-6))
 
     def test_evaluation_carries_quadrature(self):
         ev = recip_gamma_contour(0.5)

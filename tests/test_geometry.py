@@ -148,9 +148,8 @@ class TestGammaValidity:
         assert any("delta1" in v.constraint for v in report.violations)
 
     def test_margin_guard_band(self):
-        spec = GammaContourSpec(1.0, -PI / 2 + 1e-12, PI, PI)
-        assert not validate_gamma_contour(spec).ok
-        assert validate_gamma_contour(spec, margin=1e-13).ok
+        assert not validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 + 1e-12, PI, PI)).ok
+        assert validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 + 1e-8, PI, PI)).ok
 
     def test_epsilon_must_be_positive(self):
         report = validate_gamma_contour(GammaContourSpec(0.0, 0.0, PI, PI))
