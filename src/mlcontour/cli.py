@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -232,16 +233,18 @@ def _row_status(exc: Exception) -> str:
     return next(status for cls, status in _ROW_STATUS.items() if isinstance(exc, cls))
 
 
-def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig) -> dict:
+def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig,
+               oracle_value: complex | None) -> dict:
+    """One row of ``grid gamma``; ``cmd_grid`` computes the oracle's values
+    in one array call."""
     row = {"s_re": s_re, "s_im": s_im, "value_re": None, "value_im": None,
            "err_estimate": None, "method": method, "flags": "", "status": "ok"}
-    s = complex(s_re, s_im)
     try:
         if method == "oracle":
-            value = complex(recip_gamma_oracle(s))
+            value = complex(oracle_value)
             err = 0.0
         else:
-            ev = recip_gamma_contour(s, DEFAULT_GAMMA_SPEC, cfg)
+            ev = recip_gamma_contour(complex(s_re, s_im), DEFAULT_GAMMA_SPEC, cfg)
             value = ev.value
             err = ev.quadrature.error_estimate
         row["value_re"], row["value_im"], row["err_estimate"] = value.real, value.imag, err
@@ -274,9 +277,12 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
 def cmd_grid(ns: argparse.Namespace) -> int:
     cfg = quadrature_config(ns)
     if ns.target == "gamma":
-        re_axis = _axis(ns.re_min, ns.re_max, ns.re_step)
-        im_axis = _axis(ns.im_min, ns.im_max, ns.im_step)
-        rows = [_gamma_row(a, b, ns.method, cfg) for a in re_axis for b in im_axis]
+        points = [(a, b) for a in _axis(ns.re_min, ns.re_max, ns.re_step)
+                  for b in _axis(ns.im_min, ns.im_max, ns.im_step)]
+        # The array call gives the same bits as one scalar call per point.
+        oracle = (recip_gamma_oracle([complex(a, b) for a, b in points])
+                  if ns.method == "oracle" else [None] * len(points))
+        rows = [_gamma_row(a, b, ns.method, cfg, v) for (a, b), v in zip(points, oracle)]
     else:
         params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
         mod_axis = _axis(ns.zmod_min, ns.zmod_max, ns.zmod_step)
@@ -621,12 +627,18 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:n_sub] + file_args + rest[n_sub:]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: parsing leaves the
+    parser unchanged, and building it takes milliseconds."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         # ContourValidityError and PreconditionError are ValueErrors.

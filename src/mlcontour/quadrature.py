@@ -1,10 +1,11 @@
 """Complex line integrals along ray/arc paths.
 
 The engine integrates vectorized integrands ``f(modulus, angle) -> complex``
-where both arguments are numpy arrays of equal shape.  Passing polar
+where both arguments are 1-D numpy arrays of equal shape.  Passing polar
 coordinates instead of complex points is deliberate: branch-sensitive powers
 must be computed from the unwrapped angle the path carries, which a complex
-point cannot encode.
+point cannot encode.  The engine scales the array f returns in place, so f
+returns a new array.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
@@ -12,11 +13,31 @@ between the last two refinement levels; each segment is held to the
 tolerances on its own.  Infinite rays are cut where the caller's analytic
 decay bound puts the tail below abs_tol / 10, a radius ``truncation_radius``
 solves for directly, and the tail bound is folded into the error estimate.
+
+``integrate_path`` refines all segments of a path together, in rounds.  All
+truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
+every segment; each later round evaluates the next level of every segment
+whose doubling rule has not stopped.  A round makes one integrand call over
+the nodes of all its levels (split in calls of fewer than _BATCH_NODES nodes,
+a larger level taking a call of its own).  The results are bit for bit the
+sums, in path order, of each segment integrated on its own (``integrate_arc``,
+``integrate_ray``), because:
+
+- each level's nodes are made as for that level alone: ``_subdivide`` of the
+  segment's level-0 boundaries, then mid + half * node;
+- each segment's Jacobian multiplies its slice of the integrand's output in
+  place, ``np.multiply(v, jac, out=v)``, in that operand order (numpy rounds
+  a complex product differently with its operands swapped);
+- the weighted sums over each panel's 15 nodes are taken over the whole
+  call, row by row, and each level's panel sums are then scaled by their
+  half-widths and summed with ``np.sum`` over that level's slice, pairwise,
+  as for the level alone;
+- no integrand call mixes a level of 16,384 nodes or more with another
+  (see _BATCH_NODES).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -37,6 +58,12 @@ _TAIL_SAFETY = 10.0
 _MAX_PANELS = 16384
 # with_power_growth's folded amplitude keeps twice the worst case, for slack.
 _POWER_GROWTH_SAFETY = 2.0
+# From 256 KiB (16,384 complex values) numpy may compute an operator in place
+# in a temporary operand ("elision"), which swaps the operands of a commuted
+# complex product and rounds it differently.  A call of fewer nodes elides
+# nothing, so every node comes out as in a call for its level alone; a level
+# of this many nodes or more gets a call of its own.
+_BATCH_NODES = 16384
 
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -63,8 +90,8 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 class DecayModel:
     """Asserts |f(r e^{i theta})| <= amplitude * exp(-rate * r**exponent).
 
-    The bound licenses truncating an infinite ray: the remaining tail beyond
-    radius R is at most amplitude * exp(-rate*R**p) / (rate*p*R**(p-1)).
+    The bound licenses truncating an infinite ray at a radius R; ``tail_bound``
+    bounds what is cut off.
     """
 
     amplitude: float
@@ -103,7 +130,20 @@ class DecayModel:
         return self.amplitude * math.exp(-self.rate * r ** self.exponent)
 
     def tail_bound(self, r: float) -> float:
-        return self.bound(r) / (self.rate * self.exponent * r ** (self.exponent - 1.0))
+        """Bound on T, the integral of ``bound`` over [r, inf).
+
+        With c = rate and p = exponent, integrating by parts gives T =
+        bound(r) r**(1-p) / (c p) + (1-p)/(c p) * (integral of t**-p bound(t)).
+        For p >= 1 the second term is at most 0.  For p < 1 it is at most
+        q T with q = (1-p) / (c p r**p), so T <= (first term) / (1 - q)
+        while q < 1; nearer the origin this bound is infinite.
+        """
+        c, p = self.rate, self.exponent
+        first = self.bound(r) / (c * p * r ** (p - 1.0))
+        if p >= 1.0:
+            return first
+        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)
+        return first / shrink if shrink > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -123,11 +163,17 @@ class QuadratureResult:
 # Panel machinery
 # --------------------------------------------------------------------------
 
+# _subdivide's fractions of a panel, by number of parts (powers of two).
+_STEPS: dict[int, np.ndarray] = {}
+
+
 def _subdivide(base: np.ndarray, parts: int) -> np.ndarray:
     """Split every interval of `base` into `parts` equal pieces."""
     if parts == 1:
         return base
-    steps = np.linspace(0.0, 1.0, parts + 1)[1:]
+    steps = _STEPS.get(parts)
+    if steps is None:
+        steps = _STEPS[parts] = np.linspace(0.0, 1.0, parts + 1)[1:]
     inner = base[:-1, None] + np.diff(base)[:, None] * steps[None, :]
     return np.concatenate(([base[0]], inner.ravel()))
 
@@ -147,92 +193,128 @@ def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
     return r0 + span * np.expm1(j * math.log(2.0)) / (2.0 ** n - 1.0)
 
 
-def _refine(level_value: Callable[[int], tuple[complex, int]],
-            cfg: QuadratureConfig, extra_error: float = 0.0) -> tuple[complex, float, int, bool]:
-    """Double panels until two successive values agree within tolerance.
+class _Segment:
+    """One segment's panel levels and the state of its doubling rule.
 
-    Returns (value, |last difference| + extra_error, panels, converged).
-    ``extra_error`` (the ray tail bound) is charged against the convergence
-    budget so a converged result's total estimate stays within tolerance.
+    Level k splits each of the level-0 panels ``base`` into 2**k.  The rule
+    stops at the first level k >= 1 where the change from level k - 1 plus
+    the ray tail bound meets the tolerance (converged; the tail is charged
+    against the tolerance so that the whole estimate stays within it), or
+    once the change has failed to shrink twice by k >= 4 (the estimate sits
+    on the rounding floor, and more panels cannot help), or when another
+    doubling would pass _MAX_PANELS; ``result`` is then (value, change +
+    tail, panels, converged).
     """
-    prev, panels = level_value(0)
-    best_diff = math.inf
-    stale = 0
-    # The panel cap ends the loop: it allows at most 11 doublings.
-    for k in itertools.count(1):
-        cur, panels = level_value(k)
-        diff = abs(cur - prev)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(cur))
-        if diff + extra_error <= tol:
-            return cur, diff + extra_error, panels, True
-        # Plateau detection: once doubling stops shrinking the difference the
-        # estimate sits on the rounding floor and further panels cannot help.
-        if diff < best_diff:
-            best_diff = diff
-            stale = 0
+
+    def __init__(self, base: np.ndarray, radial: bool, fixed: float, tail: float):
+        self.base = base
+        self.radial = radial  # radial: over radius at angle ``fixed``; else over angle
+        self.fixed = fixed
+        self.tail = tail
+        self.level = 0
+        self.prev = 0j
+        self.best_diff = math.inf
+        self.stale = 0
+        self.result: tuple[complex, float, int, bool] | None = None
+
+    def jacobian(self, angles: np.ndarray) -> complex | np.ndarray:
+        """d zeta per unit of the panel coordinate: e^{i angle} on a ray,
+        i R e^{i phi} on an arc."""
+        if self.radial:
+            return complex(math.cos(self.fixed), math.sin(self.fixed))
+        return 1j * self.fixed * np.exp(1j * angles)
+
+    def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
+        """Take the value of level k, the level after the last one taken."""
+        self.level = k
+        if k == 0:
+            self.prev = cur
+            return
+        panels = (len(self.base) - 1) * 2 ** k
+        diff = abs(cur - self.prev)
+        err = diff + self.tail
+        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
+            self.result = (cur, err, panels, True)
+            return
+        if diff < self.best_diff:
+            self.best_diff = diff
+            self.stale = 0
         else:
-            stale += 1
-            if k >= 4 and stale >= 2:
-                return cur, diff + extra_error, panels, False
-        prev = cur
+            self.stale += 1
+            if k >= 4 and self.stale >= 2:
+                self.result = (cur, err, panels, False)
+                return
+        self.prev = cur
         if panels * 2 > _MAX_PANELS:
-            return cur, diff + extra_error, panels, False
+            self.result = (cur, err, panels, False)
 
 
-def _panel_sum(f: Integrand, bounds: np.ndarray, radial: bool,
-               fixed_coord: float) -> complex:
-    """Composite Gauss-Legendre sum over panels.
+def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]:
+    """The composite Gauss-Legendre sum of each (segment, level) job.
 
-    radial=True: integrate over radius at fixed angle, jacobian e^{i angle};
-    radial=False: integrate over angle at fixed radius, jacobian i R e^{i phi}.
+    Jobs share one integrand call per batch; a batch holds fewer than
+    _BATCH_NODES nodes, or one job alone.
     """
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    if radial:
-        mods = x
-        angs = np.full_like(x, fixed_coord)
-        jac = complex(math.cos(fixed_coord), math.sin(fixed_coord))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = f(mods, angs) * jac
-    else:
-        mods = np.full_like(x, fixed_coord)
-        angs = x
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = f(mods, angs) * (1j * fixed_coord * np.exp(1j * angs))
+    levels = []  # (segment, panel midpoints, panel half-widths)
+    for seg, k in jobs:
+        bounds = _subdivide(seg.base, 2 ** k)
+        levels.append((seg, 0.5 * (bounds[1:] + bounds[:-1]), 0.5 * (bounds[1:] - bounds[:-1])))
+    sums: list[complex] = []
+    batch: list = []
+    size = 0
+    for level in levels:
+        n = len(level[1]) * _GAUSS_ORDER
+        if batch and size + n >= _BATCH_NODES:
+            sums += _batch_sums(f, batch)
+            batch, size = [], 0
+        batch.append(level)
+        size += n
+    return sums + _batch_sums(f, batch)
+
+
+def _batch_sums(f: Integrand, batch: list) -> list[complex]:
+    """One integrand call over the nodes of every level in ``batch``."""
+    n = sum(len(mid) for _, mid, _ in batch) * _GAUSS_ORDER
+    mods = np.empty(n)
+    angs = np.empty(n)
+    spans = []
+    at = 0
+    for seg, mid, half in batch:
+        stop = at + len(mid) * _GAUSS_ORDER
+        nodes, fixed = (mods, angs) if seg.radial else (angs, mods)
+        np.add(mid[:, None], half[:, None] * _NODES, out=nodes[at:stop].reshape(-1, _GAUSS_ORDER))
+        fixed[at:stop] = seg.fixed
+        spans.append((at, stop))
+        at = stop
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(f(mods, angs), dtype=complex)
+        for (seg, _, _), (at, stop) in zip(batch, spans):
+            v = vals[at:stop]
+            np.multiply(v, seg.jacobian(angs[at:stop]), out=v)
     if not np.all(np.isfinite(vals)):
         raise IntegrandError("integrand not finite")
-    return complex(np.sum((vals * _WEIGHTS[None, :]).sum(axis=1) * half))
+    rows = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1)
+    return [complex(np.sum(rows[at // _GAUSS_ORDER:stop // _GAUSS_ORDER] * half))
+            for (_, _, half), (at, stop) in zip(batch, spans)]
 
 
 # --------------------------------------------------------------------------
 # Public operations
 # --------------------------------------------------------------------------
 
-def integrate_arc(f: Integrand, arc: ArcSegment,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
-    """Integral of f(zeta) dzeta over the arc, in its stated orientation."""
-    if arc.start_angle == arc.end_angle:
-        return QuadratureResult(0j, 0.0, 0.0, 0, True)
-    base = np.linspace(arc.start_angle, arc.end_angle, _INITIAL_PANELS + 1)
-
-    def level(k: int) -> tuple[complex, int]:
-        bounds = _subdivide(base, 2 ** k)
-        return _panel_sum(f, bounds, radial=False, fixed_coord=arc.radius), len(bounds) - 1
-
-    value, err, panels, converged = _refine(level, cfg)
-    return QuadratureResult(value, err, 0.0, panels, converged)
-
-
 def truncation_radius(decay: DecayModel, start_radius: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Radius R, at least 1.5 r0 + 1, past which the tail bound stays below
-    abs_tol / 10.  With c = rate, p = exponent and r0 = ``start_radius``, R
-    solves c R**p + (p - 1) ln R = K = ln(amplitude / (c p abs_tol / 10)).
+    abs_tol / 10.  With c = rate, p = exponent, r0 = ``start_radius`` and
+    u = ln R, R is where h(u) = c e**(p u) + (p - 1) u - K crosses 0, with
+    K = ln(amplitude / (c p abs_tol / 10)); for p < 1 h has the further term
+    ln(1 - (1-p) / (c p R**p)) of ``DecayModel.tail_bound``.
 
-    For p = 1, R = K / c.  Otherwise h(u) = c e**(p u) + (p - 1) u - K is
-    convex in u = ln R: Newton's method, started where h' > 0, lands right of
-    the largest root within one step and then decreases to it.
+    For p = 1, R = K / c.  For p > 1 h is convex: Newton's method, started
+    where h' > 0, lands right of the largest root within one step and then
+    decreases to it.  For p < 1 h increases from -inf, so its root is unique;
+    Newton's steps are kept inside a bracket of it, halving it when a step
+    would leave.
     """
     c, p = decay.rate, decay.exponent
     floor = 1.5 * start_radius + 1.0
@@ -241,59 +323,73 @@ def truncation_radius(decay: DecayModel, start_radius: float,
     r_max = max(2.0 * start_radius, start_radius + 1.0) * 2.0 ** 199
     if p == 1.0:
         r = k / c
-    else:
-        # Start no lower than the floor, right of h's minimum (h' >= 1 - p when
-        # p < 1) and near the root (one fixed-point step from c R**p = K).
+    elif p > 1.0:
+        # Start no lower than the floor and near the root (one fixed-point
+        # step from c R**p = K).
         log_c = math.log(c)
         u_k = (math.log(k) - log_c) / p if k > 0 else 0.0
-        x = max(k - (p - 1.0) * u_k, 2.0 * (1.0 - p) / p)
+        x = k - (p - 1.0) * u_k
         u = max(math.log(floor), (math.log(x) - log_c) / p if x > 0 else 0.0)
         if u > math.log(r_max):
             raise IntegrandError("decay too weak to truncate ray")
         r = math.exp(u)
         for _ in range(100):  # the cap only stops rounding noise cycling
             w = c * r ** p
-            slope = p * w + p - 1.0
-            if slope <= 0.0:  # left of h's minimum, h > 0 to its right: no root
-                return floor
-            step = (w + (p - 1.0) * math.log(r) - k) / slope
+            step = (w + (p - 1.0) * math.log(r) - k) / (p * w + p - 1.0)
             r *= math.exp(-step)
             # Newton's next step would be about p * step**2 / 2: rounding.
             if r < floor or abs(step) <= 1e-9:
                 break
+    else:
+        r = _sublinear_radius(c, p, k, r_max)
     if not r <= r_max:
         raise IntegrandError("decay too weak to truncate ray")
     return max(r, floor)
 
 
-def integrate_ray(f: Integrand, ray: RaySegment,
-                  decay: DecayModel | None = None,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
-    """Integral of f(zeta) dzeta along the ray, in its stated orientation.
+def _sublinear_radius(c: float, p: float, k: float, r_max: float) -> float:
+    """``truncation_radius`` for p < 1, before the floor is applied.
 
-    An infinite ray requires a decay model; it is truncated at
-    ``truncation_radius``, where the tail bound stays below abs_tol / 10, and
-    the bound is added to the error estimate.  Finite rays integrate the
-    stated span exactly.
+    h rises from -inf where w = c R**p reaches a = (1-p)/p, the radius at
+    which the tail bound blows up, so its root is unique.  Newton's method
+    runs in v = ln(w - a): with x = e**v, h = a + x - (a+1) ln(a + x) + v +
+    a ln c - K and h' = (x**2 + a) / (a + x), near-linear by the blow-up and
+    convex far from it.  Its steps stay inside a bracket of the root, which
+    they halve when a step would leave.  Below v = ln(a) - 36, w = a + x
+    rounds to a.
     """
-    if ray.infinite:
-        if decay is None:
-            raise ValueError("infinite ray requires a decay model")
-        r_end = truncation_radius(decay, ray.start_radius, cfg)
-        tail = decay.tail_bound(r_end)
-    else:
-        r_end = ray.end_radius
-        tail = 0.0
-    base = _graded_boundaries(ray.start_radius, r_end)
-
-    def level(k: int) -> tuple[complex, int]:
-        bounds = _subdivide(base, 2 ** k)
-        return _panel_sum(f, bounds, radial=True, fixed_coord=ray.angle), len(bounds) - 1
-
-    value, err, panels, converged = _refine(level, cfg, extra_error=tail)
-    if ray.direction == "inbound":
-        value = -value
-    return QuadratureResult(value, err, r_end if ray.infinite else 0.0, panels, converged)
+    a = (1.0 - p) / p
+    shift = a * math.log(c) - k
+    w_max = c * r_max ** p
+    if not w_max > a:
+        raise IntegrandError("decay too weak to truncate ray")
+    lo, hi = math.log(a) - 36.0, math.log(w_max - a)
+    # Start one fixed-point step from w = K, and at w >= 2a.
+    u_k = (math.log(k) - math.log(c)) / p if k > 0 else 0.0
+    v = math.log(max(k - (p - 1.0) * u_k - a, a))
+    for _ in range(100):  # the cap stops a bracket that rounding has closed
+        x = math.exp(v)
+        value = a + x - (a + 1.0) * math.log(a + x) + v + shift
+        if value >= 0.0:
+            hi = v
+        else:
+            lo = v
+        step = value * (a + x) / (x * x + a)
+        v -= step
+        # Newton's next step would be about step**2 times h''/2h': rounding.
+        if abs(step) <= 1e-9:
+            break
+        if not lo < v < hi:
+            v = 0.5 * (lo + hi)
+    r = ((a + math.exp(v)) / c) ** (1.0 / p)
+    # Rounding may leave R a few units in the last place short of the root:
+    # step it out by 2**-52, 2**-51, ... of itself until the bound holds.
+    for i in range(52):
+        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)  # as in DecayModel.tail_bound
+        if shrink > 0.0 and c * r ** p + (p - 1.0) * math.log(r) + math.log(shrink) >= k:
+            return r
+        r *= 1.0 + 2.0 ** (i - 52)
+    raise IntegrandError("decay too weak to truncate ray")
 
 
 def integrate_path(f: Integrand, path: IntegrationPath,
@@ -303,21 +399,63 @@ def integrate_path(f: Integrand, path: IntegrationPath,
 
     ``decay`` may be a single model or a callable mapping each ray segment to
     its own model (rays at different angles usually decay at different rates).
+    An infinite ray requires one; it is truncated at ``truncation_radius``,
+    where the tail bound stays below abs_tol / 10, and the bound is added to
+    the ray's error estimate.  Finite rays integrate the stated span exactly.
     """
+    segments = []
+    trunc = []
+    for seg in path.segments:
+        r_end = 0.0
+        if isinstance(seg, ArcSegment):
+            base = np.linspace(seg.start_angle, seg.end_angle, _INITIAL_PANELS + 1)
+            segment = _Segment(base, False, seg.radius, 0.0)
+            if seg.start_angle == seg.end_angle:
+                segment.result = (0j, 0.0, 0, True)
+        else:
+            model = decay(seg) if callable(decay) else decay
+            if seg.infinite:
+                if model is None:
+                    raise ValueError("infinite ray requires a decay model")
+                r_end = truncation_radius(model, seg.start_radius, cfg)
+                span_end, tail = r_end, model.tail_bound(r_end)
+            else:
+                span_end, tail = seg.end_radius, 0.0
+            base = _graded_boundaries(seg.start_radius, span_end)
+            segment = _Segment(base, True, seg.angle, tail)
+        segments.append(segment)
+        trunc.append(r_end)
+
+    jobs = [(seg, k) for seg in segments if seg.result is None for k in (0, 1)]
+    while jobs:
+        for (seg, k), value in zip(jobs, _level_sums(f, jobs)):
+            seg.accept(k, value, cfg)
+        jobs = [(seg, seg.level + 1) for seg in segments if seg.result is None]
+
     total = 0j
     err = 0.0
     panels = 0
-    trunc = 0.0
     converged = True
-    for seg in path.segments:
-        if isinstance(seg, ArcSegment):
-            res = integrate_arc(f, seg, cfg)
-        else:
-            model = decay(seg) if callable(decay) else decay
-            res = integrate_ray(f, seg, model, cfg)
-        total += res.value
-        err += res.error_estimate
-        panels += res.panels_used
-        trunc = max(trunc, res.truncation_radius)
-        converged = converged and res.converged
-    return QuadratureResult(total, err, trunc, panels, converged)
+    for geometry, seg in zip(path.segments, segments):
+        value, seg_err, seg_panels, seg_converged = seg.result
+        if isinstance(geometry, RaySegment) and geometry.direction == "inbound":
+            value = -value
+        total += value
+        err += seg_err
+        panels += seg_panels
+        converged = converged and seg_converged
+    return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)
+
+
+def integrate_arc(f: Integrand, arc: ArcSegment,
+                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
+    """Integral of f(zeta) dzeta over the arc, in its stated orientation."""
+    return integrate_path(f, IntegrationPath((arc,)), cfg=cfg)
+
+
+def integrate_ray(f: Integrand, ray: RaySegment,
+                  decay: DecayModel | None = None,
+                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
+    """Integral of f(zeta) dzeta along the ray, in its stated orientation;
+    ``decay`` is required when the ray is infinite (see ``integrate_path``)."""
+    return integrate_path(f, IntegrationPath((ray,)), decay, cfg)

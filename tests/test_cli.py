@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from mlcontour.cli import _axis, main
+from mlcontour import recip_gamma_oracle
+from mlcontour.cli import _axis, build_parser, main
 
 PI = math.pi
 
@@ -292,3 +293,43 @@ class TestQuadratureFlags:
         assert "--rel-tol" in out and "--abs-tol" in out
         for gone in ("--max-refinements", "--initial-panels", "--tail-safety"):
             assert gone not in out
+
+
+class TestParserReuse:
+    COMMANDS = [
+        (["eval", "--rho", "1", "--mu-re", "1", "--z-mod", "1", "--z-arg-pi", "1"], 0),
+        (["grid", "gamma", "--re-min", "-1", "--re-max", "1", "--re-step", "1",
+          "--im-min", "0", "--im-max", "1", "--im-step", "1", "--rel-tol", "1e-8"], 0),
+        (["eval", "--rho", "2", "--mu-re", "1", "--z-mod", "1", "--z-arg", "0",
+          "--method", "contour"], 2),
+    ]
+
+    def test_repeated_main_calls_match_a_fresh_parser(self, capsys):
+        # main builds its parser once per process; parsing must not change it
+        for _ in range(2):
+            for argv, expected_code in self.COMMANDS:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code == expected_code
+                if code == 0:
+                    ns = build_parser().parse_args(argv)
+                    assert ns.func(ns) == 0
+                    assert capsys.readouterr().out == out
+                else:
+                    assert out == "" and err.startswith("error: ")
+
+
+class TestOracleGrid:
+    def test_array_call_matches_scalar_calls(self, capsys):
+        code, out = run(capsys, "grid", "gamma", "--re-min", -3, "--re-max", 2.5,
+                        "--re-step", 0.5, "--im-min", -1, "--im-max", 1, "--im-step", 0.5,
+                        "--method", "oracle", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 12 * 5
+        for row in rows:
+            value = complex(recip_gamma_oracle(complex(row["s_re"], row["s_im"])))
+            assert (row["value_re"], row["value_im"]) == (value.real, value.imag)
+            assert row["err_estimate"] == 0.0 and row["status"] == "ok"
+        # the poles at Re s = -3, ..., 0 on the real axis are exact zeros
+        assert sum(r["value_re"] == 0.0 and r["value_im"] == 0.0 for r in rows) == 4

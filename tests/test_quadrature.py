@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mlcontour import IntegrandError, QuadratureConfig
+from mlcontour import (
+    IntegrandError,
+    MLParams,
+    PolarComplex,
+    QuadratureConfig,
+    ml_bateman,
+    ml_contour,
+    ml_dzhrbashyan,
+    recip_gamma_contour,
+)
 from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
 from mlcontour.quadrature import (
     DecayModel,
@@ -118,6 +127,26 @@ class TestDecayModel:
         model = DecayModel.with_power_growth(1.0, -2.0, 1.5, 1.0, 2.0)
         assert model.rate == 1.5
 
+    @pytest.mark.parametrize("p", [0.6, 0.75, 1.0, 1.5])
+    @pytest.mark.parametrize("amplitude, rate, r0", [(1.0, 1.0, 1.0), (3.0, 0.5, 2.0),
+                                                     (1e3, 2.0, 0.1)])
+    def test_tail_bound_covers_true_tail(self, p, amplitude, rate, r0):
+        # the integral of A e^(-c r^p) over [R, inf) is A Gamma(1/p, c R^p) / (p c^(1/p))
+        mpmath = pytest.importorskip("mpmath")
+        decay = DecayModel(amplitude, rate, p)
+        r = truncation_radius(decay, r0)
+        with mpmath.workdps(30):
+            inv_p = 1 / mpmath.mpf(p)
+            tail = (amplitude / (p * mpmath.mpf(rate) ** inv_p)
+                    * mpmath.gammainc(inv_p, rate * mpmath.mpf(r) ** p))
+        # at p = 1 the bound is the tail itself, up to rounding
+        assert decay.tail_bound(r) >= tail * (1 - 1e-13)
+        assert decay.tail_bound(r) <= 1.02 * tail
+
+    def test_tail_bound_infinite_where_sublinear_bound_fails(self):
+        # c p R^p <= 1 - p: integration by parts bounds nothing there
+        assert DecayModel(1.0, 1.0, 0.5).tail_bound(0.9) == math.inf
+
 
 class TestTruncationRadius:
     CFG = QuadratureConfig()
@@ -126,7 +155,12 @@ class TestTruncationRadius:
         # log of DecayModel.tail_bound, which under- or overflows at the
         # amplitudes below
         c, p = decay.rate, decay.exponent
-        return math.log(decay.amplitude) - c * r ** p - math.log(c * p) - (p - 1.0) * math.log(r)
+        log_first = (math.log(decay.amplitude) - c * r ** p - math.log(c * p)
+                     - (p - 1.0) * math.log(r))
+        if p >= 1.0:
+            return log_first
+        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)
+        return log_first - math.log(shrink) if shrink > 0.0 else math.inf
 
     @pytest.mark.parametrize("p", [1.0, 0.6, 0.75, 1.5, 2.0, 4.0])
     def test_bound_meets_target_at_smallest_radius(self, p):
@@ -244,3 +278,141 @@ class TestPath:
                             ArcSegment(1.0, -PI, PI))
         assert not res.converged
         assert res.panels_used == 128
+
+
+class TestRounds:
+    """integrate_path evaluates one refinement level of every open segment
+    per integrand call, with the bits of segment-by-segment integration."""
+
+    PATH = IntegrationPath((
+        RaySegment(-PI, 1.0, "inbound"),
+        ArcSegment(1.0, -PI, PI),
+        RaySegment(PI, 1.0, "outbound"),
+    ))
+    DECAY = DecayModel(30.0, 1.0, 1.0)
+
+    @staticmethod
+    def counted(f):
+        sizes = []
+
+        def g(mod, ang):
+            assert mod.ndim == 1 and ang.shape == mod.shape
+            sizes.append(mod.size)
+            return f(mod, ang)
+
+        return g, sizes
+
+    @staticmethod
+    def integrand(mod, ang):
+        # a pole 0.02 off the arc and an e^t decay along the rays: the arc
+        # needs more levels than the rays
+        t = as_complex(mod, ang)
+        return np.exp(t) / (t - 0.98)
+
+    def one_segment(self, seg):
+        g, sizes = self.counted(self.integrand)
+        if isinstance(seg, ArcSegment):
+            return integrate_arc(g, seg), sizes
+        return integrate_ray(g, seg, self.DECAY), sizes
+
+    def test_one_integrand_call_per_level(self):
+        singles = [self.one_segment(seg) for seg in self.PATH.segments]
+        # a one-segment call takes levels 0 and 1 in its first call, then one
+        # level per call: level k has 2**k times the nodes of level 0
+        levels, level0 = [], []
+        for _, sizes in singles:
+            n0 = sizes[0] // 3
+            assert sizes == [3 * n0] + [n0 * 2 ** (j + 1) for j in range(1, len(sizes))]
+            levels.append(len(sizes))
+            level0.append(n0)
+        assert max(levels) >= 3 and min(levels) < max(levels)
+
+        g, sizes = self.counted(self.integrand)
+        integrate_path(g, self.PATH, self.DECAY)
+        assert len(sizes) == max(levels)
+        assert sizes[0] == 3 * sum(level0)
+        for j in range(1, len(sizes)):
+            assert sizes[j] == sum(n0 * 2 ** (j + 1)
+                                   for n0, k in zip(level0, levels) if k > j)
+
+    def test_path_is_sum_of_segments_bit_for_bit(self):
+        path = integrate_path(self.integrand, self.PATH, self.DECAY)
+        value, err, panels = 0j, 0.0, 0
+        for seg in self.PATH.segments:
+            res, _ = self.one_segment(seg)
+            value += res.value
+            err += res.error_estimate
+            panels += res.panels_used
+        assert (path.value, path.error_estimate, path.panels_used) == (value, err, panels)
+
+    def test_large_levels_get_calls_of_their_own(self):
+        # below 16,384 nodes levels share a call; a larger level is never
+        # mixed with another, so numpy treats every node as in its own call
+        path = IntegrationPath((ArcSegment(1.0, 0.0, PI), ArcSegment(1.0, PI, 2 * PI)))
+        g, sizes = self.counted(lambda m, a: (0.3 + 1.7j) * np.sqrt(as_complex(m, a) - 1.0))
+        res = integrate_path(g, path, cfg=QuadratureConfig(rel_tol=1e-12))
+        assert res.panels_used == 2 * 16384
+        # level k of one arc has 120 * 2**k nodes; levels 0 and 1 share a call
+        shared = [2 * 120 * (1 + 2)] + [2 * 120 * 2 ** k for k in range(2, 7)]
+        alone = [120 * 2 ** k for k in range(7, 12) for _ in range(2)]
+        assert sizes == shared + alone
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_finite_in_any_segment_raises(self, bad):
+        path = IntegrationPath((
+            RaySegment(-2.0, 1.0, "inbound"),
+            ArcSegment(1.0, -2.0, 2.0),
+            RaySegment(2.0, 1.0, "outbound"),
+        ))
+        # Gauss nodes are interior: only arc nodes have modulus 1, only ray
+        # nodes sit at angle -2 or 2
+        where = [lambda m, a: a == -2.0, lambda m, a: m == 1.0, lambda m, a: a == 2.0][bad]
+
+        def f(mod, ang):
+            return np.where(where(mod, ang), np.nan, np.exp(as_complex(mod, ang)))
+
+        with pytest.raises(IntegrandError, match="not finite"):
+            integrate_path(f, path, decay=lambda ray: DecayModel(3.0, abs(math.cos(ray.angle)), 1.0))
+
+
+class TestGolden:
+    """Results of the four loop routes, recorded before integrate_path
+    evaluated whole paths per call; they must not move by one bit."""
+
+    CASES = [
+        (lambda: recip_gamma_contour(3.0).quadrature,
+         "QuadratureResult(value=(0.4999999999999999-4.417437057588218e-18j), "
+         "error_estimate=4.391057408867938e-16, truncation_radius=35.23192357547063, "
+         "panels_used=48, converged=True)"),
+        (lambda: recip_gamma_contour(-4.5 + 2j).quadrature,
+         "QuadratureResult(value=(2997.9442295517097-395.2814040096516j), "
+         "error_estimate=5.923715163973065e-13, truncation_radius=95.1915333224463, "
+         "panels_used=48, converged=True)"),
+        (lambda: recip_gamma_contour(0.5 + 5j).quadrature,
+         "QuadratureResult(value=(-1023.8611659975194-88.32141731490782j), "
+         "error_estimate=3.3025092661634144e-11, truncation_radius=50.93988684341959, "
+         "panels_used=48, converged=True)"),
+        # marginal: the arc converges at 2,048 panels with an estimate of
+        # 2.93e-11 against its tolerance of 4.30e-11 (before the rho/(2 pi i))
+        (lambda: ml_contour(MLParams(2.0, 1.0), PolarComplex(4.0, PI)).diagnostics,
+         "QuadratureResult(value=(0.13699945762386534-6.582494165879813e-26j), "
+         "error_estimate=9.336412248947516e-12, truncation_radius=2.515, "
+         "panels_used=2080, converged=True)"),
+        (lambda: ml_contour(MLParams(1.5, 0.5), PolarComplex(2.0, 2.8)).diagnostics,
+         "QuadratureResult(value=(-0.011178968287268132+0.021832392498493426j), "
+         "error_estimate=1.0525310851532298e-12, truncation_radius=8.601580272210024, "
+         "panels_used=48, converged=True)"),
+        (lambda: ml_bateman(MLParams(1.0, 1.0), PolarComplex(1.0, PI / 2)).diagnostics,
+         "QuadratureResult(value=(0.5403023058681399+0.8414709848078965j), "
+         "error_estimate=4.624643830694428e-16, truncation_radius=35.23192357547063, "
+         "panels_used=48, converged=True)"),
+        (lambda: ml_dzhrbashyan(MLParams(2.0, 1 + 0.5j), PolarComplex(2.0, 1.0)).diagnostics,
+         "QuadratureResult(value=(-1.6959993437340763+0.2586218348443783j), "
+         "error_estimate=1.1598492424249385e-13, truncation_radius=6.946959071825798, "
+         "panels_used=48, converged=True)"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_exact_repr(self, case):
+        compute, expected = self.CASES[case]
+        assert repr(compute()) == expected
