@@ -173,7 +173,7 @@ def ml_contour_vs_series_grid() -> tuple[bool, str]:
                 if series.diagnostics.unreliable:
                     skipped += 1
                     continue
-                contour = ml_contour(params, z, None, cfg)
+                contour = ml_contour(params, z, cfg)
                 dev = abs(contour.value - series.value) / abs(series.value)
                 compared += 1
                 if dev > worst:

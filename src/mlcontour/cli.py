@@ -35,7 +35,6 @@ from .gamma import (
 )
 from .geometry import (
     GammaContourSpec,
-    MLContourSpec,
     PolarComplex,
     default_ml_deltas,
     gamma_psi_window,
@@ -45,16 +44,19 @@ from .geometry import (
     validate_ml_contour,
 )
 from .mittag_leffler import (
+    ML_METHODS,
+    SERIES_MAX_TERMS,
     MLParams,
     SeriesDiagnostics,
     compare_methods,
+    default_ml_spec,
     evaluate_ml,
     ml_contour,
     ml_route,
 )
 # Unused here; kept because perfbench's tracer wraps these names in this module.
-from .mittag_leffler import default_ml_spec, ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
-from .quadrature import QuadratureConfig, QuadratureResult
+from .mittag_leffler import ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureResult
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -88,8 +90,8 @@ def quadrature_config(ns: argparse.Namespace) -> QuadratureConfig:
 
 
 def add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-14)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol)
 
 
 def add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -97,6 +99,16 @@ def add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output file (default: stdout)")
     p.add_argument("--config", default=None,
                    help="key = value file supplying defaults; flags override")
+
+
+def add_ml_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--mu-re", type=float, required=True)
+    p.add_argument("--mu-im", type=float, default=0.0)
+
+
+def resolve_params(ns: argparse.Namespace) -> MLParams:
+    return MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
 
 
 def add_z_flags(p: argparse.ArgumentParser) -> None:
@@ -183,7 +195,7 @@ def record_for_csv(rec: dict) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
+    params = resolve_params(ns)
     z = resolve_z(ns)
     cfg = quadrature_config(ns)
     # Only the dzhrbashyan route reads theta, so only it rejects both flags.
@@ -217,7 +229,10 @@ def _axis(lo: float, hi: float, step: float) -> list[float]:
         raise PreconditionError("grid step must be positive")
     if hi < lo:
         raise PreconditionError("grid max must be >= min")
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    span = (hi - lo) / step
+    if not all(map(math.isfinite, (lo, hi, step, span))):
+        raise PreconditionError("grid min, max, step and (max - min)/step must be finite")
+    count = math.floor(span + 1e-9) + 1
     return [lo + k * step for k in range(count)]
 
 
@@ -284,7 +299,7 @@ def cmd_grid(ns: argparse.Namespace) -> int:
                   if ns.method == "oracle" else [None] * len(points))
         rows = [_gamma_row(a, b, ns.method, cfg, v) for (a, b), v in zip(points, oracle)]
     else:
-        params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
+        params = resolve_params(ns)
         mod_axis = _axis(ns.zmod_min, ns.zmod_max, ns.zmod_step)
         arg_axis = _axis(ns.zarg_min, ns.zarg_max, ns.zarg_step)
         rows = [_ml_row(m, a, params, ns.method, cfg) for m in mod_axis for a in arg_axis]
@@ -323,19 +338,19 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
             values.append(recip_gamma_contour(s, spec, cfg).value)
         swept = "psi"
     else:
-        params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
+        params = resolve_params(ns)
         z = resolve_z(ns)
         lo_d, hi_d = ml_delta_range(ns.rho)
         for k in range(ns.points):
             frac = (k + 1) / (ns.points + 1)
             eps = 0.3 + 1.2 * frac
             delta = lo_d + (hi_d - lo_d) * (0.3 + 0.7 * frac)
-            spec = MLContourSpec(params.rho, params.mu, eps, z.argument, delta, delta)
-            if not validate_ml_contour(spec).ok:
+            if not validate_ml_contour(default_ml_spec(params, z, eps, (delta, delta))).ok:
                 skipped.append(f"eps={eps:.6g}, delta={delta:.6g} inadmissible")
                 continue
             try:
-                values.append(ml_contour(params, z, spec, cfg).value)
+                values.append(ml_contour(params, z, cfg, epsilon_hat=eps,
+                                         deltas=(delta, delta)).value)
             except (PreconditionError, ConvergenceError) as exc:
                 skipped.append(str(exc))
         swept = "epsilon_hat,delta1_rho,delta2_rho"
@@ -398,7 +413,7 @@ def cmd_window(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    params = MLParams(ns.rho, complex(ns.mu_re, ns.mu_im))
+    params = resolve_params(ns)
     z = resolve_z(ns)
     cfg = quadrature_config(ns)
     report = compare_methods(params, z, cfg,
@@ -487,14 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate the Mittag-Leffler function at one point")
-    p_eval.add_argument("--rho", type=float, required=True)
-    p_eval.add_argument("--mu-re", type=float, required=True)
-    p_eval.add_argument("--mu-im", type=float, default=0.0)
+    add_ml_flags(p_eval)
     add_z_flags(p_eval)
-    p_eval.add_argument("--method",
-                        choices=("series", "contour", "bateman", "dzhrbashyan", "auto"),
-                        default="auto")
-    p_eval.add_argument("--max-terms", type=int, default=10000)
+    p_eval.add_argument("--method", choices=ML_METHODS, default="auto")
+    p_eval.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS)
     p_eval.add_argument("--epsilon-hat", type=float, default=None,
                         help="arc radius offset for the contour route")
     p_eval.add_argument("--delta1-rho", type=float, default=None)
@@ -524,18 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     g_gamma.set_defaults(func=cmd_grid, target="gamma")
 
     g_ml = grid_sub.add_parser("ml", help="grid over (|z|, arg z)")
-    g_ml.add_argument("--rho", type=float, required=True)
-    g_ml.add_argument("--mu-re", type=float, required=True)
-    g_ml.add_argument("--mu-im", type=float, default=0.0)
+    add_ml_flags(g_ml)
     g_ml.add_argument("--zmod-min", type=float, required=True)
     g_ml.add_argument("--zmod-max", type=float, required=True)
     g_ml.add_argument("--zmod-step", type=float, required=True)
     g_ml.add_argument("--zarg-min", type=float, required=True)
     g_ml.add_argument("--zarg-max", type=float, required=True)
     g_ml.add_argument("--zarg-step", type=float, required=True)
-    g_ml.add_argument("--method",
-                      choices=("series", "contour", "bateman", "dzhrbashyan", "auto"),
-                      default="auto")
+    g_ml.add_argument("--method", choices=ML_METHODS, default="auto")
     add_quadrature_flags(g_ml)
     add_output_flags(g_ml)
     g_ml.set_defaults(func=cmd_grid, target="ml")
@@ -547,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     i_gamma = inv_sub.add_parser("gamma", help="sweep the rotation angle psi")
     i_gamma.add_argument("--s-re", type=float, required=True)
     i_gamma.add_argument("--s-im", type=float, default=0.0)
-    i_gamma.add_argument("--epsilon", type=float, default=1.0)
-    i_gamma.add_argument("--delta1", type=float, default=math.pi)
-    i_gamma.add_argument("--delta2", type=float, default=math.pi)
+    i_gamma.add_argument("--epsilon", type=float, default=DEFAULT_GAMMA_SPEC.epsilon)
+    i_gamma.add_argument("--delta1", type=float, default=DEFAULT_GAMMA_SPEC.delta1)
+    i_gamma.add_argument("--delta2", type=float, default=DEFAULT_GAMMA_SPEC.delta2)
     i_gamma.add_argument("--points", type=int, default=5)
     i_gamma.add_argument("--threshold", type=float, default=1e-8)
     add_quadrature_flags(i_gamma)
@@ -557,9 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     i_gamma.set_defaults(func=cmd_invariance, target="gamma")
 
     i_ml = inv_sub.add_parser("ml", help="sweep arc radius and ray angles")
-    i_ml.add_argument("--rho", type=float, required=True)
-    i_ml.add_argument("--mu-re", type=float, required=True)
-    i_ml.add_argument("--mu-im", type=float, default=0.0)
+    add_ml_flags(i_ml)
     add_z_flags(i_ml)
     i_ml.add_argument("--points", type=int, default=5)
     i_ml.add_argument("--threshold", type=float, default=1e-8)
@@ -587,9 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     w_gamma.set_defaults(func=cmd_window, target="gamma")
 
     p_cmp = sub.add_parser("compare", help="run every applicable route and compare")
-    p_cmp.add_argument("--rho", type=float, required=True)
-    p_cmp.add_argument("--mu-re", type=float, required=True)
-    p_cmp.add_argument("--mu-im", type=float, default=0.0)
+    add_ml_flags(p_cmp)
     add_z_flags(p_cmp)
     p_cmp.add_argument("--bateman-radius", type=float, default=None)
     p_cmp.add_argument("--dzh-radius", type=float, default=None)

@@ -169,10 +169,6 @@ class RaySegment:
         r = self.start_radius if self.direction == "inbound" else far
         return (r, self.angle)
 
-    def reversed(self) -> "RaySegment":
-        flipped = "outbound" if self.direction == "inbound" else "inbound"
-        return RaySegment(self.angle, self.start_radius, flipped, self.end_radius)
-
 
 @dataclass(frozen=True)
 class ArcSegment:
@@ -194,9 +190,6 @@ class ArcSegment:
 
     def traversal_end(self) -> tuple[float, float]:
         return (self.radius, self.end_angle)
-
-    def reversed(self) -> "ArcSegment":
-        return ArcSegment(self.radius, self.end_angle, self.start_angle)
 
 
 Segment = Union[RaySegment, ArcSegment]
@@ -227,9 +220,6 @@ class IntegrationPath:
             else:
                 gaps.append((abs(r1 - r2), abs(t1 - t2)))
         return gaps
-
-    def reversed(self) -> "IntegrationPath":
-        return IntegrationPath(tuple(s.reversed() for s in reversed(self.segments)))
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Routes:
 * ``ml_bateman``     -- classical loop with the pole factor t^(1/rho) - z.
 * ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z.
 
-All four take ``(params, z: PolarComplex, ..., cfg)`` and own their default
-contour parameters.  ``evaluate_ml`` dispatches on a route name, and
-``ml_route`` is the rule behind ``method="auto"``.
+All four take ``(params, z: PolarComplex)`` and then their own contour
+parameters and ``cfg``; each owns the defaults of its parameters.  The zeta
+loop's free parameters are ``epsilon_hat`` and ``deltas`` (rho, mu and
+arg z fix the rest).  ``evaluate_ml`` dispatches on a route name from
+``ML_METHODS``, and ``ml_route`` is the rule behind ``method="auto"``.
 
 All power factors inside contour integrands are computed from accumulated
 (unwrapped) arguments; reducing them to the principal range would hop sheets
@@ -62,6 +64,12 @@ OVERFLOW_EXPONENT_LIMIT = 690.0
 #: doubles lose roughly exp(cap)*eps absolutely; 8.5 keeps that floor below
 #: the default quadrature tolerance.
 _ARC_GROWTH_CAP = 8.5
+
+#: The series' default term budget.
+SERIES_MAX_TERMS = 10000
+
+#: The route names ``evaluate_ml`` takes.
+ML_METHODS = ("series", "contour", "bateman", "dzhrbashyan", "auto")
 
 
 def _float_power(base: float, exponent: float) -> float:
@@ -122,7 +130,7 @@ _SERIES_BLOCK = 32
 
 def ml_series(params: MLParams, z: PolarComplex,
               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-              max_terms: int = 10000) -> MLEvaluation:
+              max_terms: int = SERIES_MAX_TERMS) -> MLEvaluation:
     """Taylor series with compensated (Kahan) summation.
 
     The accumulation runs in ordinary complex arithmetic: z^n is built by an
@@ -273,16 +281,12 @@ def _zeta_ray_decay(params: MLParams, z: PolarComplex, spec: MLContourSpec,
 
 
 def _zeta_loop(params: MLParams, z: PolarComplex,
-               spec: Optional[MLContourSpec]) -> tuple[MLContourSpec, IntegrationPath]:
+               epsilon_hat: Optional[float] = None,
+               deltas: Optional[tuple[float, float]] = None
+               ) -> tuple[MLContourSpec, IntegrationPath]:
     """Every check ``ml_contour`` makes before integrating, and the loop it
     integrates over."""
-    if spec is None:
-        spec = default_ml_spec(params, z)
-    else:
-        if spec.rho != params.rho or complex(spec.mu) != complex(params.mu):
-            raise PreconditionError("spec (rho, mu) disagree with params")
-        if spec.arg_z != z.argument:
-            raise PreconditionError("spec.arg_z must equal z.argument")
+    spec = default_ml_spec(params, z, epsilon_hat, deltas)
     growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), params.rho)
     if growth > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError(
@@ -296,23 +300,26 @@ def ml_route(params: MLParams, z: PolarComplex) -> str:
     default spec passes every check ``ml_contour`` makes before integrating,
     else "series"."""
     try:
-        _zeta_loop(params, z, None)
+        _zeta_loop(params, z)
     except ValueError:  # a failed check
         return "series"
     return "contour"
 
 
 def ml_contour(params: MLParams, z: PolarComplex,
-               spec: Optional[MLContourSpec] = None,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
+               epsilon_hat: Optional[float] = None,
+               deltas: Optional[tuple[float, float]] = None) -> MLEvaluation:
     """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
-    arg z inside the admissibility window).
+    arg z inside the admissibility window).  ``epsilon_hat`` and the ray
+    half-angles ``deltas`` = (delta1_rho, delta2_rho) override the defaults
+    of ``default_ml_spec``.
 
-    Raises ContourValidityError outside the window, PreconditionError when
-    the spec disagrees with (params, z) or exp((|z|(1+eps))^rho) would
-    overflow, and ConvergenceError when the quadrature stalls.
+    Raises ContourValidityError outside the window, PreconditionError at
+    z = 0 or when exp((|z|(1+eps))^rho) would overflow, and ConvergenceError
+    when the quadrature stalls.
     """
-    spec, path = _zeta_loop(params, z, spec)
+    spec, path = _zeta_loop(params, z, epsilon_hat, deltas)
     raw = integrate_path(_zeta_integrand(params, z), path,
                          decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
                          cfg=cfg)
@@ -430,14 +437,15 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
 
 def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
                 cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
-                max_terms: int = 10000,
+                max_terms: int = SERIES_MAX_TERMS,
                 epsilon_hat: Optional[float] = None,
                 delta1_rho: Optional[float] = None,
                 delta2_rho: Optional[float] = None,
                 epsilon: Optional[float] = None,
                 theta: Optional[float] = None) -> MLEvaluation:
-    """E(rho, mu; z) by ``method``: "series", "contour", "bateman",
-    "dzhrbashyan", or "auto" for the route ``ml_route`` picks.
+    """E(rho, mu; z) by ``method``, one of ``ML_METHODS``: "series",
+    "contour", "bateman", "dzhrbashyan", or "auto" for the route
+    ``ml_route`` picks.
 
     Each option reaches only the route that reads it: ``max_terms`` the
     series; ``epsilon_hat`` and the ray half-angles ``delta1_rho``,
@@ -450,13 +458,10 @@ def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
     if method == "series":
         return ml_series(params, z, cfg, max_terms=max_terms)
     if method == "contour":
-        spec = None
-        if epsilon_hat is not None or delta1_rho is not None or delta2_rho is not None:
-            if (delta1_rho is None) != (delta2_rho is None):
-                raise PreconditionError("delta1_rho and delta2_rho go together")
-            deltas = None if delta1_rho is None else (delta1_rho, delta2_rho)
-            spec = default_ml_spec(params, z, epsilon_hat=epsilon_hat, deltas=deltas)
-        return ml_contour(params, z, spec, cfg)
+        if (delta1_rho is None) != (delta2_rho is None):
+            raise PreconditionError("delta1_rho and delta2_rho go together")
+        deltas = None if delta1_rho is None else (delta1_rho, delta2_rho)
+        return ml_contour(params, z, cfg, epsilon_hat=epsilon_hat, deltas=deltas)
     if method == "bateman":
         return ml_bateman(params, z, epsilon, cfg)
     if method == "dzhrbashyan":

@@ -20,8 +20,8 @@ every segment; each later round evaluates the next level of every segment
 whose doubling rule has not stopped.  A round makes one integrand call over
 the nodes of all its levels (split in calls of fewer than _BATCH_NODES nodes,
 a larger level taking a call of its own).  The results are bit for bit the
-sums, in path order, of each segment integrated on its own (``integrate_arc``,
-``integrate_ray``), because:
+sums, in path order, of each segment integrated on its own (a one-segment
+``integrate_path`` call), because:
 
 - each level's nodes are made as for that level alone: ``_subdivide`` of the
   segment's level-0 boundaries, then mid + half * node;
@@ -44,7 +44,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import IntegrandError
+from .errors import IntegrandError, PreconditionError
 from .geometry import ArcSegment, IntegrationPath, RaySegment
 
 _GAUSS_ORDER = 15
@@ -79,8 +79,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise PreconditionError("tolerances must be finite and positive")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -446,16 +446,3 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         converged = converged and seg_converged
     return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)
 
-
-def integrate_arc(f: Integrand, arc: ArcSegment,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
-    """Integral of f(zeta) dzeta over the arc, in its stated orientation."""
-    return integrate_path(f, IntegrationPath((arc,)), cfg=cfg)
-
-
-def integrate_ray(f: Integrand, ray: RaySegment,
-                  decay: DecayModel | None = None,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
-    """Integral of f(zeta) dzeta along the ray, in its stated orientation;
-    ``decay`` is required when the ray is infinite (see ``integrate_path``)."""
-    return integrate_path(f, IntegrationPath((ray,)), decay, cfg)

@@ -169,6 +169,21 @@ class TestAxis:
         # 1e200 + 1 rounds to 1e200: the axis is that one point
         assert _axis(1e200, 1e200, 1.0) == [1e200]
 
+    GAMMA = ("grid", "gamma", "--im-min", 0, "--im-max", 0, "--im-step", 1)
+    ML = ("grid", "ml", "--rho", 1, "--mu-re", 1,
+          "--zarg-min", 0, "--zarg-max", 0, "--zarg-step", 1)
+
+    @pytest.mark.parametrize("argv", [
+        (*GAMMA, "--re-min", 0, "--re-max", "inf", "--re-step", 1),
+        (*ML, "--zmod-min", 0, "--zmod-max", 1, "--zmod-step", 1e-320),  # span overflows
+        (*GAMMA, "--re-min", 0, "--re-max", 1, "--re-step", "nan"),
+    ])
+    def test_non_finite_axis_is_precondition_error(self, capsys, argv):
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "must be finite" in err
+
 
 class TestAutoRoute:
     @pytest.mark.parametrize("rho,z_mod,z_arg,route", [
@@ -230,6 +245,12 @@ class TestInvariance:
     def test_ml_too_few_points(self, capsys):
         code, _ = run(capsys, "invariance", "ml", *self.ML, "--points", 2)
         assert code == 2
+
+    def test_ml_at_z_zero_is_precondition_error(self, capsys):
+        code = main(["invariance", "ml", "--rho", "1", "--mu-re", "1",
+                     "--z-mod", "0", "--z-arg-pi", "1"])
+        assert code == 2
+        assert "loop route requires |z| > 0" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -293,6 +314,14 @@ class TestQuadratureFlags:
         assert "--rel-tol" in out and "--abs-tol" in out
         for gone in ("--max-refinements", "--initial-panels", "--tail-safety"):
             assert gone not in out
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_precondition_error(self, capsys, flag, value):
+        code = main(["eval", "--rho", "1", "--mu-re", "1", "--z-mod", "1",
+                     "--z-arg-pi", "1", "--method", "contour", flag, value])
+        assert code == 2
+        assert "tolerances must be finite and positive" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -289,10 +289,6 @@ class TestPaths:
                 ArcSegment(2.0, 0.0, PI),
             ))
 
-    def test_reversed_round_trip(self):
-        path = build_gamma_path(GammaContourSpec(1.0, 0.0, PI, PI))
-        assert path.reversed().reversed() == path
-
     @given(
         eps=st.floats(0.1, 5.0),
         d1=st.floats(PI / 2 + 1e-3, PI),

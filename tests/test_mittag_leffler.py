@@ -6,7 +6,6 @@ import pytest
 
 from mlcontour import (
     ContourValidityError,
-    MLContourSpec,
     MLParams,
     PolarComplex,
     PreconditionError,
@@ -159,8 +158,7 @@ class TestContour:
         values = []
         for eps in (0.5, 1.0, 2.0):
             for d in (0.7 * PI, 0.85 * PI, PI):
-                spec = MLContourSpec(1.0, 1.0, eps, PI, d, d)
-                values.append(ml_contour(params, z, spec).value)
+                values.append(ml_contour(params, z, epsilon_hat=eps, deltas=(d, d)).value)
         spread = max(abs(a - b) for a in values for b in values)
         assert spread / abs(values[0]) < 1e-8
 
@@ -168,17 +166,10 @@ class TestContour:
         with pytest.raises(ContourValidityError):
             ml_contour(MLParams(2.0, 1.0), PolarComplex(1.0, 0.0))
 
-    def test_spec_mismatch_rejected(self):
-        spec = MLContourSpec(1.0, 1.0, 1.0, PI, PI, PI)
-        with pytest.raises(PreconditionError):
-            ml_contour(MLParams(1.0, 2.0), PolarComplex(1.0, PI), spec)
-        with pytest.raises(PreconditionError):
-            ml_contour(MLParams(1.0, 1.0), PolarComplex(1.0, PI / 2 + 0.2), spec)
-
     def test_overflow_guard(self):
-        spec = MLContourSpec(4.0, 1.0, 1.0, PI, PI / 4, PI / 4)
         with pytest.raises(PreconditionError, match="too large"):
-            ml_contour(MLParams(4.0, 1.0), PolarComplex(5.0, PI), spec)
+            ml_contour(MLParams(4.0, 1.0), PolarComplex(5.0, PI),
+                       epsilon_hat=1.0, deltas=(PI / 4, PI / 4))
 
     def test_default_spec_caps_arc_growth(self):
         spec = default_ml_spec(MLParams(4.0, 1.0), PolarComplex(2.0, PI))
@@ -190,6 +181,10 @@ class TestContour:
     def test_z_zero_rejected(self):
         with pytest.raises(PreconditionError):
             default_ml_spec(MLParams(1.0, 1.0), PolarComplex(0.0, 0.0))
+
+    def test_z_zero_rejected_with_explicit_epsilon(self):
+        with pytest.raises(PreconditionError, match=r"\|z\| > 0"):
+            ml_contour(MLParams(1.0, 1.0), PolarComplex(0.0, PI), epsilon_hat=1.0)
 
     def test_pole_term_excluded(self):
         # the loop keeps the simple pole outside: the small-circle residue

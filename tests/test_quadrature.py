@@ -7,6 +7,7 @@ from mlcontour import (
     IntegrandError,
     MLParams,
     PolarComplex,
+    PreconditionError,
     QuadratureConfig,
     ml_bateman,
     ml_contour,
@@ -16,9 +17,7 @@ from mlcontour import (
 from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
 from mlcontour.quadrature import (
     DecayModel,
-    integrate_arc,
     integrate_path,
-    integrate_ray,
     truncation_radius,
 )
 
@@ -32,41 +31,41 @@ def as_complex(mod, ang):
 
 class TestArc:
     def test_residue_full_circle(self):
-        res = integrate_arc(lambda m, a: 1.0 / as_complex(m, a),
-                            ArcSegment(1.0, -PI, PI))
+        res = integrate_path(lambda m, a: 1.0 / as_complex(m, a),
+                             IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert res.converged
         assert res.value == pytest.approx(2j * PI, abs=1e-12)
         assert res.error_estimate < 1e-12
 
     def test_constant_quarter_circle(self):
         # antiderivative zeta: 2(e^{i pi/2} - 1) = -2 + 2i
-        res = integrate_arc(lambda m, a: np.ones_like(m, dtype=complex),
-                            ArcSegment(2.0, 0.0, PI / 2))
+        res = integrate_path(lambda m, a: np.ones_like(m, dtype=complex),
+                             IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),)))
         assert res.value == pytest.approx(-2.0 + 2.0j, abs=1e-12)
 
     def test_exp_closed_circle_vanishes(self):
-        res = integrate_arc(lambda m, a: np.exp(as_complex(m, a)),
-                            ArcSegment(1.0, -PI, PI))
+        res = integrate_path(lambda m, a: np.exp(as_complex(m, a)),
+                             IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert abs(res.value) < 1e-12
 
     def test_descending_span_flips_sign(self):
         f = lambda m, a: np.ones_like(m, dtype=complex)
-        fwd = integrate_arc(f, ArcSegment(2.0, 0.0, PI / 2))
-        bwd = integrate_arc(f, ArcSegment(2.0, PI / 2, 0.0))
+        fwd = integrate_path(f, IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),)))
+        bwd = integrate_path(f, IntegrationPath((ArcSegment(2.0, PI / 2, 0.0),)))
         assert bwd.value == pytest.approx(-fwd.value, abs=1e-14)
 
     def test_non_finite_integrand(self):
         def f(m, a):
             return np.where(a > 0, np.nan, 1.0) + 0j
         with pytest.raises(IntegrandError, match="not finite"):
-            integrate_arc(f, ArcSegment(2.0, -PI, PI))
+            integrate_path(f, IntegrationPath((ArcSegment(2.0, -PI, PI),)))
 
 
 class TestRay:
     def test_exponential(self):
         ray = RaySegment(0.0, 0.001, "outbound")
         decay = DecayModel(1.0, 1.0, 1.0)
-        res = integrate_ray(lambda m, a: np.exp(-m + 0j), ray, decay)
+        res = integrate_path(lambda m, a: np.exp(-m + 0j), IntegrationPath((ray,)), decay)
         assert res.converged
         assert res.value == pytest.approx(math.exp(-0.001), rel=1e-10)
         assert res.truncation_radius > 0
@@ -74,41 +73,50 @@ class TestRay:
     def test_gaussian(self):
         ray = RaySegment(0.0, 1e-12, "outbound")
         decay = DecayModel(1.0, 1.0, 2.0)
-        res = integrate_ray(lambda m, a: np.exp(-m * m + 0j), ray, decay)
+        res = integrate_path(lambda m, a: np.exp(-m * m + 0j), IntegrationPath((ray,)), decay)
         assert res.value == pytest.approx(SQRT_PI_HALF, rel=1e-10)
 
     def test_inbound_negates(self):
         decay = DecayModel(1.0, 1.0, 2.0)
-        out = integrate_ray(lambda m, a: np.exp(-m * m + 0j),
-                            RaySegment(0.0, 1e-12, "outbound"), decay)
-        inb = integrate_ray(lambda m, a: np.exp(-m * m + 0j),
-                            RaySegment(0.0, 1e-12, "inbound"), decay)
+        out = integrate_path(lambda m, a: np.exp(-m * m + 0j),
+                             IntegrationPath((RaySegment(0.0, 1e-12, "outbound"),)), decay)
+        inb = integrate_path(lambda m, a: np.exp(-m * m + 0j),
+                             IntegrationPath((RaySegment(0.0, 1e-12, "inbound"),)), decay)
         assert inb.value == pytest.approx(-out.value, abs=1e-14)
 
     def test_tail_soundness(self):
         # the cut-off tail is the larger part of the true error; the reported
         # estimate must still cover it
-        res = integrate_ray(lambda m, a: np.exp(-m + 0j), RaySegment(0.0, 0.001, "outbound"),
-                            DecayModel(1.0, 1.0, 1.0))
+        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+                             IntegrationPath((RaySegment(0.0, 0.001, "outbound"),)),
+                             DecayModel(1.0, 1.0, 1.0))
         assert abs(res.value - math.exp(-0.001)) <= res.error_estimate
 
     def test_finite_ray_needs_no_decay(self):
-        res = integrate_ray(lambda m, a: np.exp(-m + 0j),
-                            RaySegment(0.0, 1.0, "outbound", end_radius=3.0))
+        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+                             IntegrationPath((RaySegment(0.0, 1.0, "outbound", end_radius=3.0),)))
         assert res.value == pytest.approx(math.exp(-1) - math.exp(-3), rel=1e-12)
         assert res.truncation_radius == 0.0
 
     def test_infinite_ray_requires_decay(self):
         with pytest.raises(ValueError, match="decay"):
-            integrate_ray(lambda m, a: np.exp(-m + 0j), RaySegment(0.0, 1.0))
+            integrate_path(lambda m, a: np.exp(-m + 0j), IntegrationPath((RaySegment(0.0, 1.0),)))
 
     def test_converged_estimate_within_tolerance(self):
         cfg = QuadratureConfig()
-        res = integrate_ray(lambda m, a: np.exp(-m + 0j),
-                            RaySegment(0.0, 0.5, "outbound"),
-                            DecayModel(1.0, 1.0, 1.0), cfg)
+        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+                             IntegrationPath((RaySegment(0.0, 0.5, "outbound"),)),
+                             DecayModel(1.0, 1.0, 1.0), cfg)
         assert res.converged
         assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            QuadratureConfig(**{field: value})
 
 
 class TestDecayModel:
@@ -248,7 +256,10 @@ class TestPath:
             return np.exp(1j * as_complex(mod, ang))
 
         fwd = integrate_path(f, path)
-        rev = integrate_path(f, path.reversed())
+        rev = integrate_path(f, IntegrationPath((
+            ArcSegment(4.0, 2.0, 0.7),
+            RaySegment(0.7, 0.5, "inbound", end_radius=4.0),
+        )))
         assert rev.value == pytest.approx(-fwd.value, rel=1e-12)
 
     def test_per_ray_decay_mapping(self):
@@ -274,8 +285,8 @@ class TestPath:
 
     def test_non_convergence_reported(self):
         # a pole 1e-5 off the arc: doubling stalls on the near-singular panels
-        res = integrate_arc(lambda m, a: 1.0 / (as_complex(m, a) - 0.99999),
-                            ArcSegment(1.0, -PI, PI))
+        res = integrate_path(lambda m, a: 1.0 / (as_complex(m, a) - 0.99999),
+                             IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert not res.converged
         assert res.panels_used == 128
 
@@ -311,9 +322,7 @@ class TestRounds:
 
     def one_segment(self, seg):
         g, sizes = self.counted(self.integrand)
-        if isinstance(seg, ArcSegment):
-            return integrate_arc(g, seg), sizes
-        return integrate_ray(g, seg, self.DECAY), sizes
+        return integrate_path(g, IntegrationPath((seg,)), self.DECAY), sizes
 
     def test_one_integrand_call_per_level(self):
         singles = [self.one_segment(seg) for seg in self.PATH.segments]
