@@ -172,8 +172,6 @@ def evaluation_record(ev) -> dict:
         rec["err_estimate"] = diag.error_estimate
         rec["panels"] = diag.panels_used
         rec["truncation_radius"] = diag.truncation_radius
-        if not diag.converged:
-            flags.append("not_converged")
     rec["flags"] = ";".join(flags)
     return rec
 

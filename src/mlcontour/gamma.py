@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PreconditionError
 from .geometry import (
     UNIT_LAMBDA,
     GammaContourSpec,
@@ -189,10 +189,13 @@ def recip_gamma_contour(s: complex,
     Substituting t -> lam t moves the loop to radius epsilon/|lam| and its
     psi window by -arg lam; the prefactor is taken from the stored argument
     of ``lam``, the same value that shifts the window.  Raises
-    ContourValidityError for an inadmissible (spec, lam) and ConvergenceError
-    when the quadrature cannot reach its tolerance.
+    PreconditionError for a non-finite s, ContourValidityError for an
+    inadmissible (spec, lam) and ConvergenceError when the quadrature cannot
+    reach its tolerance.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise PreconditionError("s must be finite")
     path = build_gamma_path(spec, lam=lam)
     raw = integrate_path(_loop_integrand(s, lam.to_complex()), path,
                          decay=lambda ray: _loop_ray_decay(s, ray, lam), cfg=cfg)

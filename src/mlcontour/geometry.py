@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Union
 
-TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
 #: Open window bounds are rejected together with a guard band of this width

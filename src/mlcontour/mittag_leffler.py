@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConvergenceError, IntegrandError, PreconditionError
-from .gamma import log_gamma, recip_gamma_oracle
+from .gamma import TWO_PI_I, log_gamma, recip_gamma_oracle
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
@@ -47,10 +47,9 @@ from .quadrature import (
     DecayModel,
     QuadratureConfig,
     QuadratureResult,
+    _float_power,
     integrate_path,
 )
-
-TWO_PI_I = 2j * math.pi
 
 #: A series result with more than this many digits lost to cancellation is
 #: flagged unreliable: doubles keep fewer than 7 trustworthy digits past it.
@@ -70,15 +69,6 @@ SERIES_MAX_TERMS = 10000
 
 #: The route names ``evaluate_ml`` takes.
 ML_METHODS = ("series", "contour", "bateman", "dzhrbashyan", "auto")
-
-
-def _float_power(base: float, exponent: float) -> float:
-    """base**exponent for floats, inf where the power overflows a double
-    (Python raises OverflowError there), so a size check reads inf."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -253,16 +243,19 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
                          deltas[0], deltas[1])
 
 
-def _zeta_integrand(params: MLParams, z: PolarComplex):
+def _tau_integrand(params: MLParams, log_scale: complex, pole: complex):
+    """exp(w^rho) w^(rho(1-mu)) / (zeta - pole) from polar samples of zeta,
+    with log w = log_scale + log zeta, unwrapped.  The zeta loop takes
+    log_scale = log z and pole 1 (w = z zeta); the Dzhrbashyan loop takes
+    log_scale = 0 and pole z (w = zeta)."""
     rho = params.rho
     mu = complex(params.mu)
-    log_mod_z = math.log(z.modulus)
-    arg_z = z.argument
+    log_mod, arg = log_scale.real, log_scale.imag
 
     def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
         zeta = mod * np.exp(1j * ang)
-        log_w = (log_mod_z + np.log(mod)) + 1j * (arg_z + ang)  # log(z*zeta), unwrapped
-        return np.exp(np.exp(rho * log_w) + rho * (1.0 - mu) * log_w) / (zeta - 1.0)
+        log_w = (log_mod + np.log(mod)) + 1j * (arg + ang)
+        return np.exp(np.exp(rho * log_w) + rho * (1.0 - mu) * log_w) / (zeta - pole)
 
     return f
 
@@ -320,7 +313,8 @@ def ml_contour(params: MLParams, z: PolarComplex,
     when the quadrature stalls.
     """
     spec, path = _zeta_loop(params, z, epsilon_hat, deltas)
-    raw = integrate_path(_zeta_integrand(params, z), path,
+    log_z = complex(math.log(z.modulus), z.argument)
+    raw = integrate_path(_tau_integrand(params, log_z, 1.0), path,
                          decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
                          cfg=cfg)
     if not raw.converged:
@@ -411,18 +405,12 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
     if _float_power(epsilon, params.rho) > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     rho = params.rho
-
-    def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        log_t = np.log(mod) + 1j * ang
-        tau = mod * np.exp(1j * ang)
-        return np.exp(np.exp(rho * log_t) + rho * (1.0 - mu) * log_t) / (tau - zc)
-
     path = loop_path(epsilon, -theta, theta)
     rate = abs(math.cos(rho * theta))
     poly = rho * (1.0 - mu.real)
     base = math.exp(min(rho * abs(mu.imag) * theta, 700.0)) / (epsilon - abs(zc))
     decay = DecayModel.with_power_growth(base, poly, rate, rho, epsilon)
-    raw = integrate_path(f, path, decay=decay, cfg=cfg)
+    raw = integrate_path(_tau_integrand(params, 0j, zc), path, decay=decay, cfg=cfg)
     if not raw.converged:
         raise ConvergenceError(
             f"theta-loop quadrature did not converge for rho={params.rho}, "

@@ -18,22 +18,18 @@ solves for directly, and the tail bound is folded into the error estimate.
 truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
 every segment; each later round evaluates the next level of every segment
 whose doubling rule has not stopped.  A round makes one integrand call over
-the nodes of all its levels (split in calls of fewer than _BATCH_NODES nodes,
-a larger level taking a call of its own).  The results are bit for bit the
-sums, in path order, of each segment integrated on its own (a one-segment
-``integrate_path`` call), because:
+the nodes of all its levels, whatever their number.  The bits of each
+level's sum are fixed by the levels of its round, because the round's
+arithmetic runs in a fixed order:
 
-- each level's nodes are made as for that level alone: ``_subdivide`` of the
-  segment's level-0 boundaries, then mid + half * node;
+- each level's nodes are ``_subdivide`` of the segment's level-0 boundaries,
+  then mid + half * node, written into the round's node arrays in place;
 - each segment's Jacobian multiplies its slice of the integrand's output in
   place, ``np.multiply(v, jac, out=v)``, in that operand order (numpy rounds
   a complex product differently with its operands swapped);
 - the weighted sums over each panel's 15 nodes are taken over the whole
   call, row by row, and each level's panel sums are then scaled by their
-  half-widths and summed with ``np.sum`` over that level's slice, pairwise,
-  as for the level alone;
-- no integrand call mixes a level of 16,384 nodes or more with another
-  (see _BATCH_NODES).
+  half-widths and summed with ``np.sum`` over that level's slice, pairwise.
 """
 
 from __future__ import annotations
@@ -58,14 +54,17 @@ _TAIL_SAFETY = 10.0
 _MAX_PANELS = 16384
 # with_power_growth's folded amplitude keeps twice the worst case, for slack.
 _POWER_GROWTH_SAFETY = 2.0
-# From 256 KiB (16,384 complex values) numpy may compute an operator in place
-# in a temporary operand ("elision"), which swaps the operands of a commuted
-# complex product and rounds it differently.  A call of fewer nodes elides
-# nothing, so every node comes out as in a call for its level alone; a level
-# of this many nodes or more gets a call of its own.
-_BATCH_NODES = 16384
 
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _float_power(base: float, exponent: float) -> float:
+    """base**exponent for floats, inf where the power overflows a double
+    (Python raises OverflowError there), so a size check reads inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class DecayModel:
 
     def __post_init__(self):
         if not (self.rate > 0 and self.exponent > 0 and self.amplitude > 0):
-            raise ValueError("DecayModel requires positive amplitude, rate, exponent")
+            raise PreconditionError("DecayModel requires positive amplitude, rate, exponent")
 
     @classmethod
     def with_power_growth(cls, base_amplitude: float, poly_power: float,
@@ -113,16 +112,16 @@ class DecayModel:
         and the worst case of r**m * exp(-c/2 * r**p) absorbed into A.
         """
         if base_amplitude <= 0 or rate <= 0 or exponent <= 0:
-            raise ValueError("with_power_growth requires positive bound parameters")
+            raise PreconditionError("with_power_growth requires positive bound parameters")
         if poly_power <= 0:
-            amp = base_amplitude * start_radius ** poly_power
+            amp = base_amplitude * _float_power(start_radius, poly_power)
             return cls(_POWER_GROWTH_SAFETY * amp, rate, exponent)
         c_eff = 0.5 * rate
         # max over r > 0 of r**m * exp(-c_eff * r**p), attained at
         # r* = (m / (c_eff p))**(1/p)
-        r_star = (poly_power / (c_eff * exponent)) ** (1.0 / exponent)
+        r_star = _float_power(poly_power / (c_eff * exponent), 1.0 / exponent)
         r_star = max(r_star, start_radius)
-        log_peak = poly_power * math.log(r_star) - c_eff * r_star ** exponent
+        log_peak = poly_power * math.log(r_star) - c_eff * _float_power(r_star, exponent)
         amp = base_amplitude * math.exp(min(log_peak, 700.0))
         return cls(_POWER_GROWTH_SAFETY * amp, c_eff, exponent)
 
@@ -250,36 +249,18 @@ class _Segment:
 
 
 def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]:
-    """The composite Gauss-Legendre sum of each (segment, level) job.
-
-    Jobs share one integrand call per batch; a batch holds fewer than
-    _BATCH_NODES nodes, or one job alone.
-    """
+    """The composite Gauss-Legendre sum of each (segment, level) job, from
+    one integrand call over the nodes of all of them, in job order."""
     levels = []  # (segment, panel midpoints, panel half-widths)
     for seg, k in jobs:
         bounds = _subdivide(seg.base, 2 ** k)
         levels.append((seg, 0.5 * (bounds[1:] + bounds[:-1]), 0.5 * (bounds[1:] - bounds[:-1])))
-    sums: list[complex] = []
-    batch: list = []
-    size = 0
-    for level in levels:
-        n = len(level[1]) * _GAUSS_ORDER
-        if batch and size + n >= _BATCH_NODES:
-            sums += _batch_sums(f, batch)
-            batch, size = [], 0
-        batch.append(level)
-        size += n
-    return sums + _batch_sums(f, batch)
-
-
-def _batch_sums(f: Integrand, batch: list) -> list[complex]:
-    """One integrand call over the nodes of every level in ``batch``."""
-    n = sum(len(mid) for _, mid, _ in batch) * _GAUSS_ORDER
+    n = sum(len(mid) for _, mid, _ in levels) * _GAUSS_ORDER
     mods = np.empty(n)
     angs = np.empty(n)
     spans = []
     at = 0
-    for seg, mid, half in batch:
+    for seg, mid, half in levels:
         stop = at + len(mid) * _GAUSS_ORDER
         nodes, fixed = (mods, angs) if seg.radial else (angs, mods)
         np.add(mid[:, None], half[:, None] * _NODES, out=nodes[at:stop].reshape(-1, _GAUSS_ORDER))
@@ -288,14 +269,14 @@ def _batch_sums(f: Integrand, batch: list) -> list[complex]:
         at = stop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f(mods, angs), dtype=complex)
-        for (seg, _, _), (at, stop) in zip(batch, spans):
+        for (seg, _, _), (at, stop) in zip(levels, spans):
             v = vals[at:stop]
             np.multiply(v, seg.jacobian(angs[at:stop]), out=v)
     if not np.all(np.isfinite(vals)):
         raise IntegrandError("integrand not finite")
     rows = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1)
     return [complex(np.sum(rows[at // _GAUSS_ORDER:stop // _GAUSS_ORDER] * half))
-            for (_, _, half), (at, stop) in zip(batch, spans)]
+            for (_, _, half), (at, stop) in zip(levels, spans)]
 
 
 # --------------------------------------------------------------------------

@@ -155,6 +155,40 @@ class TestFloatPowerOverflow:
         assert [r["status"] for r in rows] == ["precondition_violation"]
 
 
+class TestRayBoundEdges:
+    """A ray bound that under- or overflows a double gives a typed error: a
+    grid row reads it, and a single command exits with its code."""
+
+    def test_gamma_grid_row_reads_precondition_violation(self, capsys):
+        # e^(-pi Im s) on the inbound ray underflows to 0
+        code, out = run(capsys, "grid", "gamma", "--re-min", 0.5, "--re-max", 0.5,
+                        "--re-step", 1, "--im-min", 10000, "--im-max", 10000,
+                        "--im-step", 1)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["status"] for r in rows] == ["precondition_violation"]
+
+    def test_ml_grid_row_reads_precondition_violation(self, capsys):
+        code, out = run(capsys, "grid", "ml", "--rho", 1, "--mu-re", 1, "--mu-im", 900,
+                        "--zmod-min", 1, "--zmod-max", 1, "--zmod-step", 1,
+                        "--zarg-min", 3, "--zarg-max", 3, "--zarg-step", 1)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["status"] for r in rows] == ["precondition_violation"]
+
+    def test_gamma_invariance_at_tiny_radius_is_non_convergence(self, capsys):
+        # r0**(-Re s) overflows at r0 = 1e-300
+        code = main(["invariance", "gamma", "--s-re", "2", "--epsilon", "1e-300"])
+        assert code == 3
+        assert "decay too weak to truncate ray" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s_re", ["nan", "inf"])
+    def test_non_finite_s_is_precondition_error(self, capsys, s_re):
+        code = main(["invariance", "gamma", "--s-re", s_re])
+        assert code == 2
+        assert "s must be finite" in capsys.readouterr().err
+
+
 class TestAxis:
     def test_decimal_steps_reach_max(self):
         assert len(_axis(0.0, 0.3, 0.1)) == 4

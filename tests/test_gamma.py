@@ -8,7 +8,9 @@ from mlcontour import (
     ContourValidityError,
     ConvergenceError,
     GammaContourSpec,
+    IntegrandError,
     PolarComplex,
+    PreconditionError,
     gamma_psi_window,
     is_gamma_pole,
     log_gamma,
@@ -174,6 +176,16 @@ class TestContour:
         with pytest.raises(ConvergenceError):
             recip_gamma_contour(2 + 1j, GammaContourSpec(1.0, 0.0, PI / 2 + 1e-6, PI / 2 + 1e-6))
 
+    @pytest.mark.parametrize("s", [complex("nan"), complex("inf"), complex(1.0, math.nan)])
+    def test_non_finite_s_is_precondition_error(self, s):
+        with pytest.raises(PreconditionError, match="s must be finite"):
+            recip_gamma_contour(s)
+
+    def test_underflowed_ray_bound_is_precondition_error(self):
+        # the inbound ray's bound e^(-pi Im s) underflows to 0
+        with pytest.raises(PreconditionError, match="with_power_growth requires"):
+            recip_gamma_contour(0.5 + 10000j)
+
     def test_evaluation_carries_quadrature(self):
         ev = recip_gamma_contour(0.5)
         assert ev.quadrature is not None
@@ -207,6 +219,17 @@ class TestLambdaRoute:
         s = 0.5
         ev = recip_gamma_contour(s, lam=PolarComplex(2.5, 0.0))
         assert rel_err(ev.value, 0.5641895835477563) < 1e-9
+
+    def test_huge_modulus_is_integrand_error(self):
+        # the loop radius 1e-300 makes r0**(-Re s) overflow in the ray bound
+        with pytest.raises(IntegrandError, match="decay too weak"):
+            recip_gamma_contour(2.0, lam=PolarComplex(1e300, 0.0))
+
+    def test_tiny_modulus_bound_is_not_zero(self):
+        # r0**(-Re s) underflows to 0 at radius 1e300: refused, never a
+        # truncated loop that returns 0 for 1/Gamma(2) = 1
+        with pytest.raises(PreconditionError, match="DecayModel requires"):
+            recip_gamma_contour(2.0, lam=PolarComplex(1e-300, 0.0))
 
     def test_joint_validity_enforced(self):
         # psi outside the window shifted by -arg lambda

@@ -126,6 +126,20 @@ class TestDecayModel:
         with pytest.raises(ValueError):
             DecayModel(1.0, 1.0, -1.0)
 
+    def test_bad_bound_is_precondition_error(self):
+        # an amplitude that underflowed to 0 bounds nothing
+        with pytest.raises(PreconditionError, match="DecayModel requires"):
+            DecayModel(0.0, 1.0, 1.0)
+        with pytest.raises(PreconditionError, match="with_power_growth requires"):
+            DecayModel.with_power_growth(0.0, -1.0, 1.0, 1.0, 1.0)
+
+    def test_power_growth_overflow_reads_inf(self):
+        # r0**m overflows a double; the model then truncates nothing
+        model = DecayModel.with_power_growth(1.0, -2.0, 1.0, 1.0, 1e-300)
+        assert model.amplitude == math.inf
+        with pytest.raises(IntegrandError, match="decay too weak"):
+            truncation_radius(model, 1e-300)
+
     def test_power_growth_fold_is_a_bound(self):
         model = DecayModel.with_power_growth(2.0, 3.5, 1.0, 1.0, 0.5)
         for r in np.linspace(0.5, 60.0, 200):
@@ -354,17 +368,15 @@ class TestRounds:
             panels += res.panels_used
         assert (path.value, path.error_estimate, path.panels_used) == (value, err, panels)
 
-    def test_large_levels_get_calls_of_their_own(self):
-        # below 16,384 nodes levels share a call; a larger level is never
-        # mixed with another, so numpy treats every node as in its own call
+    def test_a_round_is_one_call_at_any_size(self):
+        # both arcs refine to 16,384 panels; past 16,384 nodes a round still
+        # takes both arcs' levels in one call
         path = IntegrationPath((ArcSegment(1.0, 0.0, PI), ArcSegment(1.0, PI, 2 * PI)))
         g, sizes = self.counted(lambda m, a: (0.3 + 1.7j) * np.sqrt(as_complex(m, a) - 1.0))
         res = integrate_path(g, path, cfg=QuadratureConfig(rel_tol=1e-12))
         assert res.panels_used == 2 * 16384
-        # level k of one arc has 120 * 2**k nodes; levels 0 and 1 share a call
-        shared = [2 * 120 * (1 + 2)] + [2 * 120 * 2 ** k for k in range(2, 7)]
-        alone = [120 * 2 ** k for k in range(7, 12) for _ in range(2)]
-        assert sizes == shared + alone
+        # level k of one arc has 120 * 2**k nodes; round 0 takes levels 0 and 1
+        assert sizes == [2 * 120 * 3] + [2 * 120 * 2 ** k for k in range(2, 12)]
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_non_finite_in_any_segment_raises(self, bad):
