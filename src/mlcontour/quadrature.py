@@ -18,22 +18,32 @@ solves for directly, and the tail bound is folded into the error estimate.
 truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
 every segment; each later round evaluates the next level of every segment
 whose doubling rule has not stopped.  A round makes one integrand call over
-the nodes of all its levels, whatever their number.  The bits of each
-level's sum are fixed by the levels of its round, because the round's
-arithmetic runs in a fixed order:
+the nodes of all its levels, whatever their number.  ``_level_sums`` lays
+those nodes out, and weights the integrand's values, with one fixed set of
+array operations whatever the number of its (segment, level) jobs; only the
+Jacobian and each level's final sum are taken level by level.  Every
+operation is elementwise, or sums within one panel or within one level, so
+given the integrand's values a level's sum has the bits of laying that
+level out alone.  The bits are fixed by these choices:
 
-- each level's nodes are ``_subdivide`` of the segment's level-0 boundaries,
-  then mid + half * node, written into the round's node arrays in place;
-- each segment's Jacobian multiplies its slice of the integrand's output in
-  place, ``np.multiply(v, jac, out=v)``, in that operand order (numpy rounds
-  a complex product differently with its operands swapped);
-- the weighted sums over each panel's 15 nodes are taken over the whole
-  call, row by row, and each level's panel sums are then scaled by their
-  half-widths and summed with ``np.sum`` over that level's slice, pairwise.
+- level k of a segment splits each of its level-0 panels into 2**k equal
+  parts, left + width * (j / 2**k); a panel's midpoint and half-width are
+  0.5 * (right + left) and 0.5 * (right - left), and its nodes mid + half *
+  node;
+- the Jacobian multiplies each level's slice of the integrand's output in
+  place, with the output as the left operand (numpy rounds a complex
+  product differently with its operands swapped): on a ray by e^{i angle},
+  a constant of the segment, and on an arc by i R * np.exp(1j * phi);
+- the weighted sums over each panel's 15 nodes are taken row by row and
+  scaled by the panels' half-widths, and each level's sum is ``.sum()`` of
+  its contiguous slice of those, which numpy adds pairwise.
+  ``np.add.reduceat`` (which adds sequentially) and ``rows @ weights``
+  (which goes through BLAS) would round differently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -110,19 +120,28 @@ class DecayModel:
         A * exp(-c_eff * r**p) that dominates it.  For m <= 0 the prefactor
         is maximal at r0 and the rate is kept; for m > 0 the rate is halved
         and the worst case of r**m * exp(-c/2 * r**p) absorbed into A.
+        Raises PreconditionError where that worst case leaves the double
+        range: its radius overflows, or A underflows to 0.
         """
-        if base_amplitude <= 0 or rate <= 0 or exponent <= 0:
+        if not (base_amplitude > 0 and rate > 0 and exponent > 0):
             raise PreconditionError("with_power_growth requires positive bound parameters")
+        c_eff = rate
         if poly_power <= 0:
             amp = base_amplitude * _float_power(start_radius, poly_power)
-            return cls(_POWER_GROWTH_SAFETY * amp, rate, exponent)
-        c_eff = 0.5 * rate
-        # max over r > 0 of r**m * exp(-c_eff * r**p), attained at
-        # r* = (m / (c_eff p))**(1/p)
-        r_star = _float_power(poly_power / (c_eff * exponent), 1.0 / exponent)
-        r_star = max(r_star, start_radius)
-        log_peak = poly_power * math.log(r_star) - c_eff * _float_power(r_star, exponent)
-        amp = base_amplitude * math.exp(min(log_peak, 700.0))
+        else:
+            c_eff = 0.5 * rate
+            # max over r > 0 of r**m * exp(-c_eff * r**p), attained at
+            # r* = (m / (c_eff p))**(1/p)
+            r_star = _float_power(poly_power / (c_eff * exponent), 1.0 / exponent)
+            if r_star == math.inf:
+                raise PreconditionError("DecayModel requires a finite peak radius, but "
+                                        "(m / (c_eff p))**(1/p) overflows a double")
+            r_star = max(r_star, start_radius)
+            log_peak = poly_power * math.log(r_star) - c_eff * _float_power(r_star, exponent)
+            amp = base_amplitude * math.exp(min(log_peak, 700.0))
+        if amp == 0.0:
+            raise PreconditionError("DecayModel requires a positive amplitude, but "
+                                    "B * max r**m exp(-c_eff r**p) underflows to 0")
         return cls(_POWER_GROWTH_SAFETY * amp, c_eff, exponent)
 
     def bound(self, r: float) -> float:
@@ -162,19 +181,22 @@ class QuadratureResult:
 # Panel machinery
 # --------------------------------------------------------------------------
 
-# _subdivide's fractions of a panel, by number of parts (powers of two).
+# A level's fractions of a level-0 panel, by level k: j / 2**k for j = 1..2**k.
 _STEPS: dict[int, np.ndarray] = {}
+# An arc's level-0 boundaries are start + j * (span / _INITIAL_PANELS).
+_ARC_STEPS = np.arange(_INITIAL_PANELS + 1.0)
+# _graded_boundaries' expm1(j ln 2), j = 0..n, by panel count n.
+_GRADES: dict[int, np.ndarray] = {}
 
 
-def _subdivide(base: np.ndarray, parts: int) -> np.ndarray:
-    """Split every interval of `base` into `parts` equal pieces."""
-    if parts == 1:
-        return base
-    steps = _STEPS.get(parts)
-    if steps is None:
-        steps = _STEPS[parts] = np.linspace(0.0, 1.0, parts + 1)[1:]
-    inner = base[:-1, None] + np.diff(base)[:, None] * steps[None, :]
-    return np.concatenate(([base[0]], inner.ravel()))
+def _arc_boundaries(start: float, end: float) -> np.ndarray:
+    """np.linspace(start, end, _INITIAL_PANELS + 1), bit for bit (linspace
+    scales arange by the step and adds the start), for any span whose
+    eighth does not underflow to 0."""
+    base = _ARC_STEPS * ((end - start) / _INITIAL_PANELS)
+    base += start
+    base[-1] = end
+    return base
 
 
 def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
@@ -188,8 +210,13 @@ def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
     scale = max(r0, 1.0)
     n = max(_INITIAL_PANELS, math.ceil(math.log2(span / scale + 1.0)) + 1)
     n = min(n, 48)
-    j = np.arange(n + 1, dtype=float)
-    return r0 + span * np.expm1(j * math.log(2.0)) / (2.0 ** n - 1.0)
+    grades = _GRADES.get(n)
+    if grades is None:
+        grades = _GRADES[n] = np.expm1(np.arange(n + 1.0) * math.log(2.0))
+    bounds = span * grades
+    bounds /= 2.0 ** n - 1.0
+    bounds += r0
+    return bounds
 
 
 class _Segment:
@@ -210,18 +237,27 @@ class _Segment:
         self.radial = radial  # radial: over radius at angle ``fixed``; else over angle
         self.fixed = fixed
         self.tail = tail
+        self.panels = len(base) - 1
+        self.left = base[:-1, None]
+        self.width = (base[1:] - base[:-1])[:, None]
+        # d zeta per unit of the panel coordinate: e^{i angle} on a ray; on
+        # an arc i R, which _level_sums multiplies by e^{i phi} node by node.
+        self.jacobian = complex(math.cos(fixed), math.sin(fixed)) if radial else 1j * fixed
         self.level = 0
         self.prev = 0j
         self.best_diff = math.inf
         self.stale = 0
         self.result: tuple[complex, float, int, bool] | None = None
 
-    def jacobian(self, angles: np.ndarray) -> complex | np.ndarray:
-        """d zeta per unit of the panel coordinate: e^{i angle} on a ray,
-        i R e^{i phi} on an arc."""
-        if self.radial:
-            return complex(math.cos(self.fixed), math.sin(self.fixed))
-        return 1j * self.fixed * np.exp(1j * angles)
+    def edges(self, k: int) -> tuple[np.ndarray, ...]:
+        """Level k's panel boundaries, as pieces to concatenate: every
+        level-0 panel split into 2**k equal parts."""
+        if k == 0:
+            return (self.base,)
+        steps = _STEPS.get(k)
+        if steps is None:
+            steps = _STEPS[k] = np.linspace(0.0, 1.0, 2 ** k + 1)[1:]
+        return self.base[:1], (self.left + self.width * steps).ravel()
 
     def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
         """Take the value of level k, the level after the last one taken."""
@@ -229,7 +265,7 @@ class _Segment:
         if k == 0:
             self.prev = cur
             return
-        panels = (len(self.base) - 1) * 2 ** k
+        panels = self.panels << k
         diff = abs(cur - self.prev)
         err = diff + self.tail
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
@@ -248,35 +284,63 @@ class _Segment:
             self.result = (cur, err, panels, False)
 
 
+def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """A round's Gauss-Legendre nodes, laid out once for all its jobs.
+
+    The panel boundaries of every job go into one array; its neighbouring
+    pairs give the panels' midpoints and half-widths, once the pairs that
+    straddle two jobs are dropped.  Returns the panels of each job, the
+    half-width of each panel, and the nodes as a (2, panels, _GAUSS_ORDER)
+    array, row 0 the moduli and row 1 the angles.
+    """
+    counts = [seg.panels << k for seg, k in jobs]
+    edges = np.concatenate([piece for seg, k in jobs for piece in seg.edges(k)])
+    pairs = np.empty((2, len(edges) - 1))
+    np.add(edges[1:], edges[:-1], out=pairs[0])
+    np.subtract(edges[1:], edges[:-1], out=pairs[1])
+    pairs *= 0.5
+    keep = np.ones(len(edges) - 1, dtype=bool)
+    # the pair that straddles jobs j and j + 1 starts at (panels of jobs 0..j) + j
+    keep[[end + j for j, end in enumerate(itertools.accumulate(counts[:-1]))]] = False
+    mid, half = pairs[:, keep]
+
+    # mid + half * node in the row a panel runs over (the modulus on a ray,
+    # the angle on an arc), the segment's fixed coordinate in the other row.
+    nodes = half[:, None] * _NODES
+    nodes += mid[:, None]
+    reps = _GAUSS_ORDER * np.array(counts)
+    radial = [seg.radial for seg, _ in jobs]
+    fixed = np.array([[not r for r in radial], radial]).repeat(reps, axis=1)
+    coords = np.where(fixed, np.array([seg.fixed for seg, _ in jobs]).repeat(reps), nodes.ravel())
+    return counts, half, coords.reshape(2, -1, _GAUSS_ORDER)
+
+
 def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]:
     """The composite Gauss-Legendre sum of each (segment, level) job, from
-    one integrand call over the nodes of all of them, in job order."""
-    levels = []  # (segment, panel midpoints, panel half-widths)
-    for seg, k in jobs:
-        bounds = _subdivide(seg.base, 2 ** k)
-        levels.append((seg, 0.5 * (bounds[1:] + bounds[:-1]), 0.5 * (bounds[1:] - bounds[:-1])))
-    n = sum(len(mid) for _, mid, _ in levels) * _GAUSS_ORDER
-    mods = np.empty(n)
-    angs = np.empty(n)
-    spans = []
-    at = 0
-    for seg, mid, half in levels:
-        stop = at + len(mid) * _GAUSS_ORDER
-        nodes, fixed = (mods, angs) if seg.radial else (angs, mods)
-        np.add(mid[:, None], half[:, None] * _NODES, out=nodes[at:stop].reshape(-1, _GAUSS_ORDER))
-        fixed[at:stop] = seg.fixed
-        spans.append((at, stop))
-        at = stop
+    one integrand call over the nodes of all of them, in job order.
+
+    The nodes are laid out, and the values weighted, once for the round;
+    only the Jacobian and each job's final sum are taken job by job.  Given
+    the integrand's values, every job's sum has the bits of laying that job
+    out alone, because of the operations that fix them: nodes mid + half *
+    node; the output scaled in place by the Jacobian, the output the left
+    operand; each panel's weighted row sum scaled by its half-width; and
+    each job's ``.sum()`` over its contiguous slice of those, pairwise.
+    """
+    counts, half, (mods, angs) = _layout(jobs)
+    bounds = list(itertools.pairwise([0, *itertools.accumulate(counts)]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(f(mods, angs), dtype=complex)
-        for (seg, _, _), (at, stop) in zip(levels, spans):
-            v = vals[at:stop]
-            np.multiply(v, seg.jacobian(angs[at:stop]), out=v)
-    if not np.all(np.isfinite(vals)):
+        vals = np.asarray(f(mods.ravel(), angs.ravel()), dtype=complex).reshape(-1, _GAUSS_ORDER)
+        # Job by job: a per-node Jacobian array, or gathering the arcs' nodes,
+        # cost more than this loop at every round size measured.
+        for (seg, _), (start, stop) in zip(jobs, bounds):
+            v = vals[start:stop]
+            jac = seg.jacobian if seg.radial else seg.jacobian * np.exp(1j * angs[start:stop])
+            np.multiply(v, jac, out=v)
+    if not np.isfinite(vals).all():
         raise IntegrandError("integrand not finite")
-    rows = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1)
-    return [complex(np.sum(rows[at // _GAUSS_ORDER:stop // _GAUSS_ORDER] * half))
-            for (_, _, half), (at, stop) in zip(levels, spans)]
+    weighted = (vals * _WEIGHTS).sum(axis=1) * half
+    return [complex(weighted[start:stop].sum()) for start, stop in bounds]
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +453,7 @@ def integrate_path(f: Integrand, path: IntegrationPath,
     for seg in path.segments:
         r_end = 0.0
         if isinstance(seg, ArcSegment):
-            base = np.linspace(seg.start_angle, seg.end_angle, _INITIAL_PANELS + 1)
+            base = _arc_boundaries(seg.start_angle, seg.end_angle)
             segment = _Segment(base, False, seg.radius, 0.0)
             if seg.start_angle == seg.end_angle:
                 segment.result = (0j, 0.0, 0, True)

@@ -182,6 +182,19 @@ class TestRayBoundEdges:
         assert code == 3
         assert "decay too weak to truncate ray" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, cause", [
+        # Dzhrbashyan's ray bound: its peak radius overflows
+        (["--rho", "0.6", "--mu-re=-1e200", "--z-arg", "0.5", "--method", "dzhrbashyan"],
+         "overflows a double"),
+        # Bateman's ray bound: B r0**m underflows to 0
+        (["--rho", "0.8", "--mu-re=1e200", "--z-arg", "2.5", "--method", "bateman"],
+         "underflows to 0"),
+    ])
+    def test_eval_names_the_bound_that_leaves_the_double_range(self, capsys, argv, cause):
+        code = main(["eval", "--z-mod", "1", *argv])
+        assert code == 2
+        assert cause in capsys.readouterr().err
+
     @pytest.mark.parametrize("s_re", ["nan", "inf"])
     def test_non_finite_s_is_precondition_error(self, capsys, s_re):
         code = main(["invariance", "gamma", "--s-re", s_re])

@@ -14,6 +14,7 @@ from mlcontour import (
     ml_dzhrbashyan,
     recip_gamma_contour,
 )
+from mlcontour import quadrature
 from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
 from mlcontour.quadrature import (
     DecayModel,
@@ -139,6 +140,17 @@ class TestDecayModel:
         assert model.amplitude == math.inf
         with pytest.raises(IntegrandError, match="decay too weak"):
             truncation_radius(model, 1e-300)
+
+    def test_power_growth_peak_overflow_is_named(self):
+        # r* = (m / (c_eff p))**(1/p) overflows: m log r* - c_eff (r*)**p was inf - inf
+        with pytest.raises(PreconditionError, match="peak radius, but .* overflows a double"):
+            DecayModel.with_power_growth(1.0, 1e300, 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("poly_power, start_radius", [(-100.0, 1e5), (1.0, 1e3)])
+    def test_power_growth_underflow_is_named(self, poly_power, start_radius):
+        # B r0**m, or B times the peak of r**m e**(-c_eff r**p), underflows to 0
+        with pytest.raises(PreconditionError, match="amplitude, but .* underflows to 0"):
+            DecayModel.with_power_growth(1e-300, poly_power, 1.0, 1.0, start_radius)
 
     def test_power_growth_fold_is_a_bound(self):
         model = DecayModel.with_power_growth(2.0, 3.5, 1.0, 1.0, 0.5)
@@ -396,9 +408,149 @@ class TestRounds:
             integrate_path(f, path, decay=lambda ray: DecayModel(3.0, abs(math.cos(ray.angle)), 1.0))
 
 
+# --------------------------------------------------------------------------
+# Reference for a quadrature round: the per-job layout that _level_sums
+# replaced, kept as it was apart from the arc Jacobian, which _Segment no
+# longer computes (``_reference_jacobian`` is its former body).
+# --------------------------------------------------------------------------
+
+_GAUSS_ORDER = 15
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+_REFERENCE_STEPS: dict[int, np.ndarray] = {}
+
+
+def _reference_subdivide(base: np.ndarray, parts: int) -> np.ndarray:
+    """Split every interval of `base` into `parts` equal pieces."""
+    if parts == 1:
+        return base
+    steps = _REFERENCE_STEPS.get(parts)
+    if steps is None:
+        steps = _REFERENCE_STEPS[parts] = np.linspace(0.0, 1.0, parts + 1)[1:]
+    inner = base[:-1, None] + np.diff(base)[:, None] * steps[None, :]
+    return np.concatenate(([base[0]], inner.ravel()))
+
+
+def _reference_jacobian(seg, angles: np.ndarray) -> complex | np.ndarray:
+    """d zeta per unit of the panel coordinate: e^{i angle} on a ray,
+    i R e^{i phi} on an arc."""
+    if seg.radial:
+        return complex(math.cos(seg.fixed), math.sin(seg.fixed))
+    return 1j * seg.fixed * np.exp(1j * angles)
+
+
+def _reference_level_sums(f, jobs) -> list[complex]:
+    """The composite Gauss-Legendre sum of each (segment, level) job, from
+    one integrand call over the nodes of all of them, in job order."""
+    levels = []  # (segment, panel midpoints, panel half-widths)
+    for seg, k in jobs:
+        bounds = _reference_subdivide(seg.base, 2 ** k)
+        levels.append((seg, 0.5 * (bounds[1:] + bounds[:-1]), 0.5 * (bounds[1:] - bounds[:-1])))
+    n = sum(len(mid) for _, mid, _ in levels) * _GAUSS_ORDER
+    mods = np.empty(n)
+    angs = np.empty(n)
+    spans = []
+    at = 0
+    for seg, mid, half in levels:
+        stop = at + len(mid) * _GAUSS_ORDER
+        nodes, fixed = (mods, angs) if seg.radial else (angs, mods)
+        np.add(mid[:, None], half[:, None] * _NODES, out=nodes[at:stop].reshape(-1, _GAUSS_ORDER))
+        fixed[at:stop] = seg.fixed
+        spans.append((at, stop))
+        at = stop
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(f(mods, angs), dtype=complex)
+        for (seg, _, _), (at, stop) in zip(levels, spans):
+            v = vals[at:stop]
+            np.multiply(v, _reference_jacobian(seg, angs[at:stop]), out=v)
+    if not np.all(np.isfinite(vals)):
+        raise IntegrandError("integrand not finite")
+    rows = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1)
+    return [complex(np.sum(rows[at // _GAUSS_ORDER:stop // _GAUSS_ORDER] * half))
+            for (_, _, half), (at, stop) in zip(levels, spans)]
+
+
+def _reference_graded_boundaries(r0: float, r1: float) -> np.ndarray:
+    span = r1 - r0
+    scale = max(r0, 1.0)
+    n = max(8, math.ceil(math.log2(span / scale + 1.0)) + 1)
+    n = min(n, 48)
+    j = np.arange(n + 1, dtype=float)
+    return r0 + span * np.expm1(j * math.log(2.0)) / (2.0 ** n - 1.0)
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    """Exact bits of complex values, signed zeros included."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestRoundReference:
+    """_level_sums lays a round out with one set of array operations; its
+    sums must have the bits of the per-job reference above."""
+
+    @staticmethod
+    def integrand(mod, ang):
+        # smooth, complex, and different on every node
+        return np.exp((0.3 - 0.7j) * mod * np.exp(1j * ang) - 0.05 * mod) * (1.5 + np.cos(3 * ang))
+
+    @staticmethod
+    def segment(rng):
+        if rng.random() < 0.5:
+            start, end = rng.uniform(-7.0, 7.0, 2)  # descending about half the time
+            return quadrature._Segment(quadrature._arc_boundaries(start, end), False,
+                                       float(rng.uniform(0.1, 5.0)), 0.0)
+        r0 = float(rng.uniform(0.0, 3.0))
+        r1 = r0 + float(10.0 ** rng.uniform(-2.0, 3.0))
+        return quadrature._Segment(quadrature._graded_boundaries(r0, r1), True,
+                                   float(rng.uniform(-7.0, 7.0)), 0.0)
+
+    def assert_same(self, jobs):
+        expected = _reference_level_sums(self.integrand, jobs)
+        assert _bits(quadrature._level_sums(self.integrand, jobs)) == _bits(expected)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rounds(self, seed):
+        rng = np.random.default_rng(seed)
+        segments = [self.segment(rng) for _ in range(rng.integers(1, 6))]
+        jobs = [(seg, int(k)) for seg in segments for k in rng.integers(0, 7, rng.integers(1, 3))]
+        self.assert_same(jobs)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_single_job_rounds(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(4):
+            self.assert_same([(self.segment(rng), k)])
+
+    def test_rounds_above_16384_nodes(self):
+        rng = np.random.default_rng(7)
+        arc = quadrature._Segment(quadrature._arc_boundaries(2.5, -3.0), False, 1.3, 0.0)
+        ray = quadrature._Segment(quadrature._graded_boundaries(1.3, 60.0), True, 2.5, 0.0)
+        # 30,720 and 3,840 nodes; then 16,384 arc panels, where numpy may
+        # reuse temporaries of 256 KiB or more in place
+        self.assert_same([(arc, 8), (ray, 5), (self.segment(rng), 3)])
+        self.assert_same([(ray, 0), (arc, 11)])
+
+    def test_arc_boundaries_are_linspace(self):
+        rng = np.random.default_rng(11)
+        spans = [(0.0, 0.0), (-math.pi, math.pi), (2.0, -1.0), (1e-300, 3e-300)]
+        spans += [tuple(rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.uniform(-6, 2))
+                  for _ in range(2000)]
+        for start, end in spans:
+            expected = np.linspace(start, end, 9)
+            assert _bits(quadrature._arc_boundaries(start, end)) == _bits(expected)
+
+    def test_graded_boundaries_match_arange_expm1(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            r0 = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-3, 3)]))
+            r1 = r0 + float(10.0 ** rng.uniform(-3, 15))
+            expected = _reference_graded_boundaries(r0, r1)
+            assert _bits(quadrature._graded_boundaries(r0, r1)) == _bits(expected)
+
+
 class TestGolden:
     """Results of the four loop routes, recorded before integrate_path
-    evaluated whole paths per call; they must not move by one bit."""
+    evaluated whole paths per call (the two at s = 2 +- 10i before a round
+    was laid out at once); they must not move by one bit."""
 
     CASES = [
         (lambda: recip_gamma_contour(3.0).quadrature,
@@ -412,6 +564,16 @@ class TestGolden:
         (lambda: recip_gamma_contour(0.5 + 5j).quadrature,
          "QuadratureResult(value=(-1023.8611659975194-88.32141731490782j), "
          "error_estimate=3.3025092661634144e-11, truncation_radius=50.93988684341959, "
+         "panels_used=48, converged=True)"),
+        # the D1/D2 knife edge: against mpmath, 2 + 10i has a relative error of
+        # 1.023e-8 and counts as failed in the benchmark, 2 - 10i 9.78e-9 and passes
+        (lambda: recip_gamma_contour(2 + 10j).quadrature,
+         "QuadratureResult(value=(-75577.63882466381-35020.96138259768j), "
+         "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
+         "panels_used=48, converged=True)"),
+        (lambda: recip_gamma_contour(2 - 10j).quadrature,
+         "QuadratureResult(value=(-75577.63886352+35020.96138259768j), "
+         "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
          "panels_used=48, converged=True)"),
         # marginal: the arc converges at 2,048 panels with an estimate of
         # 2.93e-11 against its tolerance of 4.30e-11 (before the rho/(2 pi i))
