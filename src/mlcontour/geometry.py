@@ -121,7 +121,10 @@ class MLContourSpec:
     """Loop for the Mittag-Leffler integral in the zeta plane.
 
     The arc radius is ``1 + epsilon_hat`` (the simple pole sits at 1); the
-    loop is anchored to ``arg_z``, which must be supplied unwrapped.
+    loop is anchored to ``arg_z``, which must be supplied unwrapped.  The
+    arc may pass inside the pole (-1 < epsilon_hat <= 0) when both ray
+    half-angles are below pi: the sector the arc sweeps then never contains
+    angle 0, so the pole stays outside the loop and no residue enters.
     """
 
     rho: float
@@ -286,7 +289,8 @@ def validate_gamma_contour(spec: GammaContourSpec,
 
     The psi window, shifted by ``-arg lam``, and the lower delta bounds are
     open (boundary rejected, plus the ``DEFAULT_BOUNDARY_MARGIN`` guard band);
-    the upper delta bounds are inclusive.
+    the upper delta bounds are inclusive.  The loop radius epsilon/|lam| must
+    be a positive finite double.
     """
     violations: list[Violation] = []
     if not _finite(violations, epsilon=spec.epsilon, psi=spec.psi,
@@ -297,6 +301,9 @@ def validate_gamma_contour(spec: GammaContourSpec,
         violations.append(Violation("lambda must be nonzero", 0.0))
     if spec.epsilon <= 0:
         violations.append(Violation("epsilon must be positive", -spec.epsilon))
+    elif lam.modulus > 0 and not 0 < spec.epsilon / lam.modulus < math.inf:
+        violations.append(Violation("loop radius epsilon/|lambda| leaves the double range",
+                                    0.0))
     _check_gamma_deltas(violations, spec)
     if not violations:
         low, high = gamma_psi_window(spec.delta1, spec.delta2)
@@ -311,10 +318,13 @@ def validate_gamma_contour(spec: GammaContourSpec,
 def validate_ml_contour(spec: MLContourSpec) -> ValidityReport:
     """Check a zeta-loop spec: rho, epsilon_hat, delta ranges and the arg z window.
 
-    Delta upper bounds are inclusive; everything else is strict with a guard
-    band.  A note (not a violation) is emitted when arg z falls outside
-    (pi/2, 3pi/2), where the loop is anchored unusually far from the negative
-    real direction; the series route is the recommended cross-check there.
+    epsilon_hat must exceed -1 (a positive arc radius).  It may be at most 0
+    only when both ray half-angles are below pi; at pi a ray runs along
+    angle 0, through the pole once the arc is inside it.  Delta upper bounds
+    are inclusive; everything else is strict with a guard band.  A note (not
+    a violation) is emitted when arg z falls outside (pi/2, 3pi/2), where the
+    loop is anchored unusually far from the negative real direction; the
+    series route is the recommended cross-check there.
     """
     violations: list[Violation] = []
     notes: list[str] = []
@@ -325,8 +335,11 @@ def validate_ml_contour(spec: MLContourSpec) -> ValidityReport:
 
     if spec.rho <= 0.5:
         violations.append(Violation("rho must exceed 1/2", 0.5 - spec.rho))
-    if spec.epsilon_hat <= 0:
-        violations.append(Violation("epsilon_hat must be positive", -spec.epsilon_hat))
+    if spec.epsilon_hat <= -1.0:
+        violations.append(Violation("epsilon_hat must exceed -1", -1.0 - spec.epsilon_hat))
+    elif spec.epsilon_hat <= 0 and max(spec.delta1_rho, spec.delta2_rho) >= math.pi:
+        violations.append(Violation("epsilon_hat must be positive when a ray half-angle "
+                                    "is pi", -spec.epsilon_hat))
     if not violations:
         lo_delta, hi_delta = ml_delta_range(spec.rho)
         for name, d in (("delta1_rho", spec.delta1_rho), ("delta2_rho", spec.delta2_rho)):
@@ -351,6 +364,16 @@ def validate_ml_contour(spec: MLContourSpec) -> ValidityReport:
 # --------------------------------------------------------------------------
 # Path construction
 # --------------------------------------------------------------------------
+
+def ray_distance(ray: RaySegment, point: complex) -> float:
+    """Distance from ``point`` to the nearest point of ``ray``: the foot of
+    the perpendicular from ``point`` to the ray's line, clamped to the span
+    the ray covers."""
+    direction = cmath.exp(1j * ray.angle)
+    along = (point * direction.conjugate()).real
+    far = math.inf if ray.end_radius is None else ray.end_radius
+    return abs(min(max(ray.start_radius, along), far) * direction - point)
+
 
 def loop_path(radius: float, a_in: float, a_out: float) -> IntegrationPath:
     """Ray in at angle ``a_in``, arc of ``radius`` from ``a_in`` to ``a_out``,
@@ -382,7 +405,10 @@ def build_gamma_path(spec: GammaContourSpec,
 
 def build_zeta_path(spec: MLContourSpec) -> IntegrationPath:
     """Zeta-plane loop: rays at -delta1_rho-pi and delta2_rho-pi, arc radius
-    1+epsilon_hat.  The simple pole at zeta=1 stays at distance >= epsilon_hat."""
+    1+epsilon_hat.  The simple pole at zeta=1 stays at distance >=
+    epsilon_hat when epsilon_hat > 0; for an arc inside the pole it lies
+    outside the swept sector, at the distance ``ray_distance`` gives to the
+    nearer ray."""
     from .errors import ContourValidityError
 
     report = validate_ml_contour(spec)

@@ -41,6 +41,7 @@ from .geometry import (
     default_ml_deltas,
     loop_path,
     ml_delta_range,
+    ray_distance,
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -63,6 +64,16 @@ OVERFLOW_EXPONENT_LIMIT = 690.0
 #: doubles lose roughly exp(cap)*eps absolutely; 8.5 keeps that floor below
 #: the default quadrature tolerance.
 _ARC_GROWTH_CAP = 8.5
+
+#: Largest |z| at which the arc may pass inside the pole.  The engine grades
+#: a ray from the scale max(r0, 1), while this loop's ray integrand lives
+#: within a few 1/|z| of its start, so the panels it needs grow with |z|.
+#: At arg z = pi and mu = 1, against mpmath, with the arc at tau-plane
+#: radius 1: up to |z| = 1e3 within 3e-16 in at most 144 panels (rho in
+#: {1.1, 2, 4}); at 1e4 up to 1,040 panels; past that ConvergenceError, or
+#: converged values 7-33% off, from 1e5 at rho = 4 and 3e6 at rho = 1.1.
+#: TestInnerArc sweeps rho in (1, 4] up to this bound.
+_INNER_ARC_MAX_MODULUS = 1e3
 
 #: The series' default term budget.
 SERIES_MAX_TERMS = 10000
@@ -229,8 +240,12 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
 
     The arc integrand peaks at exp((|z|(1+eps))^rho); a fixed eps=1 is fine
     for small |z|^rho but loses digits catastrophically once the peak passes
-    ~e^18, so the default shrinks the arc toward the pole (never below 0.01)
-    to cap the peak.  Pass ``epsilon_hat`` explicitly to override.
+    ~e^18, so the default shrinks the arc toward the pole to cap the peak at
+    e^8.5.  Where that would take eps below 0.01, the arc passes inside the
+    pole to tau-plane radius 1 (eps = 1/|z| - 1) when both ray half-angles
+    are below pi and |z| <= 1e3; otherwise eps stays at 0.01 and the
+    overflow check of ``ml_contour`` may refuse.  Pass ``epsilon_hat``
+    explicitly to override.
     """
     if z.modulus == 0.0:
         raise PreconditionError("loop route requires |z| > 0; use the series at z = 0")
@@ -238,7 +253,12 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
         deltas = default_ml_deltas(params.rho)
     if epsilon_hat is None:
         cap = _float_power(_ARC_GROWTH_CAP, 1.0 / params.rho) / z.modulus - 1.0
-        epsilon_hat = min(1.0, max(0.01, cap))
+        if cap >= 0.01:
+            epsilon_hat = min(1.0, cap)
+        elif max(deltas) < math.pi and z.modulus <= _INNER_ARC_MAX_MODULUS:
+            epsilon_hat = 1.0 / z.modulus - 1.0
+        else:
+            epsilon_hat = 0.01
     return MLContourSpec(params.rho, params.mu, epsilon_hat, z.argument,
                          deltas[0], deltas[1])
 
@@ -266,9 +286,12 @@ def _zeta_ray_decay(params: MLParams, z: PolarComplex, spec: MLContourSpec,
     mu = complex(params.mu)
     rate = z.modulus ** rho * abs(math.cos(rho * (z.argument + ray.angle)))
     poly = rho * (1.0 - mu.real)
+    # 1/|zeta - 1| on the ray: at most 1/epsilon_hat when the ray starts
+    # past the pole, else 1/(the pole's distance to the ray)
+    pole_gap = spec.epsilon_hat if spec.epsilon_hat > 0 else ray_distance(ray, 1.0)
     log_base = (poly * math.log(z.modulus)
                 + rho * mu.imag * (z.argument + ray.angle)
-                - math.log(spec.epsilon_hat))
+                - math.log(pole_gap))
     base = math.exp(min(log_base, 700.0))
     return DecayModel.with_power_growth(base, poly, rate, rho, ray.start_radius)
 
@@ -280,12 +303,17 @@ def _zeta_loop(params: MLParams, z: PolarComplex,
     """Every check ``ml_contour`` makes before integrating, and the loop it
     integrates over."""
     spec = default_ml_spec(params, z, epsilon_hat, deltas)
+    path = build_zeta_path(spec)
     growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), params.rho)
     if growth > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
-    return spec, build_zeta_path(spec)
+    if spec.epsilon_hat <= 0 and z.modulus > _INNER_ARC_MAX_MODULUS:
+        raise PreconditionError(
+            f"an arc inside the pole (eps <= 0) needs |z| <= {_INNER_ARC_MAX_MODULUS:g}, "
+            f"not {z.modulus:.3g}; use the series")
+    return spec, path
 
 
 def ml_route(params: MLParams, z: PolarComplex) -> str:
@@ -306,11 +334,13 @@ def ml_contour(params: MLParams, z: PolarComplex,
     """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
     arg z inside the admissibility window).  ``epsilon_hat`` and the ray
     half-angles ``deltas`` = (delta1_rho, delta2_rho) override the defaults
-    of ``default_ml_spec``.
+    of ``default_ml_spec``; the arc may pass inside the pole
+    (-1 < epsilon_hat <= 0) when both half-angles are below pi.
 
-    Raises ContourValidityError outside the window, PreconditionError at
-    z = 0 or when exp((|z|(1+eps))^rho) would overflow, and ConvergenceError
-    when the quadrature stalls.
+    Raises ContourValidityError for a spec ``validate_ml_contour`` refuses
+    (outside the window, say), PreconditionError at z = 0, when
+    exp((|z|(1+eps))^rho) would overflow, or for an arc inside the pole at
+    |z| > 1e3, and ConvergenceError when the quadrature stalls.
     """
     spec, path = _zeta_loop(params, z, epsilon_hat, deltas)
     log_z = complex(math.log(z.modulus), z.argument)
@@ -387,8 +417,10 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
     """Loop at opening angle theta (default: mid-window) with pole factor
     tau - z and arc radius epsilon (default |z| + 1).
 
-    Valid for epsilon > |z| and theta strictly inside the admissible window;
-    the window guarantees cos(rho*theta) < 0, i.e. ray decay.
+    Valid for theta strictly inside the admissible window, which guarantees
+    cos(rho*theta) < 0, i.e. ray decay, and for z left of the loop: epsilon
+    > |z|, or any epsilon when |arg z| > theta, since the loop's sector
+    |arg tau| < theta then leaves z out and no residue enters.
     """
     lo, hi = dzhrbashyan_theta_window(params.rho)
     if theta is None:
@@ -400,16 +432,24 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
     if not (lo < theta < hi):
         raise PreconditionError(
             f"theta {theta:g} outside the open window ({lo:.6g}, {hi:.6g})")
-    if not epsilon > abs(zc):
-        raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(zc):g}")
+    outside_arc = epsilon > abs(zc)
+    if not (outside_arc or abs(math.remainder(z.argument, 2.0 * math.pi)) > theta):
+        raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(zc):g} "
+                                f"when |arg z| <= theta = {theta:g}")
     if _float_power(epsilon, params.rho) > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     rho = params.rho
     path = loop_path(epsilon, -theta, theta)
     rate = abs(math.cos(rho * theta))
     poly = rho * (1.0 - mu.real)
-    base = math.exp(min(rho * abs(mu.imag) * theta, 700.0)) / (epsilon - abs(zc))
-    decay = DecayModel.with_power_growth(base, poly, rate, rho, epsilon)
+    weight = math.exp(min(rho * abs(mu.imag) * theta, 700.0))
+
+    def decay(ray: RaySegment) -> DecayModel:
+        # 1/|tau - z| on the ray: at most 1/(epsilon - |z|) when the arc
+        # encloses z, else 1/(z's distance to the ray)
+        pole_gap = epsilon - abs(zc) if outside_arc else ray_distance(ray, zc)
+        return DecayModel.with_power_growth(weight / pole_gap, poly, rate, rho, epsilon)
+
     raw = integrate_path(_tau_integrand(params, 0j, zc), path, decay=decay, cfg=cfg)
     if not raw.converged:
         raise ConvergenceError(

@@ -6,11 +6,15 @@ import json
 import math
 
 import pytest
+from ml_reference import ml_reference
 
 from mlcontour import recip_gamma_oracle
 from mlcontour.cli import _axis, build_parser, main
 
 PI = math.pi
+#: F2's point: arg z near the zeta loop's window edge, where one ray barely
+#: decays and the loop does not converge.
+F2_POINT = ("--rho", 0.75, "--mu-re", 1, "--z-mod", 0.5, "--z-arg", 2.095395102393195)
 
 
 def run(capsys, *argv):
@@ -52,6 +56,13 @@ class TestExitCodes:
                       "--z-arg", 0, "--method", "contour")
         assert code == 2
 
+    def test_arc_radius_below_zero_is_precondition_error(self, capsys):
+        # 1 + eps < 0: refused before (|z|(1 + eps))^rho is formed
+        code = main(["eval", "--rho", "1.5", "--mu-re", "1", "--z-mod", "1",
+                     "--z-arg-pi", "1", "--method", "contour", "--epsilon-hat=-2"])
+        assert code == 2
+        assert "epsilon_hat must exceed -1" in capsys.readouterr().err
+
     def test_theta_and_theta_pi_are_exclusive(self, capsys):
         code, _ = run(capsys, "eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1,
                       "--z-arg-pi", 1, "--method", "dzhrbashyan",
@@ -59,9 +70,32 @@ class TestExitCodes:
         assert code == 2
 
     def test_zeta_loop_non_convergence(self, capsys):
-        code, _ = run(capsys, "eval", "--rho", 2, "--mu-re", 1, "--z-mod", 5,
-                      "--z-arg-pi", 1)
+        code, _ = run(capsys, "eval", *F2_POINT)
         assert code == 3
+
+    def test_former_zeta_loop_non_convergence_answers(self, capsys):
+        # the default arc passes inside the pole, at tau-plane radius 1
+        code, out = run(capsys, "eval", "--rho", 2, "--mu-re", 1, "--z-mod", 5,
+                        "--z-arg-pi", 1)
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        value = complex(float(row["value_re"]), float(row["value_im"]))
+        ref = ml_reference(2.0, 1.0, -5.0)
+        assert row["method"] == "contour"
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    def test_compare_dzhrbashyan_arc_inside_z(self, capsys):
+        # z left of the theta loop: its arc may pass inside |z|
+        code, out = run(capsys, "compare", "--rho", 2, "--mu-re", 1, "--z-mod", 4,
+                        "--z-arg-pi", 1, "--dzh-radius", 1)
+        assert code == 0
+        rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
+                if r["record"] == "method"}
+        row = rows["dzhrbashyan"]
+        value = complex(float(row["value_re"]), float(row["value_im"]))
+        ref = ml_reference(2.0, 1.0, -4.0)
+        assert row["status"] == "ok"
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
     def test_series_out_of_terms(self, capsys):
         code, out = run(capsys, "eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1,
@@ -242,14 +276,21 @@ class TestAutoRoute:
         (1.0, 1.0, 0.0, "series"),
         (1.0, 1.0, 0.5 * PI, "series"),  # the window edge
         (4.0, 5.0, PI, "contour"),
-        (4.0, 5.2, PI, "series"),  # (|z|(1 + eps))^rho past OVERFLOW_EXPONENT_LIMIT
+        (4.0, 5.2, PI, "contour"),  # the arc passes inside the pole
+        # (|z|(1 + eps))^rho past OVERFLOW_EXPONENT_LIMIT, where a ray
+        # half-angle is pi and the arc may not pass inside the pole
+        (1.0, 700.0, PI, "series"),
     ])
     def test_route(self, capsys, rho, z_mod, z_arg, route):
         _, rows = ml_rows(capsys, rho, z_mod, z_arg)
         assert [r["method"] for r in rows] == [route]
+        if route == "contour":
+            value = complex(float(rows[0]["value_re"]), float(rows[0]["value_im"]))
+            ref = ml_reference(rho, 1.0, z_mod * complex(math.cos(z_arg), math.sin(z_arg)))
+            assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_failed_row_names_its_route(self, capsys):
-        code, rows = ml_rows(capsys, 2, 5, PI)
+        code, rows = ml_rows(capsys, 0.75, 0.5, 2.095395102393195)  # F2's point
         assert code == 1
         row = rows[0]
         assert (row["method"], row["flags"], row["status"]) == (

@@ -186,6 +186,17 @@ class TestContour:
         with pytest.raises(PreconditionError, match="with_power_growth requires"):
             recip_gamma_contour(0.5 + 10000j)
 
+    def test_underflowed_loop_radius_is_contour_validity_error(self):
+        # epsilon/|lambda| = 1e-600 underflows to 0
+        spec = GammaContourSpec(1e-300, 0.0, PI, PI)
+        lam = PolarComplex(1e300, 0.0)
+        with pytest.raises(ContourValidityError, match="leaves the double range"):
+            recip_gamma_contour(2.0, spec, lam=lam)
+        # and past the largest double
+        with pytest.raises(ContourValidityError, match="leaves the double range"):
+            recip_gamma_contour(2.0, GammaContourSpec(1e300, 0.0, PI, PI),
+                                lam=PolarComplex(1e-300, 0.0))
+
     def test_evaluation_carries_quadrature(self):
         ev = recip_gamma_contour(0.5)
         assert ev.quadrature is not None

@@ -22,6 +22,7 @@ from mlcontour.geometry import (
     build_gamma_path,
     build_zeta_path,
     ml_delta_range,
+    ray_distance,
 )
 
 PI = math.pi
@@ -188,6 +189,24 @@ class TestMLValidity:
         assert validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2)).ok
         assert not validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2 + 1e-9, PI / 2)).ok
 
+    @pytest.mark.parametrize("eps", [-0.99, -0.5, 0.0])
+    def test_arc_inside_the_pole_with_half_angles_below_pi(self, eps):
+        assert validate_ml_contour(ml_spec(2.0, eps, PI, PI / 2, PI / 2)).ok
+        assert validate_ml_contour(ml_spec(1.0, eps, PI, 0.9 * PI, 0.8 * PI)).ok
+
+    @pytest.mark.parametrize("eps", [-1.0, -1.5])
+    def test_arc_radius_must_be_positive(self, eps):
+        report = validate_ml_contour(ml_spec(2.0, eps, PI, PI / 2, PI / 2))
+        assert [v.constraint for v in report.violations] == ["epsilon_hat must exceed -1"]
+        assert report.violations[0].distance == pytest.approx(-1.0 - eps)
+
+    @pytest.mark.parametrize("d1, d2", [(PI, PI), (PI, 0.9 * PI), (0.9 * PI, PI)])
+    @pytest.mark.parametrize("eps", [-0.5, 0.0])
+    def test_arc_inside_the_pole_refused_when_a_ray_runs_through_it(self, d1, d2, eps):
+        report = validate_ml_contour(ml_spec(1.0, eps, PI, d1, d2))
+        assert [v.constraint for v in report.violations] == [
+            "epsilon_hat must be positive when a ray half-angle is pi"]
+
     def test_outside_principal_sector_noted(self):
         report = validate_ml_contour(ml_spec(2.0, 1.0, 0.3, PI / 2, PI / 2))
         assert not report.ok
@@ -281,6 +300,27 @@ class TestPaths:
                     zeta = r * complex(math.cos(seg.angle), math.sin(seg.angle))
                     best = min(best, abs(zeta - 1.0))
         assert best == pytest.approx(eps, rel=1e-6)
+
+    @pytest.mark.parametrize("rho, eps", [(1.5, -0.8), (2.0, -0.75), (4.0, -0.5), (2.0, 0.0)])
+    def test_inner_arc_pole_distance_is_the_ray_distance(self, rho, eps):
+        # the pole's distance to each ray of a loop whose arc passes inside
+        # it is the minimum of |zeta - 1| sampled along that ray
+        d = default_ml_deltas(rho)
+        path = build_zeta_path(ml_spec(rho, eps, PI, *d))
+        rays = [seg for seg in path.segments if isinstance(seg, RaySegment)]
+        for ray in rays:
+            u = complex(math.cos(ray.angle), math.sin(ray.angle))
+            sampled = min(abs((ray.start_radius + 3.0 * k / 20000) * u - 1.0)
+                          for k in range(20001))
+            assert ray_distance(ray, 1.0) == pytest.approx(sampled, rel=1e-7)
+            assert ray_distance(ray, 1.0) > 0.0
+
+    def test_ray_distance_clamps_to_the_span(self):
+        ray = RaySegment(PI / 4, 2.0, end_radius=3.0)
+        u = complex(math.cos(PI / 4), math.sin(PI / 4))
+        assert ray_distance(ray, 2.5 * u + 1j * u) == pytest.approx(1.0)  # foot inside
+        assert ray_distance(ray, 0.0) == pytest.approx(2.0)  # before the start
+        assert ray_distance(ray, 5.0 * u) == pytest.approx(2.0)  # past the end
 
     def test_continuity_check_rejects_gaps(self):
         with pytest.raises(ValueError, match="share endpoints"):

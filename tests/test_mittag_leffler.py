@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from ml_reference import ml_reference
 
 from mlcontour import (
     ContourValidityError,
     MLParams,
+    ConvergenceError,
+    MLContourSpec,
     PolarComplex,
     PreconditionError,
     compare_methods,
@@ -22,7 +25,9 @@ from mlcontour import (
     ml_route,
     ml_series,
     recip_gamma_oracle,
+    validate_ml_contour,
 )
+from mlcontour.mittag_leffler import _INNER_ARC_MAX_MODULUS
 
 PI = math.pi
 
@@ -256,8 +261,25 @@ class TestDzhrbashyan:
             ml_dzhrbashyan(MLParams(2.0, 1.0), PolarComplex(0.5, 0.0), 1.5, PI / 2)
 
     def test_epsilon_must_exceed_z(self):
-        with pytest.raises(PreconditionError, match="exceed"):
-            ml_dzhrbashyan(MLParams(1.0, 1.0), PolarComplex(3.0, PI), 2.0, 3 * PI / 4)
+        # z at or inside the loop's sector |arg tau| <= theta
+        for arg in (PI / 2, 3 * PI / 4, -3 * PI / 4):
+            with pytest.raises(PreconditionError, match="exceed"):
+                ml_dzhrbashyan(MLParams(1.0, 1.0), PolarComplex(3.0, arg), 2.0, 3 * PI / 4)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0, 3.0])
+    def test_z_left_of_the_loop_allows_any_epsilon(self, epsilon):
+        # |arg z| > theta keeps z out of the loop's sector, so epsilon <= |z|
+        # adds no residue: E(1, 1; -3) = e^-3
+        ev = ml_dzhrbashyan(MLParams(1.0, 1.0), PolarComplex(3.0, PI), epsilon, 3 * PI / 4)
+        assert ev.value == pytest.approx(math.exp(-3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+    def test_arc_inside_z_at_rho_two(self, epsilon):
+        # F4's point, where the default epsilon = |z| + 1 does not converge
+        params, z = MLParams(2.0, 1.0), PolarComplex(4.0, PI)
+        ev = ml_dzhrbashyan(params, z, epsilon)
+        ref = ml_reference(2.0, 1.0, z.to_complex())
+        assert abs(ev.value - ref) <= 1e-14 * abs(ref)
 
 
 class TestClosedForm:
@@ -336,8 +358,11 @@ class TestRouteSelection:
         (1.0, PolarComplex(1.0, PI), "contour"),
         (1.0, PolarComplex(1.0, PI / 2), "series"),
         (4.0, PolarComplex(5.0, PI), "contour"),
-        (4.0, PolarComplex(5.2, PI), "series"),
+        (4.0, PolarComplex(5.2, PI), "contour"),  # the arc passes inside the pole
         (2.0, PolarComplex(1e200, PI), "series"),
+        # (|z|(1 + eps))^rho past OVERFLOW_EXPONENT_LIMIT: both half-angles
+        # are pi, so the arc may not pass inside the pole
+        (1.0, PolarComplex(700.0, PI), "series"),
     ])
     def test_route_matches_contour_preconditions(self, rho, z, route):
         params = MLParams(rho, 1.0)
@@ -345,6 +370,9 @@ class TestRouteSelection:
         if route == "series":
             with pytest.raises((ValueError, OverflowError)):
                 ml_contour(params, z)
+        else:
+            ref = ml_reference(rho, 1.0, z.to_complex())
+            assert abs(ml_contour(params, z).value - ref) <= 1e-13 * abs(ref)
 
     def test_auto_runs_the_selected_route(self):
         params = MLParams(1.0, 1.0)
@@ -374,3 +402,84 @@ class TestRouteSelection:
     def test_unknown_method(self):
         with pytest.raises(PreconditionError, match="unknown method"):
             evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "trapezoid")
+
+
+class TestInnerArc:
+    """The zeta loop's arc at tau-plane radius 1, inside the pole zeta = 1:
+    the default once (|z|(1.01))^rho would pass e^8.5, with both ray
+    half-angles below pi and |z| <= 1e3."""
+
+    @staticmethod
+    def _points():
+        """(rho, mu, |z|, arg z) over rho in (1, 4], four mu, |z| from just
+        past where the inner arc starts to the bound, arg z across the
+        window."""
+        mus = (0.5, 1.0, 1 + 0.5j, -1.5 + 1j)
+        k = 0
+        for rho in (1.02, 1.5, 2.0, 3.0, 4.0):
+            lo, hi = ml_arg_window(rho, *default_ml_deltas(rho))
+            start = 8.5 ** (1.0 / rho) / 1.01
+            for z_mod in (1.2 * start, 30.0, _INNER_ARC_MAX_MODULUS):
+                for frac in (0.05, 0.5, 0.95):
+                    yield rho, mus[k % len(mus)], z_mod, lo + frac * (hi - lo)
+                    k += 1
+
+    def test_against_mpmath(self):
+        for rho, mu, z_mod, arg in self._points():
+            params, z = MLParams(rho, mu), PolarComplex(z_mod, arg)
+            assert default_ml_spec(params, z).epsilon_hat == 1.0 / z_mod - 1.0
+            ev = ml_contour(params, z)
+            ref = ml_reference(rho, mu, z.to_complex())
+            # within the error estimate, or a rounding floor under it
+            bound = ev.diagnostics.error_estimate + 1e-13 * abs(ref)
+            assert abs(ev.value - ref) <= bound, (rho, mu, z_mod, arg)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_value_independent_of_epsilon_across_the_pole(self, rho):
+        # the paper's invariance in the arc radius, now on both sides of the
+        # pole: (|z|(1 + eps))^rho stays below 8.5 at eps = 1
+        params, z = MLParams(rho, 1 + 0.5j), PolarComplex(1.0, PI + 0.1)
+        values = [ml_contour(params, z, epsilon_hat=eps).value for eps in (-0.5, 0.5, 1.0)]
+        ref = ml_reference(rho, 1 + 0.5j, z.to_complex())
+        for value in values:
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    def test_default_spec(self):
+        params = MLParams(2.0, 1.0)
+        # below where the cap would clamp, the arc stays outside the pole
+        assert default_ml_spec(params, PolarComplex(2.0, PI)).epsilon_hat == \
+            8.5 ** 0.5 / 2.0 - 1.0
+        assert default_ml_spec(params, PolarComplex(4.0, PI)).epsilon_hat == -0.75
+        # a ray half-angle at pi runs through the pole: the clamp stays
+        assert default_ml_spec(MLParams(1.0, 1.0), PolarComplex(20.0, PI)).epsilon_hat == 0.01
+        assert default_ml_spec(params, PolarComplex(4.0, PI), deltas=(PI / 2, PI)) \
+            .epsilon_hat == 0.01
+        # past the bound the clamp stays
+        assert default_ml_spec(params, PolarComplex(1.5e3, PI)).epsilon_hat == 0.01
+
+    @pytest.mark.parametrize("rho", [1.1, 2.0, 4.0])
+    @pytest.mark.parametrize("z_mod", [1.5e3, 1e5, 3e6])
+    def test_past_the_bound_no_loop_value(self, rho, z_mod):
+        params, z = MLParams(rho, 1.0), PolarComplex(z_mod, PI)
+        assert ml_route(params, z) == "series"
+        with pytest.raises(PreconditionError, match="too large"):
+            ml_contour(params, z)
+        with pytest.raises(PreconditionError, match="inside the pole"):
+            ml_contour(params, z, epsilon_hat=1.0 / z_mod - 1.0)
+
+    def test_refused_specs(self):
+        params, z = MLParams(2.0, 1.0), PolarComplex(4.0, PI)
+        for eps in (-1.0, -2.0):
+            with pytest.raises(ContourValidityError, match="exceed -1"):
+                ml_contour(params, z, epsilon_hat=eps)
+        with pytest.raises(ContourValidityError, match="half-angle is pi"):
+            ml_contour(MLParams(1.0, 1.0), z, epsilon_hat=-0.5)
+
+    def test_former_non_convergence_answers(self):
+        # (rho, mu, |z|) = (2, 1, 5) and (2, 0.5, 4) at arg z = pi raised
+        # ConvergenceError with the arc clamped outside the pole
+        for mu, z_mod in ((1.0, 5.0), (0.5, 4.0), (0.5, 5.0)):
+            ev = ml_contour(MLParams(2.0, mu), PolarComplex(z_mod, PI))
+            ref = ml_reference(2.0, mu, -z_mod)
+            assert abs(ev.value - ref) <= 1e-14 * abs(ref)
+            assert ev.diagnostics.panels_used == 48

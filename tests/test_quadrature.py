@@ -575,12 +575,12 @@ class TestGolden:
          "QuadratureResult(value=(-75577.63886352+35020.96138259768j), "
          "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
          "panels_used=48, converged=True)"),
-        # marginal: the arc converges at 2,048 panels with an estimate of
-        # 2.93e-11 against its tolerance of 4.30e-11 (before the rho/(2 pi i))
+        # the arc at tau-plane radius 1, inside the pole; test_inner_arc_case
+        # checks the value against mpmath
         (lambda: ml_contour(MLParams(2.0, 1.0), PolarComplex(4.0, PI)).diagnostics,
-         "QuadratureResult(value=(0.13699945762386534-6.582494165879813e-26j), "
-         "error_estimate=9.336412248947516e-12, truncation_radius=2.515, "
-         "panels_used=2080, converged=True)"),
+         "QuadratureResult(value=(0.13699945762506127+3.6443855725102797e-17j), "
+         "error_estimate=6.708892870244464e-16, truncation_radius=1.4008654718153468, "
+         "panels_used=48, converged=True)"),
         (lambda: ml_contour(MLParams(1.5, 0.5), PolarComplex(2.0, 2.8)).diagnostics,
          "QuadratureResult(value=(-0.011178968287268132+0.021832392498493426j), "
          "error_estimate=1.0525310851532298e-12, truncation_radius=8.601580272210024, "
@@ -599,3 +599,11 @@ class TestGolden:
     def test_exact_repr(self, case):
         compute, expected = self.CASES[case]
         assert repr(compute()) == expected
+
+    def test_inner_arc_case(self):
+        # E(2, 1; -4) = e^16 erfc(4)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.exp(16) * mpmath.erfc(4))
+        value = ml_contour(MLParams(2.0, 1.0), PolarComplex(4.0, PI)).value
+        assert abs(value - ref) <= 2e-15 * ref
