@@ -22,7 +22,6 @@ from .geometry import (
     GammaContourSpec,
     MLContourSpec,
     PolarComplex,
-    ValidityReport,
     Violation,
     default_ml_deltas,
     gamma_psi_window,
@@ -39,7 +38,6 @@ from .mittag_leffler import (
     SeriesDiagnostics,
     compare_methods,
     default_ml_spec,
-    dzhrbashyan_theta_window,
     evaluate_ml,
     ml_bateman,
     ml_closed_form,
@@ -76,12 +74,10 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "SeriesDiagnostics",
-    "ValidityReport",
     "Violation",
     "compare_methods",
     "default_ml_deltas",
     "default_ml_spec",
-    "dzhrbashyan_theta_window",
     "evaluate_ml",
     "gamma_psi_window",
     "is_gamma_pole",

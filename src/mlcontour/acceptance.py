@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import PreconditionError
 from .gamma import (
     DEFAULT_GAMMA_SPEC,
     recip_gamma_contour,
@@ -31,13 +32,10 @@ from .geometry import (
     ArcSegment,
     GammaContourSpec,
     IntegrationPath,
-    MLContourSpec,
     PolarComplex,
     RaySegment,
     gamma_psi_window,
     ml_arg_window,
-    validate_gamma_contour,
-    validate_ml_contour,
 )
 from .cli import relative_spread
 from .mittag_leffler import (
@@ -260,25 +258,27 @@ def quadrature_cauchy_nullity() -> tuple[bool, str]:
 
 
 def strict_boundary_rejection() -> tuple[bool, str]:
-    """Validity predicates reject exact boundary values, and the CLI maps
-    those rejections to exit code 2."""
+    """The loop routes refuse exact boundary values, and the CLI maps those
+    refusals to exit code 2."""
     from .cli import main as cli_main
 
-    checks = []
-    # psi exactly at pi/2 - delta2
-    checks.append(not validate_gamma_contour(
-        GammaContourSpec(1.0, PI / 2 - PI, PI, PI)).ok)
-    # arg z exactly at both window endpoints
     lo, hi = ml_arg_window(2.0, PI / 2, PI / 2)
-    checks.append(not validate_ml_contour(
-        MLContourSpec(2.0, 1.0, 1.0, lo, PI / 2, PI / 2)).ok)
-    checks.append(not validate_ml_contour(
-        MLContourSpec(2.0, 1.0, 1.0, hi, PI / 2, PI / 2)).ok)
-    # rho exactly 1/2
-    checks.append(not validate_ml_contour(
-        MLContourSpec(0.5, 1.0, 1.0, PI, PI, PI)).ok)
-    if not all(checks):
-        return False, "a boundary value was accepted by a validity predicate"
+    checks = [
+        # psi exactly at pi/2 - delta2
+        lambda: recip_gamma_contour(2.0, GammaContourSpec(1.0, PI / 2 - PI, PI, PI)),
+        # arg z exactly at both window endpoints
+        lambda: ml_contour(MLParams(2.0, 1.0), PolarComplex(1.0, lo), epsilon_hat=1.0),
+        lambda: ml_contour(MLParams(2.0, 1.0), PolarComplex(1.0, hi), epsilon_hat=1.0),
+        # rho exactly 1/2
+        lambda: ml_contour(MLParams(0.5, 1.0), PolarComplex(1.0, PI), epsilon_hat=1.0,
+                           deltas=(PI, PI)),
+    ]
+    for call in checks:
+        try:
+            call()
+        except PreconditionError:
+            continue
+        return False, "a loop route accepted a boundary value"
 
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: eval, grid, invariance, window, compare, selftest.  Results are
-emitted as CSV (default) or JSON with fixed 17-significant-digit formatting,
-so identical invocations produce byte-identical output.  z is always given as
-(modulus, argument): the loop representations are stated in arg z, and
-Cartesian input would be ambiguous exactly where they are most useful
-(arg z = pi).
+CSV (default), floats at 17 significant digits, or JSON, floats as Python's
+shortest round-trip repr; identical invocations give identical bytes.  z is
+always given as (modulus, argument): the loop representations are stated in
+arg z, and Cartesian input would be ambiguous exactly where they are most
+useful (arg z = pi).
 
 Which Mittag-Leffler route runs, and with which contour parameters, is the
 library's decision (``mittag_leffler.evaluate_ml`` and ``ml_route``); the
@@ -40,8 +40,6 @@ from .geometry import (
     gamma_psi_window,
     ml_arg_window,
     ml_delta_range,
-    validate_gamma_contour,
-    validate_ml_contour,
 )
 from .mittag_leffler import (
     ML_METHODS,
@@ -49,13 +47,13 @@ from .mittag_leffler import (
     MLParams,
     SeriesDiagnostics,
     compare_methods,
-    default_ml_spec,
     evaluate_ml,
     ml_contour,
     ml_route,
 )
 # Unused here; kept because perfbench's tracer wraps these names in this module.
-from .mittag_leffler import ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
+from .geometry import validate_ml_contour  # noqa: F401
+from .mittag_leffler import default_ml_spec, ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureResult
 
 EXIT_OK = 0
@@ -234,7 +232,8 @@ def _axis(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-#: The status a grid row reports for each error its evaluation may raise.
+#: The status a grid row reports for each error its evaluation may raise; the
+#: first match counts, so the subclass ContourValidityError comes first.
 _ROW_STATUS = {ContourValidityError: "window_violation",
                PreconditionError: "precondition_violation",
                ConvergenceError: "non_convergence",
@@ -330,10 +329,10 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
         for k in range(ns.points):
             psi = lo + (hi - lo) * (k + 1) / (ns.points + 1)
             spec = GammaContourSpec(ns.epsilon, psi, ns.delta1, ns.delta2)
-            if not validate_gamma_contour(spec).ok:
+            try:
+                values.append(recip_gamma_contour(s, spec, cfg).value)
+            except ContourValidityError:
                 skipped.append(f"psi={psi:.6g} inadmissible")
-                continue
-            values.append(recip_gamma_contour(s, spec, cfg).value)
         swept = "psi"
     else:
         params = resolve_params(ns)
@@ -343,12 +342,11 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
             frac = (k + 1) / (ns.points + 1)
             eps = 0.3 + 1.2 * frac
             delta = lo_d + (hi_d - lo_d) * (0.3 + 0.7 * frac)
-            if not validate_ml_contour(default_ml_spec(params, z, eps, (delta, delta))).ok:
-                skipped.append(f"eps={eps:.6g}, delta={delta:.6g} inadmissible")
-                continue
             try:
                 values.append(ml_contour(params, z, cfg, epsilon_hat=eps,
                                          deltas=(delta, delta)).value)
+            except ContourValidityError:
+                skipped.append(f"eps={eps:.6g}, delta={delta:.6g} inadmissible")
             except (PreconditionError, ConvergenceError) as exc:
                 skipped.append(str(exc))
         swept = "epsilon_hat,delta1_rho,delta2_rho"
@@ -390,9 +388,10 @@ def _window_payload(low: float, high: float, samples: int) -> dict:
 
 def cmd_window(ns: argparse.Namespace) -> int:
     if ns.target == "ml":
-        d1 = ns.delta1_rho
-        d2 = ns.delta2_rho
-        if d1 is None or d2 is None:
+        d1, d2 = ns.delta1_rho, ns.delta2_rho
+        if (d1 is None) != (d2 is None):
+            raise PreconditionError("delta1_rho and delta2_rho go together")
+        if d1 is None:
             d1, d2 = default_ml_deltas(ns.rho)
         low, high = ml_arg_window(ns.rho, d1, d2)
     else:
@@ -641,8 +640,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _apply_config_file(argv)
         ns = _parser().parse_args(argv)
         return ns.func(ns)
-    except (ValueError, OSError) as exc:
-        # ContourValidityError and PreconditionError are ValueErrors.
+    except (ValueError, OSError) as exc:  # PreconditionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ConvergenceError, IntegrandError) as exc:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal of an input is a :class:`PreconditionError`, raised once by
+the function that checks the condition; a loop spec outside its
+admissibility window is the subclass :class:`ContourValidityError`.
+"""
 
 from __future__ import annotations
 
@@ -7,23 +12,24 @@ class MlcError(Exception):
     """Base class for all mlcontour errors."""
 
 
-class ContourValidityError(MlcError, ValueError):
+class PreconditionError(MlcError, ValueError):
+    """An input lies outside the domain of the function called with it."""
+
+
+class ContourValidityError(PreconditionError):
     """A contour specification violates its admissibility window.
 
-    Carries the full :class:`~mlcontour.geometry.ValidityReport` so callers
-    can inspect which constraints failed and by how much.
+    ``violations`` holds every violated constraint, each a
+    :class:`~mlcontour.geometry.Violation` with its distance to the
+    admissible region.
     """
 
-    def __init__(self, report, message: str = "contour specification is not admissible"):
-        self.report = report
+    def __init__(self, violations):
+        self.violations = tuple(violations)
         details = "; ".join(
-            f"{v.constraint} (distance {v.distance:.3g})" for v in report.violations
+            f"{v.constraint} (distance {v.distance:.3g})" for v in self.violations
         )
-        super().__init__(f"{message}: {details}" if details else message)
-
-
-class PreconditionError(MlcError, ValueError):
-    """An evaluation route was called outside its stated preconditions."""
+        super().__init__(f"contour specification is not admissible: {details}")
 
 
 class ConvergenceError(MlcError, RuntimeError):

@@ -8,8 +8,8 @@ integrands downstream evaluate powers ``w**a`` from the accumulated argument
 and therefore live on a fixed sheet of the Riemann surface.
 
 The admissibility windows are open; on the boundary the ray integrands stop
-decaying and the integrals diverge, so the validity predicates reject the
-boundary itself and, by default, a small guard band around it.
+decaying and the integrals diverge, so the validators refuse the boundary
+itself and a small guard band around it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Union
+
+from .errors import ContourValidityError, PreconditionError
 
 HALF_PI = 0.5 * math.pi
 
@@ -45,9 +47,9 @@ class PolarComplex:
 
     def __post_init__(self):
         if not (math.isfinite(self.modulus) and math.isfinite(self.argument)):
-            raise ValueError("PolarComplex fields must be finite")
+            raise PreconditionError("PolarComplex fields must be finite")
         if self.modulus < 0:
-            raise ValueError("PolarComplex modulus must be nonnegative")
+            raise PreconditionError("PolarComplex modulus must be nonnegative")
 
     @classmethod
     def from_complex(cls, w: complex) -> "PolarComplex":
@@ -64,7 +66,7 @@ class PolarComplex:
     def log(self) -> complex:
         """log on the sheet selected by the stored argument."""
         if self.modulus == 0:
-            raise ValueError("log of zero modulus")
+            raise PreconditionError("log of zero modulus")
         return complex(math.log(self.modulus), self.argument)
 
     def power(self, a: complex) -> complex:
@@ -75,7 +77,7 @@ class PolarComplex:
                 return 1.0 + 0j
             if a.real > 0:
                 return 0j
-            raise ValueError("0 ** a undefined for Re a <= 0")
+            raise PreconditionError("0 ** a undefined for Re a <= 0")
         return cmath.exp(complex(a) * self.log())
 
 
@@ -89,16 +91,6 @@ class Violation:
 
     constraint: str
     distance: float
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -152,11 +144,11 @@ class RaySegment:
 
     def __post_init__(self):
         if self.start_radius <= 0:
-            raise ValueError("ray start_radius must be positive")
+            raise PreconditionError("ray start_radius must be positive")
         if self.direction not in ("inbound", "outbound"):
-            raise ValueError(f"unknown ray direction {self.direction!r}")
+            raise PreconditionError(f"unknown ray direction {self.direction!r}")
         if self.end_radius is not None and self.end_radius <= self.start_radius:
-            raise ValueError("ray end_radius must exceed start_radius")
+            raise PreconditionError("ray end_radius must exceed start_radius")
 
     @property
     def infinite(self) -> bool:
@@ -186,7 +178,7 @@ class ArcSegment:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("arc radius must be positive")
+            raise PreconditionError("arc radius must be positive")
 
     def traversal_start(self) -> tuple[float, float]:
         return (self.radius, self.start_angle)
@@ -208,7 +200,7 @@ class IntegrationPath:
         object.__setattr__(self, "segments", tuple(self.segments))
         for gap_mod, gap_ang in self.continuity_gaps():
             if gap_mod > ENDPOINT_TOLERANCE or gap_ang > ENDPOINT_TOLERANCE:
-                raise ValueError(
+                raise PreconditionError(
                     f"path segments do not share endpoints "
                     f"(gap modulus {gap_mod:.3g}, gap angle {gap_ang:.3g})"
                 )
@@ -233,7 +225,7 @@ def gamma_psi_window(delta1: float, delta2: float) -> tuple[float, float]:
     """Open interval of admissible rotation angles for the gamma loop."""
     for name, d in (("delta1", delta1), ("delta2", delta2)):
         if not (HALF_PI < d <= math.pi):
-            raise ValueError(f"{name} out of range (pi/2, pi]")
+            raise PreconditionError(f"{name} out of range (pi/2, pi]")
     return (HALF_PI - delta2, -HALF_PI + delta1)
 
 
@@ -241,7 +233,7 @@ def ml_delta_range(rho: float) -> tuple[float, float]:
     """Zeta-loop ray half-angles lie in (pi/(2 rho), min(pi, pi/rho)]: open
     below, where the rays stop decaying, and closed above."""
     if not (rho > 0.5 and math.isfinite(rho)):
-        raise ValueError("rho must exceed 1/2")
+        raise PreconditionError("rho must exceed 1/2")
     return (HALF_PI / rho, min(math.pi, math.pi / rho))
 
 
@@ -250,7 +242,7 @@ def ml_arg_window(rho: float, delta1_rho: float, delta2_rho: float) -> tuple[flo
     lo_delta, hi_delta = ml_delta_range(rho)
     for name, d in (("delta1_rho", delta1_rho), ("delta2_rho", delta2_rho)):
         if not (lo_delta < d <= hi_delta):
-            raise ValueError(f"{name} delta out of range ({lo_delta:.6g}, {hi_delta:.6g}]")
+            raise PreconditionError(f"{name} delta out of range ({lo_delta:.6g}, {hi_delta:.6g}]")
     return (HALF_PI / rho - delta2_rho + math.pi, -HALF_PI / rho + delta1_rho + math.pi)
 
 
@@ -261,17 +253,15 @@ def default_ml_deltas(rho: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Validity predicates (total functions: never raise on bad values)
+# Validators: return None, or raise ContourValidityError listing every
+# violated constraint with its distance to the admissible region
 # --------------------------------------------------------------------------
 
-def _finite(violations: list, **fields) -> bool:
-    ok = True
+def _finite(violations: list, **fields) -> None:
     for name, value in fields.items():
         v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             violations.append(Violation(f"{name} not finite", math.inf))
-            ok = False
-    return ok
 
 
 def _check_gamma_deltas(violations: list, spec: GammaContourSpec) -> None:
@@ -283,9 +273,13 @@ def _check_gamma_deltas(violations: list, spec: GammaContourSpec) -> None:
             violations.append(Violation(f"{name} above pi", d - math.pi))
 
 
-def validate_gamma_contour(spec: GammaContourSpec,
-                           lam: PolarComplex = UNIT_LAMBDA) -> ValidityReport:
-    """Check a gamma loop spec, scaled by ``lam``, against its window.
+def _refuse(violations: list) -> None:
+    if violations:
+        raise ContourValidityError(violations)
+
+
+def validate_gamma_contour(spec: GammaContourSpec, lam: PolarComplex = UNIT_LAMBDA) -> None:
+    """Refuse a gamma loop spec, scaled by ``lam``, that leaves its window.
 
     The psi window, shifted by ``-arg lam``, and the lower delta bounds are
     open (boundary rejected, plus the ``DEFAULT_BOUNDARY_MARGIN`` guard band);
@@ -293,10 +287,9 @@ def validate_gamma_contour(spec: GammaContourSpec,
     be a positive finite double.
     """
     violations: list[Violation] = []
-    if not _finite(violations, epsilon=spec.epsilon, psi=spec.psi,
-                   delta1=spec.delta1, delta2=spec.delta2):
-        return ValidityReport(False, tuple(violations))
-
+    _finite(violations, epsilon=spec.epsilon, psi=spec.psi,
+            delta1=spec.delta1, delta2=spec.delta2)
+    _refuse(violations)
     if lam.modulus == 0:
         violations.append(Violation("lambda must be nonzero", 0.0))
     if spec.epsilon <= 0:
@@ -305,60 +298,50 @@ def validate_gamma_contour(spec: GammaContourSpec,
         violations.append(Violation("loop radius epsilon/|lambda| leaves the double range",
                                     0.0))
     _check_gamma_deltas(violations, spec)
-    if not violations:
-        low, high = gamma_psi_window(spec.delta1, spec.delta2)
-        low, high = low - lam.argument, high - lam.argument
-        if spec.psi <= low + DEFAULT_BOUNDARY_MARGIN:
-            violations.append(Violation("psi at or below lower window bound", low - spec.psi))
-        if spec.psi >= high - DEFAULT_BOUNDARY_MARGIN:
-            violations.append(Violation("psi at or above upper window bound", spec.psi - high))
-    return ValidityReport(not violations, tuple(violations))
+    _refuse(violations)
+    low, high = gamma_psi_window(spec.delta1, spec.delta2)
+    low, high = low - lam.argument, high - lam.argument
+    if spec.psi <= low + DEFAULT_BOUNDARY_MARGIN:
+        violations.append(Violation("psi at or below lower window bound", low - spec.psi))
+    if spec.psi >= high - DEFAULT_BOUNDARY_MARGIN:
+        violations.append(Violation("psi at or above upper window bound", spec.psi - high))
+    _refuse(violations)
 
 
-def validate_ml_contour(spec: MLContourSpec) -> ValidityReport:
-    """Check a zeta-loop spec: rho, epsilon_hat, delta ranges and the arg z window.
+def validate_ml_contour(spec: MLContourSpec) -> None:
+    """Refuse a zeta-loop spec whose epsilon_hat, deltas or arg z leave their
+    window; ``ml_delta_range`` refuses rho <= 1/2.
 
     epsilon_hat must exceed -1 (a positive arc radius).  It may be at most 0
     only when both ray half-angles are below pi; at pi a ray runs along
     angle 0, through the pole once the arc is inside it.  Delta upper bounds
-    are inclusive; everything else is strict with a guard band.  A note (not
-    a violation) is emitted when arg z falls outside (pi/2, 3pi/2), where the
-    loop is anchored unusually far from the negative real direction; the
-    series route is the recommended cross-check there.
+    are inclusive; everything else is strict with a guard band.
     """
     violations: list[Violation] = []
-    notes: list[str] = []
-    if not _finite(violations, rho=spec.rho, mu=spec.mu, epsilon_hat=spec.epsilon_hat,
-                   arg_z=spec.arg_z, delta1_rho=spec.delta1_rho,
-                   delta2_rho=spec.delta2_rho):
-        return ValidityReport(False, tuple(violations))
-
-    if spec.rho <= 0.5:
-        violations.append(Violation("rho must exceed 1/2", 0.5 - spec.rho))
+    _finite(violations, rho=spec.rho, mu=spec.mu, epsilon_hat=spec.epsilon_hat,
+            arg_z=spec.arg_z, delta1_rho=spec.delta1_rho, delta2_rho=spec.delta2_rho)
+    _refuse(violations)
+    lo_delta, hi_delta = ml_delta_range(spec.rho)
     if spec.epsilon_hat <= -1.0:
         violations.append(Violation("epsilon_hat must exceed -1", -1.0 - spec.epsilon_hat))
     elif spec.epsilon_hat <= 0 and max(spec.delta1_rho, spec.delta2_rho) >= math.pi:
         violations.append(Violation("epsilon_hat must be positive when a ray half-angle "
                                     "is pi", -spec.epsilon_hat))
-    if not violations:
-        lo_delta, hi_delta = ml_delta_range(spec.rho)
-        for name, d in (("delta1_rho", spec.delta1_rho), ("delta2_rho", spec.delta2_rho)):
-            if d <= lo_delta + DEFAULT_BOUNDARY_MARGIN:
-                violations.append(Violation(f"{name} at or below pi/(2 rho)", lo_delta - d))
-            elif d > hi_delta:
-                violations.append(Violation(f"{name} above min(pi, pi/rho)", d - hi_delta))
-    if not violations:
-        low, high = ml_arg_window(spec.rho, spec.delta1_rho, spec.delta2_rho)
-        if spec.arg_z <= low + DEFAULT_BOUNDARY_MARGIN:
-            violations.append(Violation("arg z at or below lower window bound",
-                                        low - spec.arg_z))
-        if spec.arg_z >= high - DEFAULT_BOUNDARY_MARGIN:
-            violations.append(Violation("arg z at or above upper window bound",
-                                        spec.arg_z - high))
-    if not (HALF_PI < spec.arg_z < 3 * HALF_PI):
-        notes.append("arg z outside (pi/2, 3pi/2); cross-checking against the "
-                     "series route is recommended")
-    return ValidityReport(not violations, tuple(violations), tuple(notes))
+    _refuse(violations)
+    for name, d in (("delta1_rho", spec.delta1_rho), ("delta2_rho", spec.delta2_rho)):
+        if d <= lo_delta + DEFAULT_BOUNDARY_MARGIN:
+            violations.append(Violation(f"{name} at or below pi/(2 rho)", lo_delta - d))
+        elif d > hi_delta:
+            violations.append(Violation(f"{name} above min(pi, pi/rho)", d - hi_delta))
+    _refuse(violations)
+    low, high = ml_arg_window(spec.rho, spec.delta1_rho, spec.delta2_rho)
+    if spec.arg_z <= low + DEFAULT_BOUNDARY_MARGIN:
+        violations.append(Violation("arg z at or below lower window bound",
+                                    low - spec.arg_z))
+    if spec.arg_z >= high - DEFAULT_BOUNDARY_MARGIN:
+        violations.append(Violation("arg z at or above upper window bound",
+                                    spec.arg_z - high))
+    _refuse(violations)
 
 
 # --------------------------------------------------------------------------
@@ -394,11 +377,7 @@ def build_gamma_path(spec: GammaContourSpec,
 
     Cached: both arguments and the path are frozen, and a grid asks for the
     same loop at every point.  A rejected spec raises on every call."""
-    from .errors import ContourValidityError
-
-    report = validate_gamma_contour(spec, lam=lam)
-    if not report.ok:
-        raise ContourValidityError(report)
+    validate_gamma_contour(spec, lam=lam)
     return loop_path(spec.epsilon / lam.modulus,
                      -spec.delta1 + spec.psi, spec.delta2 + spec.psi)
 
@@ -409,10 +388,6 @@ def build_zeta_path(spec: MLContourSpec) -> IntegrationPath:
     epsilon_hat when epsilon_hat > 0; for an arc inside the pole it lies
     outside the swept sector, at the distance ``ray_distance`` gives to the
     nearer ray."""
-    from .errors import ContourValidityError
-
-    report = validate_ml_contour(spec)
-    if not report.ok:
-        raise ContourValidityError(report)
+    validate_ml_contour(spec)
     return loop_path(1.0 + spec.epsilon_hat,
                      -spec.delta1_rho - math.pi, spec.delta2_rho - math.pi)

@@ -90,9 +90,9 @@ class MLParams:
     def __post_init__(self):
         mu = complex(self.mu)
         if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError("rho must be a positive finite real")
+            raise PreconditionError("rho must be a positive finite real")
         if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
-            raise ValueError("mu must be finite")
+            raise PreconditionError("mu must be finite")
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def ml_route(params: MLParams, z: PolarComplex) -> str:
     else "series"."""
     try:
         _zeta_loop(params, z)
-    except ValueError:  # a failed check
+    except PreconditionError:
         return "series"
     return "contour"
 
@@ -337,8 +337,8 @@ def ml_contour(params: MLParams, z: PolarComplex,
     of ``default_ml_spec``; the arc may pass inside the pole
     (-1 < epsilon_hat <= 0) when both half-angles are below pi.
 
-    Raises ContourValidityError for a spec ``validate_ml_contour`` refuses
-    (outside the window, say), PreconditionError at z = 0, when
+    Raises PreconditionError for rho <= 1/2, at z = 0, for a spec
+    ``validate_ml_contour`` refuses (ContourValidityError), when
     exp((|z|(1+eps))^rho) would overflow, or for an arc inside the pole at
     |z| > 1e3, and ConvergenceError when the quadrature stalls.
     """
@@ -404,29 +404,26 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
     return MLEvaluation(params, z, result.value, "bateman", result)
 
 
-def dzhrbashyan_theta_window(rho: float) -> tuple[float, float]:
-    """Open interval of admissible opening angles for the theta loop."""
-    if not rho > 0.5:
-        raise PreconditionError("theta-loop route requires rho > 1/2")
-    return ml_delta_range(rho)
-
-
 def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
                    theta: Optional[float] = None,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
     """Loop at opening angle theta (default: mid-window) with pole factor
     tau - z and arc radius epsilon (default |z| + 1).
 
-    Valid for theta strictly inside the admissible window, which guarantees
-    cos(rho*theta) < 0, i.e. ray decay, and for z left of the loop: epsilon
-    > |z|, or any epsilon when |arg z| > theta, since the loop's sector
-    |arg tau| < theta then leaves z out and no residue enters.
+    Valid for rho > 1/2, theta strictly inside the admissible window, which
+    guarantees cos(rho*theta) < 0, i.e. ray decay, a positive finite
+    epsilon, and z left of the loop: epsilon > |z|, or any epsilon when
+    |arg z| > theta, since the loop's sector |arg tau| < theta then leaves
+    z out and no residue enters.
     """
-    lo, hi = dzhrbashyan_theta_window(params.rho)
+    lo, hi = ml_delta_range(params.rho)
     if theta is None:
         theta = 0.5 * (lo + hi)
     if epsilon is None:
         epsilon = z.modulus + 1.0
+    if not 0 < epsilon < math.inf:
+        raise PreconditionError(f"arc radius epsilon must be positive and finite, "
+                                f"not {epsilon:g}")
     zc = z.to_complex()
     mu = complex(params.mu)
     if not (lo < theta < hi):
@@ -567,7 +564,7 @@ def compare_methods(params: MLParams, z: PolarComplex,
     def run(method: str, call):
         try:
             ev = call()
-        except (PreconditionError, ValueError) as exc:
+        except PreconditionError as exc:
             outcomes.append(MethodOutcome(method, "skipped", reason=str(exc)))
         except (ConvergenceError, IntegrandError) as exc:
             outcomes.append(MethodOutcome(method, "failed", reason=str(exc)))

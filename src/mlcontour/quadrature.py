@@ -461,7 +461,7 @@ def integrate_path(f: Integrand, path: IntegrationPath,
             model = decay(seg) if callable(decay) else decay
             if seg.infinite:
                 if model is None:
-                    raise ValueError("infinite ray requires a decay model")
+                    raise PreconditionError("infinite ray requires a decay model")
                 r_end = truncation_radius(model, seg.start_radius, cfg)
                 span_end, tail = r_end, model.tail_bound(r_end)
             else:

@@ -236,6 +236,53 @@ class TestRayBoundEdges:
         assert "s must be finite" in capsys.readouterr().err
 
 
+class TestOneRefusal:
+    """Each refusal is one typed error, raised where its condition is checked."""
+
+    DZH_POINT = ("--rho", 2, "--mu-re", 1, "--z-mod", 4, "--z-arg-pi", 1)
+
+    @staticmethod
+    def refused(capsys, *argv):
+        """Exit code, stdout and stderr of a command."""
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("radius", ["-1", "nan"])
+    def test_dzhrbashyan_names_a_bad_arc_radius(self, capsys, radius):
+        assert self.refused(capsys, "eval", *self.DZH_POINT, "--method", "dzhrbashyan",
+                            "--arc-radius", radius) == (
+            2, "", f"error: arc radius epsilon must be positive and finite, not {radius}\n")
+
+    def test_compare_skips_dzhrbashyan_at_a_negative_radius(self, capsys):
+        code, out = run(capsys, "compare", *self.DZH_POINT, "--dzh-radius", -1)
+        assert code == 0
+        rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
+                if r["record"] == "method"}
+        assert (rows["dzhrbashyan"]["status"], rows["dzhrbashyan"]["reason"]) == (
+            "skipped", "arc radius epsilon must be positive and finite, not -1")
+
+    @pytest.mark.parametrize("flag", ["--delta1-rho", "--delta2-rho"])
+    def test_window_ml_refuses_a_lone_delta(self, capsys, flag):
+        assert self.refused(capsys, "window", "ml", "--rho", 2, flag, 1.0) == (
+            2, "", "error: delta1_rho and delta2_rho go together\n")
+
+    @pytest.mark.parametrize("route", [
+        ("--method", "contour"),
+        ("--method", "contour", "--delta1-rho", 3, "--delta2-rho", 3),
+        ("--method", "dzhrbashyan"),
+    ])
+    def test_rho_half_gets_one_message(self, capsys, route):
+        assert self.refused(capsys, "eval", "--rho", 0.5, "--mu-re", 1, "--z-mod", 1,
+                            "--z-arg-pi", 1, *route) == (2, "", "error: rho must exceed 1/2\n")
+
+    def test_grid_at_rho_half_writes_a_precondition_row(self, capsys):
+        code, rows = ml_rows(capsys, 0.5, 1, 3, method="contour")
+        assert code == 1
+        assert [(r["method"], r["status"]) for r in rows] == [
+            ("contour", "precondition_violation")]
+
+
 class TestAxis:
     def test_decimal_steps_reach_max(self):
         assert len(_axis(0.0, 0.3, 0.1)) == 4

@@ -9,6 +9,7 @@ from mlcontour import (
     GammaContourSpec,
     MLContourSpec,
     PolarComplex,
+    PreconditionError,
     default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
@@ -50,7 +51,7 @@ class TestPolarComplex:
         assert b == pytest.approx(-1.0)
 
     def test_negative_modulus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             PolarComplex(-1.0, 0.0)
 
     def test_zero_power(self):
@@ -71,9 +72,9 @@ class TestWindows:
         assert hi == pytest.approx(high, abs=1e-12)
 
     def test_ml_arg_window_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta out of range"):
+        with pytest.raises(PreconditionError, match="delta out of range"):
             ml_arg_window(1.0, PI / 4, PI)
-        with pytest.raises(ValueError, match="delta out of range"):
+        with pytest.raises(PreconditionError, match="delta out of range"):
             ml_arg_window(2.0, PI / 2, 0.6 * PI)
 
     @pytest.mark.parametrize("rho,expected", [
@@ -85,7 +86,7 @@ class TestWindows:
         assert default_ml_deltas(rho) == (expected, expected)
 
     def test_default_deltas_rejects_small_rho(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             default_ml_deltas(0.5)
 
     @pytest.mark.parametrize("rho,expected", [
@@ -98,7 +99,7 @@ class TestWindows:
 
     @pytest.mark.parametrize("rho", [0.5, 0.3, math.inf, math.nan])
     def test_ml_delta_range_rejects_rho(self, rho):
-        with pytest.raises(ValueError, match="rho must exceed 1/2"):
+        with pytest.raises(PreconditionError, match="rho must exceed 1/2"):
             ml_delta_range(rho)
 
     def test_gamma_psi_window(self):
@@ -131,106 +132,112 @@ class TestWindows:
         assert hi2 - hi1 == pytest.approx(d_wide - d, abs=1e-12)
 
 
+def violations(validate, *args, **kwargs):
+    """The violations ``validate`` refuses its arguments for."""
+    with pytest.raises(ContourValidityError) as err:
+        validate(*args, **kwargs)
+    return err.value.violations
+
+
 class TestGammaValidity:
     def test_classical_hankel_ok(self):
-        report = validate_gamma_contour(GammaContourSpec(1.0, 0.0, PI, PI))
-        assert report.ok
-        assert not report.violations
+        assert validate_gamma_contour(GammaContourSpec(1.0, 0.0, PI, PI)) is None
 
     def test_psi_lower_boundary_rejected(self):
         # psi = pi/2 - delta2 exactly: ray along the imaginary axis, divergent
-        report = validate_gamma_contour(GammaContourSpec(1.0, PI / 2 - PI, PI, PI))
-        assert not report.ok
-        assert any("psi" in v.constraint for v in report.violations)
+        found = violations(validate_gamma_contour, GammaContourSpec(1.0, PI / 2 - PI, PI, PI))
+        assert any("psi" in v.constraint for v in found)
 
     def test_delta1_at_half_pi_rejected(self):
-        report = validate_gamma_contour(GammaContourSpec(1.0, 0.0, PI / 2, PI))
-        assert not report.ok
-        assert any("delta1" in v.constraint for v in report.violations)
+        found = violations(validate_gamma_contour, GammaContourSpec(1.0, 0.0, PI / 2, PI))
+        assert any("delta1" in v.constraint for v in found)
 
     def test_margin_guard_band(self):
-        assert not validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 + 1e-12, PI, PI)).ok
-        assert validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 + 1e-8, PI, PI)).ok
+        violations(validate_gamma_contour, GammaContourSpec(1.0, -PI / 2 + 1e-12, PI, PI))
+        validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 + 1e-8, PI, PI))
 
     def test_epsilon_must_be_positive(self):
-        report = validate_gamma_contour(GammaContourSpec(0.0, 0.0, PI, PI))
-        assert not report.ok
+        violations(validate_gamma_contour, GammaContourSpec(0.0, 0.0, PI, PI))
 
     def test_non_finite_rejected(self):
-        report = validate_gamma_contour(GammaContourSpec(1.0, math.nan, PI, PI))
-        assert not report.ok
+        found = violations(validate_gamma_contour, GammaContourSpec(1.0, math.nan, PI, PI))
+        assert [(v.constraint, v.distance) for v in found] == [("psi not finite", math.inf)]
 
     def test_violation_distance(self):
-        report = validate_gamma_contour(GammaContourSpec(1.0, 0.0, PI / 4, PI))
-        v = next(v for v in report.violations if "delta1" in v.constraint)
+        found = violations(validate_gamma_contour, GammaContourSpec(1.0, 0.0, PI / 4, PI))
+        v = next(v for v in found if "delta1" in v.constraint)
         assert v.distance == pytest.approx(PI / 4, abs=1e-12)
 
 
 class TestMLValidity:
     def test_rho_one_maximal(self):
-        assert validate_ml_contour(ml_spec(1.0, 1.0, PI, PI, PI)).ok
+        validate_ml_contour(ml_spec(1.0, 1.0, PI, PI, PI))
 
     def test_rho_two(self):
-        assert validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2)).ok
+        validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2))
 
     def test_rho_half_rejected(self):
-        report = validate_ml_contour(ml_spec(0.5, 1.0, PI, PI, PI))
-        assert not report.ok
-        assert any("rho" in v.constraint for v in report.violations)
+        # one refusal of rho <= 1/2, from ml_delta_range, whatever the deltas
+        for d in (PI, 3.0):
+            with pytest.raises(PreconditionError, match="rho must exceed 1/2") as err:
+                validate_ml_contour(ml_spec(0.5, 1.0, PI, d, d))
+            assert type(err.value) is PreconditionError
 
     @pytest.mark.parametrize("endpoint", ["low", "high"])
     def test_arg_z_window_endpoints_rejected(self, endpoint):
         lo, hi = ml_arg_window(2.0, PI / 2, PI / 2)
-        arg = lo if endpoint == "low" else hi
-        assert not validate_ml_contour(ml_spec(2.0, 1.0, arg, PI / 2, PI / 2)).ok
+        arg, side = (lo, "below lower") if endpoint == "low" else (hi, "above upper")
+        found = violations(validate_ml_contour, ml_spec(2.0, 1.0, arg, PI / 2, PI / 2))
+        assert [(v.constraint, v.distance) for v in found] == [
+            (f"arg z at or {side} window bound", 0.0)]
 
     def test_delta_upper_bound_inclusive(self):
         # delta exactly at min(pi, pi/rho) is allowed
-        assert validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2)).ok
-        assert not validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2 + 1e-9, PI / 2)).ok
+        validate_ml_contour(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2))
+        found = violations(validate_ml_contour, ml_spec(2.0, 1.0, PI, PI / 2 + 1e-9, PI / 2))
+        assert [v.constraint for v in found] == ["delta1_rho above min(pi, pi/rho)"]
+        assert found[0].distance == pytest.approx(1e-9)
 
     @pytest.mark.parametrize("eps", [-0.99, -0.5, 0.0])
     def test_arc_inside_the_pole_with_half_angles_below_pi(self, eps):
-        assert validate_ml_contour(ml_spec(2.0, eps, PI, PI / 2, PI / 2)).ok
-        assert validate_ml_contour(ml_spec(1.0, eps, PI, 0.9 * PI, 0.8 * PI)).ok
+        validate_ml_contour(ml_spec(2.0, eps, PI, PI / 2, PI / 2))
+        validate_ml_contour(ml_spec(1.0, eps, PI, 0.9 * PI, 0.8 * PI))
 
     @pytest.mark.parametrize("eps", [-1.0, -1.5])
     def test_arc_radius_must_be_positive(self, eps):
-        report = validate_ml_contour(ml_spec(2.0, eps, PI, PI / 2, PI / 2))
-        assert [v.constraint for v in report.violations] == ["epsilon_hat must exceed -1"]
-        assert report.violations[0].distance == pytest.approx(-1.0 - eps)
+        found = violations(validate_ml_contour, ml_spec(2.0, eps, PI, PI / 2, PI / 2))
+        assert [v.constraint for v in found] == ["epsilon_hat must exceed -1"]
+        assert found[0].distance == pytest.approx(-1.0 - eps)
 
     @pytest.mark.parametrize("d1, d2", [(PI, PI), (PI, 0.9 * PI), (0.9 * PI, PI)])
     @pytest.mark.parametrize("eps", [-0.5, 0.0])
     def test_arc_inside_the_pole_refused_when_a_ray_runs_through_it(self, d1, d2, eps):
-        report = validate_ml_contour(ml_spec(1.0, eps, PI, d1, d2))
-        assert [v.constraint for v in report.violations] == [
+        found = violations(validate_ml_contour, ml_spec(1.0, eps, PI, d1, d2))
+        assert [v.constraint for v in found] == [
             "epsilon_hat must be positive when a ray half-angle is pi"]
 
     def test_outside_principal_sector_noted(self):
-        report = validate_ml_contour(ml_spec(2.0, 1.0, 0.3, PI / 2, PI / 2))
-        assert not report.ok
-        assert report.notes
+        found = violations(validate_ml_contour, ml_spec(2.0, 1.0, 0.3, PI / 2, PI / 2))
+        assert [v.constraint for v in found] == ["arg z at or below lower window bound"]
 
 
 class TestLambdaValidity:
     def test_shifted_window(self):
         spec = GammaContourSpec(1.0, -PI / 3, PI, PI)
-        assert validate_gamma_contour(spec, lam=PolarComplex(1.0, PI / 3)).ok
+        validate_gamma_contour(spec, lam=PolarComplex(1.0, PI / 3))
         # the window (-pi/2, pi/2) moves by -arg lambda = -0.3
         lam = PolarComplex(1.0, 0.3)
-        assert validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 - 0.2, PI, PI), lam=lam).ok
-        assert not validate_gamma_contour(GammaContourSpec(1.0, PI / 2 - 0.2, PI, PI), lam=lam).ok
+        validate_gamma_contour(GammaContourSpec(1.0, -PI / 2 - 0.2, PI, PI), lam=lam)
+        violations(validate_gamma_contour, GammaContourSpec(1.0, PI / 2 - 0.2, PI, PI), lam=lam)
 
     def test_boundary_rejected(self):
         spec = GammaContourSpec(1.0, PI / 2 - PI - PI / 3, PI, PI)
-        assert not validate_gamma_contour(spec, lam=PolarComplex(1.0, PI / 3)).ok
+        violations(validate_gamma_contour, spec, lam=PolarComplex(1.0, PI / 3))
 
     def test_zero_lambda_rejected(self):
         spec = GammaContourSpec(1.0, 0.0, PI, PI)
-        report = validate_gamma_contour(spec, lam=PolarComplex(0.0, 0.0))
-        assert not report.ok
-        assert any("lambda" in v.constraint for v in report.violations)
+        found = violations(validate_gamma_contour, spec, lam=PolarComplex(0.0, 0.0))
+        assert any("lambda" in v.constraint for v in found)
 
 
 class TestPaths:
@@ -278,9 +285,7 @@ class TestPaths:
         assert arc.radius == pytest.approx(1.5)
 
     def test_invalid_spec_raises_with_report(self):
-        with pytest.raises(ContourValidityError) as err:
-            build_gamma_path(GammaContourSpec(1.0, PI, PI, PI))
-        assert err.value.report.violations
+        assert violations(build_gamma_path, GammaContourSpec(1.0, PI, PI, PI))
 
     def test_pole_distance_equals_epsilon_hat(self):
         # frozen: minimizing |zeta - 1| over the path: the junction at
@@ -323,7 +328,7 @@ class TestPaths:
         assert ray_distance(ray, 5.0 * u) == pytest.approx(2.0)  # past the end
 
     def test_continuity_check_rejects_gaps(self):
-        with pytest.raises(ValueError, match="share endpoints"):
+        with pytest.raises(PreconditionError, match="share endpoints"):
             IntegrationPath((
                 RaySegment(0.0, 1.0, "inbound", end_radius=5.0),
                 ArcSegment(2.0, 0.0, PI),
@@ -339,10 +344,10 @@ class TestPaths:
     def test_gamma_path_well_formed(self, eps, d1, d2, frac):
         lo, hi = gamma_psi_window(d1, d2)
         psi = lo + frac * (hi - lo)
-        report = validate_gamma_contour(GammaContourSpec(eps, psi, d1, d2))
-        if not report.ok:  # frac too close to the guard band
+        try:
+            path = build_gamma_path(GammaContourSpec(eps, psi, d1, d2))
+        except ContourValidityError:  # frac too close to the guard band
             return
-        path = build_gamma_path(GammaContourSpec(eps, psi, d1, d2))
         for gap_mod, gap_ang in path.continuity_gaps():
             assert gap_mod < 1e-12 and gap_ang < 1e-12
 
@@ -359,9 +364,9 @@ class TestPaths:
         d = lo_d + dfrac * (hi_d - lo_d)
         lo, hi = ml_arg_window(rho, d, d)
         arg_z = lo + afrac * (hi - lo)
-        spec = ml_spec(rho, eps, arg_z, d, d)
-        if not validate_ml_contour(spec).ok:
+        try:
+            path = build_zeta_path(ml_spec(rho, eps, arg_z, d, d))
+        except ContourValidityError:
             return
-        path = build_zeta_path(spec)
         for gap_mod, gap_ang in path.continuity_gaps():
             assert gap_mod < 1e-12 and gap_ang < 1e-12
