@@ -65,16 +65,6 @@ OVERFLOW_EXPONENT_LIMIT = 690.0
 #: the default quadrature tolerance.
 _ARC_GROWTH_CAP = 8.5
 
-#: Largest |z| at which the arc may pass inside the pole.  The engine grades
-#: a ray from the scale max(r0, 1), while this loop's ray integrand lives
-#: within a few 1/|z| of its start, so the panels it needs grow with |z|.
-#: At arg z = pi and mu = 1, against mpmath, with the arc at tau-plane
-#: radius 1: up to |z| = 1e3 within 3e-16 in at most 144 panels (rho in
-#: {1.1, 2, 4}); at 1e4 up to 1,040 panels; past that ConvergenceError, or
-#: converged values 7-33% off, from 1e5 at rho = 4 and 3e6 at rho = 1.1.
-#: TestInnerArc sweeps rho in (1, 4] up to this bound.
-_INNER_ARC_MAX_MODULUS = 1e3
-
 #: The series' default term budget.
 SERIES_MAX_TERMS = 10000
 
@@ -243,9 +233,9 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
     ~e^18, so the default shrinks the arc toward the pole to cap the peak at
     e^8.5.  Where that would take eps below 0.01, the arc passes inside the
     pole to tau-plane radius 1 (eps = 1/|z| - 1) when both ray half-angles
-    are below pi and |z| <= 1e3; otherwise eps stays at 0.01 and the
-    overflow check of ``ml_contour`` may refuse.  Pass ``epsilon_hat``
-    explicitly to override.
+    are below pi and eps does not round to -1 (past |z| of about 9e15 it
+    does); otherwise eps stays at 0.01 and the overflow check of
+    ``ml_contour`` may refuse.  Pass ``epsilon_hat`` explicitly to override.
     """
     if z.modulus == 0.0:
         raise PreconditionError("loop route requires |z| > 0; use the series at z = 0")
@@ -253,10 +243,11 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
         deltas = default_ml_deltas(params.rho)
     if epsilon_hat is None:
         cap = _float_power(_ARC_GROWTH_CAP, 1.0 / params.rho) / z.modulus - 1.0
+        inner = 1.0 / z.modulus - 1.0
         if cap >= 0.01:
             epsilon_hat = min(1.0, cap)
-        elif max(deltas) < math.pi and z.modulus <= _INNER_ARC_MAX_MODULUS:
-            epsilon_hat = 1.0 / z.modulus - 1.0
+        elif max(deltas) < math.pi and inner > -1.0:
+            epsilon_hat = inner
         else:
             epsilon_hat = 0.01
     return MLContourSpec(params.rho, params.mu, epsilon_hat, z.argument,
@@ -309,10 +300,6 @@ def _zeta_loop(params: MLParams, z: PolarComplex,
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
-    if spec.epsilon_hat <= 0 and z.modulus > _INNER_ARC_MAX_MODULUS:
-        raise PreconditionError(
-            f"an arc inside the pole (eps <= 0) needs |z| <= {_INNER_ARC_MAX_MODULUS:g}, "
-            f"not {z.modulus:.3g}; use the series")
     return spec, path
 
 
@@ -339,8 +326,8 @@ def ml_contour(params: MLParams, z: PolarComplex,
 
     Raises PreconditionError for rho <= 1/2, at z = 0, for a spec
     ``validate_ml_contour`` refuses (ContourValidityError), when
-    exp((|z|(1+eps))^rho) would overflow, or for an arc inside the pole at
-    |z| > 1e3, and ConvergenceError when the quadrature stalls.
+    exp((|z|(1+eps))^rho) would overflow, and ConvergenceError when the
+    quadrature stalls.
     """
     spec, path = _zeta_loop(params, z, epsilon_hat, deltas)
     log_z = complex(math.log(z.modulus), z.argument)
@@ -386,6 +373,9 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
     eps_alpha = _float_power(epsilon, alpha)
     if math.isinf(eps_alpha):
         raise PreconditionError(f"arc radius too large: {epsilon:g}^(1/rho) overflows")
+    if not eps_alpha > abs(zc):
+        raise PreconditionError(f"arc radius too small: {epsilon:g}^(1/rho) rounds to "
+                                f"{eps_alpha:g}, not above |z| = {abs(zc):g}")
 
     def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
         log_t = np.log(mod) + 1j * ang

@@ -203,13 +203,12 @@ def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
     """Panel boundaries on [r0, r1], widths doubling away from r0.
 
     The integrands peak toward the arc junction at r0, so the smallest panel
-    sits there.  The panel count grows logarithmically with the span so the
-    first panel never exceeds the scale of r0 itself.
+    sits there.  The panel count grows logarithmically with span / r0 so the
+    first panel never exceeds r0 itself.  The ratio is clamped at 2**53:
+    past it a panel next to r0 would be narrower than r0's last bit.
     """
     span = r1 - r0
-    scale = max(r0, 1.0)
-    n = max(_INITIAL_PANELS, math.ceil(math.log2(span / scale + 1.0)) + 1)
-    n = min(n, 48)
+    n = max(_INITIAL_PANELS, math.ceil(math.log2(min(span / r0, 2.0 ** 53) + 1.0)) + 1)
     grades = _GRADES.get(n)
     if grades is None:
         grades = _GRADES[n] = np.expm1(np.arange(n + 1.0) * math.log(2.0))

@@ -336,6 +336,21 @@ class TestAutoRoute:
             ref = ml_reference(rho, 1.0, z_mod * complex(math.cos(z_arg), math.sin(z_arg)))
             assert abs(value - ref) <= 1e-13 * abs(ref)
 
+    def test_eval_inner_arc_at_large_modulus(self, capsys):
+        # the series overflowed here while the inner arc stopped at |z| = 1e3
+        code, out = run(capsys, "eval", "--rho", 2, "--mu-re", 1, "--z-mod", 1.5e3,
+                        "--z-arg-pi", 1)
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (code, row["method"]) == (0, "contour")
+        ref = ml_reference(2.0, 1.0, -1.5e3)
+        assert abs(complex(float(row["value_re"]), float(row["value_im"])) - ref) \
+            <= 1e-13 * abs(ref)
+
+    def test_grid_inner_arc_at_large_modulus(self, capsys):
+        code, rows = ml_rows(capsys, 2.0, 1e5, PI)
+        assert code == 0
+        assert [(r["method"], r["status"]) for r in rows] == [("contour", "ok")]
+
     def test_failed_row_names_its_route(self, capsys):
         code, rows = ml_rows(capsys, 0.75, 0.5, 2.095395102393195)  # F2's point
         assert code == 1

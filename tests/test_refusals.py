@@ -134,8 +134,8 @@ class TestMLRoutes:
         typed(lambda: PolarComplex(modulus, argument))
 
     @given(rho=st.sampled_from(RHOS), z=Z,
-           eps_hat=st.sampled_from((None, *at_and_past(-1.0, -math.inf), 0.0, 1.0,
-                                    *NON_FINITE)),
+           eps_hat=st.sampled_from((None, *at_and_past(-1.0, -math.inf),
+                                    math.nextafter(-1.0, 0.0), 0.0, 1.0, *NON_FINITE)),
            d_at=st.sampled_from((None, 0, 1, 2, 3, 4, 5, 6)))
     @settings(max_examples=200, deadline=None)
     def test_zeta_loop(self, rho, z, eps_hat, d_at):
@@ -153,7 +153,7 @@ class TestMLRoutes:
         typed(lambda: ml_contour(params, z, epsilon_hat=eps_hat, deltas=deltas))
 
     @given(rho=st.sampled_from(RHOS), z=Z,
-           eps=st.sampled_from((None, "|z|", "past |z|") + RADII),
+           eps=st.sampled_from((None, "|z|", "past |z|", 1e-300, 5e-324) + RADII),
            theta_at=st.sampled_from((None, 0, 1, 2, 3, 4, 5, 6, 7)))
     @settings(max_examples=200, deadline=None)
     def test_legacy_loops(self, rho, z, eps, theta_at):
@@ -171,6 +171,12 @@ class TestMLRoutes:
         typed(lambda: ml_dzhrbashyan(params, z, eps, theta))
         for method in ("auto", "series", "contour", "bateman", "dzhrbashyan"):
             typed(lambda: evaluate_ml(params, z, method, epsilon=eps, theta=theta))
+
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_bateman_radius_whose_root_underflows(self, eps):
+        # eps > |z|^rho = 0, but eps^(1/rho) rounds to 0 = |z|
+        with pytest.raises(PreconditionError, match="too small"):
+            ml_bateman(MLParams(0.5, 1.0), PolarComplex(0.0, 0.0), eps)
 
     @given(rho=st.sampled_from(RHOS), z=Z,
            eps=st.sampled_from((None,) + RADII), theta=st.sampled_from((None, 0.0, math.nan)))
