@@ -23,6 +23,7 @@ whenever the loop opens wider than pi.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -119,6 +120,48 @@ _RESCALE_SHIFT = 831
 _SERIES_BLOCK = 32
 
 
+class _SeriesBlocks:
+    """1/Gamma(mu + n/rho) and log Gamma(mu + n/rho) for one (rho, mu), as
+    lists of ``_SERIES_BLOCK`` terms keyed by their first n, each computed
+    the first time a call asks for it.  Blocks from ``SERIES_MAX_TERMS`` on
+    are computed per call and not kept, so a large term budget cannot grow
+    the memo past what the default budget needs.  Two threads may compute
+    the same block; ``setdefault`` keeps one list, and both have the same
+    bits."""
+
+    def __init__(self, rho: float, mu: complex):
+        self.rho = rho
+        self.mu = mu
+        self._recips: dict[int, list] = {}
+        self._logs: dict[int, list] = {}
+
+    def _block(self, table: dict[int, list], n: int, fn) -> list:
+        block = table.get(n)
+        if block is None:
+            block = fn(self.mu + np.arange(n, n + _SERIES_BLOCK) / self.rho).tolist()
+            if n < SERIES_MAX_TERMS:
+                block = table.setdefault(n, block)
+        return block
+
+    # The functions are looked up at call time as module globals, so a
+    # wrapper put in their place sees every block that is computed.
+    def recips(self, n: int) -> list:
+        return self._block(self._recips, n, recip_gamma_oracle)
+
+    def logs(self, n: int) -> list:
+        return self._block(self._logs, n, log_gamma)
+
+
+@functools.lru_cache(maxsize=1)
+def _series_blocks(rho: float, mu: complex) -> _SeriesBlocks:
+    """The block memo of one (rho, mu).  It holds one pair: a grid or a loop
+    over z has one, while a memo of many pairs would keep every pair of a
+    sweep for the life of the process.  Pairs that compare equal share a
+    memo; mu = 1 + 0j and 1 - 0j do, which is safe because the block
+    arguments mu + n/rho lose the sign of a zero part."""
+    return _SeriesBlocks(rho, mu)
+
+
 def ml_series(params: MLParams, z: PolarComplex,
               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
               max_terms: int = SERIES_MAX_TERMS) -> MLEvaluation:
@@ -127,19 +170,24 @@ def ml_series(params: MLParams, z: PolarComplex,
     The accumulation runs in ordinary complex arithmetic: z^n is built by an
     iterative product (keeping term phases coherent to a few ulp, which the
     exp(n log z) form cannot do once n arg z is large) and multiplied by the
-    reciprocal-gamma oracle, called once per block of ``_SERIES_BLOCK``
-    terms; its exact zeros at the poles of Gamma give zero terms.  Log-space
-    magnitudes are used only to screen and survive overflow: the running
-    power is rescaled by exact powers of two and the gamma factor then
-    absorbs the scale through its logarithm (also fetched per block, real
-    part +inf at a pole).  An underflowed 1/Gamma is not a pole, so once
-    rescaling has started only the logarithm is read.
+    reciprocal-gamma oracle, computed by block of ``_SERIES_BLOCK`` terms
+    once per (rho, mu) and reused by every later call with the same pair
+    (one pair is held; see ``_series_blocks``); its exact zeros at the
+    poles of Gamma give zero terms.  Log-space magnitudes are used only to
+    screen and survive overflow: the running power is rescaled by exact
+    powers of two and the gamma factor then absorbs the scale through its
+    logarithm (also computed by block and reused, real part +inf at a
+    pole).  An underflowed 1/Gamma is not a pole, so once rescaling has
+    started only the logarithm is read.
     Summation stops once three consecutive terms fall below
     abs_tol + rel_tol*|partial sum| and the peak term has been passed.
     Non-convergence within the term budget, and overflow of a term or of
     the sum, are reported in the diagnostics (not converged; overflow also
-    sets infinite cancellation), not raised.
+    sets infinite cancellation), not raised.  A term budget below 1 is
+    refused.
     """
+    if max_terms < 1:
+        raise PreconditionError(f"max_terms must be at least 1, got {max_terms}")
     mu = complex(params.mu)
     if z.modulus == 0.0:
         value = complex(recip_gamma_oracle(mu))
@@ -157,18 +205,18 @@ def ml_series(params: MLParams, z: PolarComplex,
     overflowed = False
     z_pow = 1.0 + 0j
     scale_exp = 0
+    blocks = _series_blocks(params.rho, mu)
 
     for n in range(max_terms):
         i = n % _SERIES_BLOCK
         if i == 0:
-            args = mu + np.arange(n, n + _SERIES_BLOCK) / params.rho
-            recips = recip_gamma_oracle(args).tolist() if scale_exp == 0 else None
+            recips = blocks.recips(n) if scale_exp == 0 else None
             logs = None
         if scale_exp == 0:
             term = z_pow * recips[i]
         else:
             if logs is None:
-                logs = log_gamma(args).tolist()
+                logs = blocks.logs(n - i)
             lg = logs[i]
             magnitude = -lg.real + scale_exp * _LN2
             if magnitude > 709.0:

@@ -103,6 +103,17 @@ class TestExitCodes:
         assert code == 3
         assert "not_converged" in out
 
+    @pytest.mark.parametrize("max_terms", [0, -5])
+    def test_series_term_budget_below_one(self, capsys, max_terms):
+        code, _ = run(capsys, "eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1,
+                      "--z-arg", 0, "--method", "series", "--max-terms", max_terms)
+        assert code == 2
+
+    def test_contour_ignores_term_budget(self, capsys):
+        code, _ = run(capsys, "eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1,
+                      "--z-arg-pi", 1, "--method", "contour", "--max-terms", 0)
+        assert code == 0
+
 
 class TestSeriesOverflow:
     """Series overflow is a typed outcome: not converged, never a crash."""

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mlcontour import (
     ContourValidityError,
     MLParams,
     ConvergenceError,
+    SeriesDiagnostics,
     MLContourSpec,
     PolarComplex,
     PreconditionError,
@@ -26,6 +29,8 @@ from mlcontour import (
     recip_gamma_oracle,
     validate_ml_contour,
 )
+from mlcontour import mittag_leffler
+from mlcontour.gamma import log_gamma
 from mlcontour.geometry import ml_delta_range
 
 PI = math.pi
@@ -121,6 +126,16 @@ class TestSeries:
         ev = ml_series(MLParams(4.0, 0.5), PolarComplex(5.0, PI), max_terms=50)
         assert not ev.diagnostics.converged
 
+    @pytest.mark.parametrize("z_mod", [0.0, 1.0])
+    @pytest.mark.parametrize("max_terms", [0, -5])
+    def test_term_budget_below_one_refused(self, z_mod, max_terms):
+        with pytest.raises(PreconditionError, match="max_terms"):
+            ml_series(MLParams(1.0, 1.0), PolarComplex(z_mod, 0.0), max_terms=max_terms)
+
+    def test_term_budget_ignored_by_other_routes(self):
+        ev = evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "contour", max_terms=0)
+        assert ev.value == pytest.approx(math.exp(-1.0), rel=1e-12)
+
     @pytest.mark.parametrize("mu,z", [
         (1.0, PolarComplex(10.0, 0.0)),        # the sum passes the largest double
         (0.5, PolarComplex(10.0, 0.75 * PI)),  # |term| passes it, parts do not
@@ -129,6 +144,222 @@ class TestSeries:
         ev = ml_series(MLParams(4.0, mu), z)
         assert not ev.diagnostics.converged
         assert ev.diagnostics.cancellation_digits == math.inf
+
+
+_REF_BLOCK = 32
+_REF_LN2 = math.log(2.0)
+
+
+def _reference_series(params, z, max_terms=mittag_leffler.SERIES_MAX_TERMS,
+                      cfg=mittag_leffler.DEFAULT_QUADRATURE):
+    """The series as it was before its blocks were kept: one oracle call per
+    block of 32 terms at every call.  Returns (value, diagnostics)."""
+    mu = complex(params.mu)
+    if z.modulus == 0.0:
+        value = complex(recip_gamma_oracle(mu))
+        return value, SeriesDiagnostics(1, abs(value), 0.0, True)
+    zc = z.modulus * cmath.exp(1j * z.argument)
+    total = comp = 0j
+    max_term, max_index, small_streak, terms_used = 0.0, 0, 0, 0
+    converged = overflowed = False
+    z_pow, scale_exp = 1.0 + 0j, 0
+    for n in range(max_terms):
+        i = n % _REF_BLOCK
+        if i == 0:
+            args = mu + np.arange(n, n + _REF_BLOCK) / params.rho
+            recips = recip_gamma_oracle(args).tolist() if scale_exp == 0 else None
+            logs = None
+        if scale_exp == 0:
+            term = z_pow * recips[i]
+        else:
+            if logs is None:
+                logs = log_gamma(args).tolist()
+            lg = logs[i]
+            magnitude = -lg.real + scale_exp * _REF_LN2
+            if magnitude > 709.0:
+                overflowed = True
+                break
+            term = z_pow * cmath.exp(complex(magnitude, -lg.imag))
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            overflowed = True
+            break
+        terms_used = n + 1
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        try:
+            mod = abs(term)
+            total_mod = abs(total)
+        except OverflowError:
+            total_mod = math.inf
+        if not total_mod < math.inf:
+            overflowed = True
+            break
+        if mod > max_term:
+            max_term, max_index = mod, n
+        if mod < cfg.abs_tol + cfg.rel_tol * total_mod:
+            small_streak += 1
+            if small_streak >= 3 and n > max_index:
+                converged = True
+                break
+        else:
+            small_streak = 0
+        z_pow *= zc
+        while abs(z_pow) > 2.0 ** 800:
+            z_pow *= 2.0 ** -831
+            scale_exp += 831
+    if overflowed:
+        converged, cancellation = False, math.inf
+    elif abs(total) == 0.0:
+        cancellation = math.inf if max_term > 0 else 0.0
+    elif max_term == 0.0:
+        cancellation = 0.0
+    else:
+        cancellation = math.log10(max_term / abs(total))
+    return total, SeriesDiagnostics(terms_used, max_term, cancellation, converged)
+
+
+class TestSeriesReference:
+    """``ml_series`` takes its gamma blocks from a memo of one (rho, mu); over
+    call sequences that hit and miss it, its values and diagnostics must
+    have the bits of the per-call reference above."""
+
+    @staticmethod
+    def assert_same(calls):
+        for rho, mu, z_mod, z_arg, *budget in calls:
+            params, z = MLParams(rho, mu), PolarComplex(z_mod, z_arg)
+            kw = {"max_terms": budget[0]} if budget else {}
+            ev = ml_series(params, z, **kw)
+            value, diag = _reference_series(params, z, **kw)
+            assert (repr(ev.value), repr(ev.diagnostics)) == (repr(value), repr(diag)), \
+                (rho, mu, z_mod, z_arg, budget)
+
+    def test_growing_modulus_extends_blocks(self):
+        mittag_leffler._series_blocks.cache_clear()
+        self.assert_same([(2.0, 1.0, m, a) for m in (0.5, 3.0, 20.0, 80.0, 200.0)
+                          for a in (0.0, 1.0, PI)])
+        self.assert_same([(0.7, 0.3 + 2j, m, 2.5) for m in (40.0, 1.0, 90.0, 5.0)])
+
+    def test_rescaled_branch_log_blocks(self):
+        # rho = 1, |z| >= 600: the running power is rescaled and the terms
+        # come from the log Gamma blocks, some of them computed mid-block
+        mittag_leffler._series_blocks.cache_clear()
+        calls = [(1.0, mu, m, a) for mu in (1.0, 0.5 + 2j, -3.0)
+                 for m in (600.0, 650.0, 700.0, 750.0, 800.0) for a in (0.0, 2.0, PI)]
+        self.assert_same(calls)
+        self.assert_same(calls[::-1])
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_gamma_poles(self, mu):
+        mittag_leffler._series_blocks.cache_clear()
+        self.assert_same([(1.0, mu, m, a) for m in (0.0, 1.0, 30.0, 700.0) for a in (0.0, PI)])
+
+    def test_term_budgets(self):
+        mittag_leffler._series_blocks.cache_clear()
+        calls = [(4.0, 0.5, m, PI, budget) for budget in (1, 31, 33, 50)
+                 for m in (0.3, 5.0, 40.0)]
+        self.assert_same(calls)
+        self.assert_same(calls[::-1])
+
+    def test_signed_zero_mu(self):
+        mittag_leffler._series_blocks.cache_clear()
+        mus = (complex(1.0, 0.0), complex(1.0, -0.0), complex(0.0, 0.0),
+               complex(-0.0, -0.0), complex(0.0, -0.0))
+        self.assert_same([(1.0, mu, m, a) for m in (0.0, 2.0, 700.0) for a in (0.0, PI)
+                          for mu in mus])
+
+    def test_alternating_pairs(self):
+        mittag_leffler._series_blocks.cache_clear()
+        pairs = [(2.0, 1.0), (0.75, 0.5 - 1j), (2.0, 1.0), (3.0, 2.0), (0.75, 0.5 - 1j)]
+        self.assert_same([(rho, mu, m, a) for m in (1.0, 50.0, 8.0) for a in (0.3, PI)
+                          for rho, mu in pairs])
+
+
+class TestSeriesBlockReuse:
+    """The memo computes each block once per (rho, mu) and holds one pair."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = {"recip": 0, "log": 0}
+
+        def counted(name, fn):
+            def wrapper(args):
+                counts[name] += 1
+                return fn(args)
+            return wrapper
+
+        monkeypatch.setattr(mittag_leffler, "recip_gamma_oracle",
+                            counted("recip", mittag_leffler.recip_gamma_oracle))
+        monkeypatch.setattr(mittag_leffler, "log_gamma", counted("log", mittag_leffler.log_gamma))
+        mittag_leffler._series_blocks.cache_clear()
+        return counts
+
+    def test_one_pair_computes_each_block_once(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        params = MLParams(1.0, 1.0)
+        terms = [ml_series(params, PolarComplex(m, 0.5)).diagnostics.terms_used
+                 for m in (1.0, 20.0, 5.0, 40.0, 10.0)]
+        assert counts["recip"] == max(-(-t // 32) for t in terms) > 2
+        # a second pair drops the first, whose blocks are computed again
+        ml_series(MLParams(2.0, 1.0), PolarComplex(1.0, 0.0))
+        before = counts["recip"]
+        ml_series(params, PolarComplex(40.0, 0.5))
+        assert counts["recip"] - before == max(-(-t // 32) for t in terms)
+
+    def test_log_blocks_computed_once(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        # 701 terms, rescaled from n = 85 (700^85 > 2^800): blocks 0-2 take
+        # 1/Gamma and blocks 2-21 log Gamma, block 2 both ways
+        ml_series(MLParams(1.0, 1.0), PolarComplex(700.0, 0.0))
+        first = dict(counts)
+        assert first == {"recip": 3, "log": 20}
+        for _ in range(2):
+            ml_series(MLParams(1.0, 1.0), PolarComplex(700.0, 0.0))
+        assert counts == first
+
+    def test_blocks_past_default_budget_not_kept(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        # rho = 1e4, |z| = 1: the terms stay near 1 in modulus past the budget
+        budget = mittag_leffler.SERIES_MAX_TERMS + 64
+        params, z = MLParams(1e4, 1.0), PolarComplex(1.0, 1.0)
+        first = ml_series(params, z, max_terms=budget)
+        assert first.diagnostics.terms_used == budget
+        assert counts["recip"] == -(-budget // 32)
+        second = ml_series(params, z, max_terms=budget)
+        kept = -(-mittag_leffler.SERIES_MAX_TERMS // 32)
+        assert counts["recip"] == -(-budget // 32) * 2 - kept
+        assert repr(second) == repr(first)
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores, switching often, over pairs that alternate
+        calls = [(rho, 1.0, m, a) for rho in (1.0, 2.0, 0.75) for m in (2.0, 60.0, 700.0)
+                 for a in (0.0, PI)]
+        expected = [tuple(map(repr, _reference_series(MLParams(r, mu), PolarComplex(m, a))))
+                    for r, mu, m, a in calls]
+        mismatches = []
+
+        def worker(order):
+            for k in order:
+                r, mu, m, a = calls[k]
+                ev = ml_series(MLParams(r, mu), PolarComplex(m, a))
+                if (repr(ev.value), repr(ev.diagnostics)) != expected[k]:
+                    mismatches.append(calls[k])
+
+        rng = np.random.default_rng(3)
+        threads = [threading.Thread(target=worker, args=(rng.permutation(len(calls) * 3) % len(calls),))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestContour:
