@@ -245,8 +245,8 @@ def quadrature_cauchy_nullity() -> tuple[bool, str]:
         ArcSegment(0.5, PI, angle),
     ))
 
-    def f(mod, ang):
-        return np.exp(mod * np.exp(1j * ang) + (s - 1.0) * (np.log(mod) + 1j * ang))
+    def f(t, log_t):
+        return np.exp(t + (s - 1.0) * log_t)
 
     res = integrate_path(f, path)
     mod = abs(res.value)

@@ -608,16 +608,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Splice `--config FILE` contents in right after the subcommand tokens,
-    so explicit flags (which come later) take precedence."""
-    if "--config" not in argv:
+    """Splice the ``--config`` file's contents in right after the subcommand
+    tokens, so explicit flags (which come later) take precedence.  argparse
+    finds the flag, so every spelling the subcommands accept loads the file:
+    ``--config FILE``, ``--config=FILE`` and abbreviations such as ``--conf``
+    (no other flag starts with ``--c``)."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        found, rest = finder.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise PreconditionError(str(exc)) from None
+    if found.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise PreconditionError("--config requires a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
-    file_args = load_config_args(path)
+    file_args = load_config_args(found.config)
     # number of leading subcommand tokens: 1 (eval/compare/selftest) or 2
     n_sub = 1
     if rest and rest[0] in ("grid", "invariance", "window"):

@@ -160,13 +160,12 @@ class GammaEvaluation:
 
 
 def _loop_integrand(s: complex, lam: complex):
-    """exp(lam*t) * t^(-s) from polar samples with unwrapped angles."""
+    """exp(lam*t) * t^(-s) from t and its log with the unwrapped angle."""
     s = complex(s)
     lam = complex(lam)
 
-    def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        t = mod * np.exp(1j * ang)
-        return np.exp(lam * t - s * (np.log(mod) + 1j * ang))
+    def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        return np.exp(lam * t - s * log_t)
 
     return f
 

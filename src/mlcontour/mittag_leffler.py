@@ -303,17 +303,15 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
 
 
 def _tau_integrand(params: MLParams, log_scale: complex, pole: complex):
-    """exp(w^rho) w^(rho(1-mu)) / (zeta - pole) from polar samples of zeta,
-    with log w = log_scale + log zeta, unwrapped.  The zeta loop takes
+    """exp(w^rho) w^(rho(1-mu)) / (zeta - pole) from zeta and log zeta, with
+    log w = log_scale + log zeta, unwrapped.  The zeta loop takes
     log_scale = log z and pole 1 (w = z zeta); the Dzhrbashyan loop takes
     log_scale = 0 and pole z (w = zeta)."""
     rho = params.rho
     mu = complex(params.mu)
-    log_mod, arg = log_scale.real, log_scale.imag
 
-    def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        zeta = mod * np.exp(1j * ang)
-        log_w = (log_mod + np.log(mod)) + 1j * (arg + ang)
+    def f(zeta: np.ndarray, log_zeta: np.ndarray) -> np.ndarray:
+        log_w = log_scale + log_zeta
         return np.exp(np.exp(rho * log_w) + rho * (1.0 - mu) * log_w) / (zeta - pole)
 
     return f
@@ -335,12 +333,16 @@ def _zeta_ray_decay(params: MLParams, z: PolarComplex, spec: MLContourSpec,
     return DecayModel.with_power_growth(base, poly, rate, rho, ray.start_radius)
 
 
-def _zeta_loop(params: MLParams, z: PolarComplex,
-               epsilon_hat: Optional[float] = None,
-               deltas: Optional[tuple[float, float]] = None
-               ) -> tuple[MLContourSpec, IntegrationPath]:
+@functools.lru_cache(maxsize=1)
+def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
+               deltas: Optional[tuple[float, float]]) -> tuple[MLContourSpec, IntegrationPath]:
     """Every check ``ml_contour`` makes before integrating, and the loop it
-    integrates over."""
+    integrates over.  The last loop built is kept, so ``ml_route`` and then
+    ``ml_contour`` at one point (method "auto") build and check it once; a
+    refused spec raises on every call.  Arguments that compare equal share
+    the entry even where the sign of a zero differs (mu = 1 + 0j and 1 - 0j,
+    arg z = 0.0 and -0.0): the loop depends on neither, and ``ml_contour``
+    reads only the spec's epsilon_hat."""
     spec = default_ml_spec(params, z, epsilon_hat, deltas)
     path = build_zeta_path(spec)
     growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), params.rho)
@@ -356,7 +358,7 @@ def ml_route(params: MLParams, z: PolarComplex) -> str:
     default spec passes every check ``ml_contour`` makes before integrating,
     else "series"."""
     try:
-        _zeta_loop(params, z)
+        _zeta_loop(params, z, None, None)
     except PreconditionError:
         return "series"
     return "contour"
@@ -377,7 +379,7 @@ def ml_contour(params: MLParams, z: PolarComplex,
     exp((|z|(1+eps))^rho) would overflow, and ConvergenceError when the
     quadrature stalls.
     """
-    spec, path = _zeta_loop(params, z, epsilon_hat, deltas)
+    spec, path = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
     log_z = complex(math.log(z.modulus), z.argument)
     raw = integrate_path(_tau_integrand(params, log_z, 1.0), path,
                          decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
@@ -425,9 +427,7 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
         raise PreconditionError(f"arc radius too small: {epsilon:g}^(1/rho) rounds to "
                                 f"{eps_alpha:g}, not above |z| = {abs(zc):g}")
 
-    def f(mod: np.ndarray, ang: np.ndarray) -> np.ndarray:
-        log_t = np.log(mod) + 1j * ang
-        t = mod * np.exp(1j * ang)
+    def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
         return np.exp(t + (alpha - beta) * log_t) / (np.exp(alpha * log_t) - zc)
 
     path = loop_path(epsilon, -math.pi, math.pi)

@@ -1,11 +1,12 @@
 """Complex line integrals along ray/arc paths.
 
-The engine integrates vectorized integrands ``f(modulus, angle) -> complex``
-where both arguments are 1-D numpy arrays of equal shape.  Passing polar
-coordinates instead of complex points is deliberate: branch-sensitive powers
-must be computed from the unwrapped angle the path carries, which a complex
-point cannot encode.  The engine scales the array f returns in place, so f
-returns a new array.
+The engine integrates vectorized integrands ``f(t, log_t) -> complex``: t
+holds the nodes as complex points and log_t their logarithms, ln |t| + i
+times the angle the path carries, unwrapped; both are 1-D complex arrays of
+equal shape.  The logarithm is passed with t deliberately: branch-sensitive
+powers must be computed from the unwrapped angle, which t alone cannot
+encode.  The engine scales the array f returns in place, so f returns a new
+array.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
@@ -18,22 +19,26 @@ solves for directly, and the tail bound is folded into the error estimate.
 truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
 every segment; each later round evaluates the next level of every segment
 whose doubling rule has not stopped.  A round makes one integrand call over
-the nodes of all its levels, whatever their number.  ``_level_sums`` lays
-those nodes out, and weights the integrand's values, with one fixed set of
-array operations whatever the number of its (segment, level) jobs; only the
-Jacobian and each level's final sum are taken level by level.  Every
-operation is elementwise, or sums within one panel or within one level, so
-given the integrand's values a level's sum has the bits of laying that
-level out alone.  The bits are fixed by these choices:
+the nodes of all its levels, whatever their number.  ``_layout`` lays those
+nodes out, and ``_level_sums`` weights the integrand's values, with one
+fixed set of array operations whatever the number of its (segment, level)
+jobs; only each level's final sum is taken level by level.  Every operation
+is elementwise, or sums within one panel or within one level, so given the
+integrand's values a level's sum has the bits of laying that level out
+alone.  The bits are fixed by these choices:
 
 - level k of a segment splits each of its level-0 panels into 2**k equal
   parts, left + width * (j / 2**k); a panel's midpoint and half-width are
   0.5 * (right + left) and 0.5 * (right - left), and its nodes mid + half *
   node;
-- the Jacobian multiplies each level's slice of the integrand's output in
-  place, with the output as the left operand (numpy rounds a complex
-  product differently with its operands swapped): on a ray by e^{i angle},
-  a constant of the segment, and on an arc by i R * np.exp(1j * phi);
+- a node's phase e^{i angle} is, on a ray, one constant of the segment,
+  complex(math.cos(angle), math.sin(angle)), and on an arc np.cos(phi) + i
+  np.sin(phi); both are the parts of np.exp(1j * angle) bit for bit.  t is
+  modulus * phase, and log t has ln(modulus) and the angle as its parts;
+- the Jacobian is the phase on a ray and i R * phase on an arc, i R the left
+  operand, and one np.multiply over the round scales the integrand's output
+  by it in place, the output the left operand (numpy rounds a complex
+  product differently with its operands swapped);
 - the weighted sums over each panel's 15 nodes are taken row by row and
   scaled by the panels' half-widths, and each level's sum is ``.sum()`` of
   its contiguous slice of those, which numpy adds pairwise.
@@ -65,6 +70,7 @@ _MAX_PANELS = 16384
 # with_power_growth's folded amplitude keeps twice the worst case, for slack.
 _POWER_GROWTH_SAFETY = 2.0
 
+#: f(t, log_t) -> values at the nodes; see the module docstring.
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -239,8 +245,9 @@ class _Segment:
         self.panels = len(base) - 1
         self.left = base[:-1, None]
         self.width = (base[1:] - base[:-1])[:, None]
-        # d zeta per unit of the panel coordinate: e^{i angle} on a ray; on
-        # an arc i R, which _level_sums multiplies by e^{i phi} node by node.
+        # dt per unit of the panel coordinate: on a ray e^{i angle}, the
+        # phase of all its nodes; on an arc i R, which _layout multiplies by
+        # each node's phase e^{i phi}.
         self.jacobian = complex(math.cos(fixed), math.sin(fixed)) if radial else 1j * fixed
         self.level = 0
         self.prev = 0j
@@ -248,15 +255,16 @@ class _Segment:
         self.stale = 0
         self.result: tuple[complex, float, int, bool] | None = None
 
-    def edges(self, k: int) -> tuple[np.ndarray, ...]:
-        """Level k's panel boundaries, as pieces to concatenate: every
-        level-0 panel split into 2**k equal parts."""
+    def ends(self, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Level k's panels, every level-0 panel split into 2**k equal parts:
+        their left ends, as pieces to concatenate, and their right ends."""
         if k == 0:
-            return (self.base,)
+            return (self.base[:-1],), self.base[1:]
         steps = _STEPS.get(k)
         if steps is None:
             steps = _STEPS[k] = np.linspace(0.0, 1.0, 2 ** k + 1)[1:]
-        return self.base[:1], (self.left + self.width * steps).ravel()
+        rights = (self.left + self.width * steps).ravel()
+        return (self.base[:1], rights[:-1]), rights
 
     def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
         """Take the value of level k, the level after the last one taken."""
@@ -283,35 +291,60 @@ class _Segment:
             self.result = (cur, err, panels, False)
 
 
-def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """A round's Gauss-Legendre nodes, laid out once for all its jobs.
+def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[tuple[int, int]], np.ndarray,
+                                                       np.ndarray, np.ndarray, np.ndarray]:
+    """A round's Gauss-Legendre nodes, laid out once for all its jobs, the
+    rays' jobs ahead of the arcs'.
 
-    The panel boundaries of every job go into one array; its neighbouring
-    pairs give the panels' midpoints and half-widths, once the pairs that
-    straddle two jobs are dropped.  Returns the panels of each job, the
-    half-width of each panel, and the nodes as a (2, panels, _GAUSS_ORDER)
-    array, row 0 the moduli and row 1 the angles.
+    The left and the right ends of every job's panels go into one array
+    each, which give all the midpoints and half-widths at once.  Returns
+    each job's range of panels, in the order of ``jobs``; the half-width of
+    each panel; and node by node t, log t (ln |t| + i times the unwrapped
+    angle) and dt per unit of the panel coordinate.
     """
-    counts = [seg.panels << k for seg, k in jobs]
-    edges = np.concatenate([piece for seg, k in jobs for piece in seg.edges(k)])
-    pairs = np.empty((2, len(edges) - 1))
-    np.add(edges[1:], edges[:-1], out=pairs[0])
-    np.subtract(edges[1:], edges[:-1], out=pairs[1])
+    order = sorted(range(len(jobs)), key=lambda j: not jobs[j][0].radial)
+    laid = [jobs[j] for j in order]
+    counts = [seg.panels << k for seg, k in laid]
+    ends = [seg.ends(k) for seg, k in laid]
+    lefts = np.concatenate([piece for pieces, _ in ends for piece in pieces])
+    rights = np.concatenate([piece for _, piece in ends])
+    mid, half = pairs = np.empty((2, len(rights)))
+    np.add(rights, lefts, out=mid)
+    np.subtract(rights, lefts, out=half)
     pairs *= 0.5
-    keep = np.ones(len(edges) - 1, dtype=bool)
-    # the pair that straddles jobs j and j + 1 starts at (panels of jobs 0..j) + j
-    keep[[end + j for j, end in enumerate(itertools.accumulate(counts[:-1]))]] = False
-    mid, half = pairs[:, keep]
 
-    # mid + half * node in the row a panel runs over (the modulus on a ray,
-    # the angle on an arc), the segment's fixed coordinate in the other row.
+    # mid + half * node in the coordinate a panel runs over (the modulus on a
+    # ray, the angle on an arc), the segment's fixed coordinate in the other.
     nodes = half[:, None] * _NODES
     nodes += mid[:, None]
+    nodes = nodes.ravel()
     reps = _GAUSS_ORDER * np.array(counts)
-    radial = [seg.radial for seg, _ in jobs]
-    fixed = np.array([[not r for r in radial], radial]).repeat(reps, axis=1)
-    coords = np.where(fixed, np.array([seg.fixed for seg, _ in jobs]).repeat(reps), nodes.ravel())
-    return counts, half, coords.reshape(2, -1, _GAUSS_ORDER)
+    rays = sum(seg.radial for seg, _ in laid)
+    split = _GAUSS_ORDER * sum(counts[:rays])  # the first arc node
+    fixed = np.array([seg.fixed for seg, _ in laid])
+    angs = np.concatenate((fixed[:rays].repeat(reps[:rays]), nodes[split:]))
+    mods = nodes  # angs holds its own copy of the arcs' nodes
+    mods[split:] = fixed[rays:].repeat(reps[rays:])
+
+    # e^{i angle}: each ray's constant, and on the arcs cos + i sin of the
+    # node angles, the parts of np.exp(1j * angle) bit for bit.
+    factors = np.array([seg.jacobian for seg, _ in laid], dtype=complex)
+    phase = factors.repeat(reps)
+    np.cos(angs[split:], out=phase.real[split:])
+    np.sin(angs[split:], out=phase.imag[split:])
+    t = mods * phase
+    log_t = np.empty_like(t)
+    np.log(mods, out=log_t.real)
+    log_t.imag = angs
+    # The phase becomes dt in place: a ray's is its phase, an arc's i R times
+    # it, i R the left operand (numpy rounds a complex product differently
+    # with its operands swapped).
+    jac = phase
+    np.multiply(factors[rays:].repeat(reps[rays:]), jac[split:], out=jac[split:])
+
+    bounds = itertools.pairwise([0, *itertools.accumulate(counts)])
+    spans = [span for _, span in sorted(zip(order, bounds))]
+    return spans, half, t, log_t, jac
 
 
 def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]:
@@ -319,27 +352,21 @@ def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]
     one integrand call over the nodes of all of them, in job order.
 
     The nodes are laid out, and the values weighted, once for the round;
-    only the Jacobian and each job's final sum are taken job by job.  Given
-    the integrand's values, every job's sum has the bits of laying that job
-    out alone, because of the operations that fix them: nodes mid + half *
-    node; the output scaled in place by the Jacobian, the output the left
-    operand; each panel's weighted row sum scaled by its half-width; and
-    each job's ``.sum()`` over its contiguous slice of those, pairwise.
+    only each job's final sum is taken job by job.  Given the integrand's
+    values, every job's sum has the bits of laying that job out alone,
+    because of the operations that fix them: nodes mid + half * node; the
+    output scaled in place by the Jacobian, the output the left operand;
+    each panel's weighted row sum scaled by its half-width; and each job's
+    ``.sum()`` over its contiguous slice of those, pairwise.
     """
-    counts, half, (mods, angs) = _layout(jobs)
-    bounds = list(itertools.pairwise([0, *itertools.accumulate(counts)]))
+    spans, half, t, log_t, jac = _layout(jobs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(f(mods.ravel(), angs.ravel()), dtype=complex).reshape(-1, _GAUSS_ORDER)
-        # Job by job: a per-node Jacobian array, or gathering the arcs' nodes,
-        # cost more than this loop at every round size measured.
-        for (seg, _), (start, stop) in zip(jobs, bounds):
-            v = vals[start:stop]
-            jac = seg.jacobian if seg.radial else seg.jacobian * np.exp(1j * angs[start:stop])
-            np.multiply(v, jac, out=v)
+        vals = np.asarray(f(t, log_t), dtype=complex)
+        np.multiply(vals, jac, out=vals)
     if not np.isfinite(vals).all():
         raise IntegrandError("integrand not finite")
-    weighted = (vals * _WEIGHTS).sum(axis=1) * half
-    return [complex(weighted[start:stop].sum()) for start, stop in bounds]
+    weighted = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1) * half
+    return [complex(weighted[start:stop].sum()) for start, stop in spans]
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +466,7 @@ def _sublinear_radius(c: float, p: float, k: float, r_max: float) -> float:
 def integrate_path(f: Integrand, path: IntegrationPath,
                    decay: Union[DecayModel, Callable[[RaySegment], DecayModel], None] = None,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
-    """Sum of segment integrals in path order.
+    """Sum of segment integrals of f(t, log_t) in path order.
 
     ``decay`` may be a single model or a callable mapping each ray segment to
     its own model (rays at different angles usually decay at different rates).

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from ml_reference import ml_reference
@@ -441,6 +442,30 @@ class TestConfigFile:
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "eval", "--config", tmp_path / "absent.conf", *self.POINT)
         assert code == 2
+
+    @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}"), ("--c={}",)])
+    def test_every_spelling_applies_the_file(self, capsys, tmp_path, spelling):
+        cfg = tmp_path / "mlc.conf"
+        cfg.write_text("method = series\n")  # auto takes the contour here
+        code, out = run(capsys, "eval", *self.POINT, *(a.format(cfg) for a in spelling))
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["method"] == "series"
+
+    @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
+    def test_every_spelling_refuses_a_missing_file(self, capsys, tmp_path, spelling):
+        absent = tmp_path / "absent.conf"
+        code, _ = run(capsys, "eval", *self.POINT, *(a.format(absent) for a in spelling))
+        assert code == 2
+
+    @pytest.mark.parametrize("command", [("eval",), ("grid", "gamma"), ("grid", "ml"),
+                                         ("invariance", "gamma"), ("invariance", "ml"),
+                                         ("window", "ml"), ("window", "gamma"), ("compare",)])
+    def test_no_other_flag_starts_with_dash_dash_c(self, capsys, command):
+        # the config file's flag is found before parsing, where any --c...
+        # abbreviation is read as --config
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        assert set(re.findall(r"--c[\w-]*", capsys.readouterr().out)) == {"--config"}
 
 
 class TestOutput:

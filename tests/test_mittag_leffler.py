@@ -634,6 +634,69 @@ class TestRouteSelection:
             evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "trapezoid")
 
 
+class TestZetaLoopReuse:
+    """_zeta_loop keeps the last loop it built: a point routed to the
+    contour by "auto" builds and checks its loop once, and no call is served
+    the loop of another point, pair or override."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        specs = []
+        build = mittag_leffler.build_zeta_path
+
+        def counted(spec):
+            specs.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(mittag_leffler, "build_zeta_path", counted)
+        mittag_leffler._zeta_loop.cache_clear()
+        return specs
+
+    def test_auto_builds_the_loop_once(self, monkeypatch):
+        specs = self.counting(monkeypatch)
+        assert evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI)).method == "contour"
+        assert len(specs) == 1
+
+    def test_grid_row_builds_the_loop_once(self, monkeypatch):
+        from mlcontour import cli
+
+        specs = self.counting(monkeypatch)
+        row = cli._ml_row(1.0, PI, MLParams(1.0, 1.0), "auto", cli.DEFAULT_QUADRATURE)
+        assert (row["method"], row["status"], len(specs)) == ("contour", "ok", 1)
+
+    def test_a_refused_loop_is_not_kept(self, monkeypatch):
+        specs = self.counting(monkeypatch)
+        params, z = MLParams(1.0, 1.0), PolarComplex(1.0, PI / 2)  # outside the window
+        for _ in range(2):
+            assert ml_route(params, z) == "series"
+            with pytest.raises(ContourValidityError):
+                ml_contour(params, z)
+        assert len(specs) == 4
+
+    def test_every_call_has_the_bits_of_a_fresh_loop(self):
+        cases = [
+            (MLParams(1.0, 1.0), PolarComplex(1.0, PI), {}),
+            (MLParams(1.0, 1 - 0j), PolarComplex(1.0, PI), {}),
+            (MLParams(1.0, 1 + 0j), PolarComplex(1.0, PI), {}),
+            (MLParams(1.0, 1.0), PolarComplex(2.0, PI), {}),
+            (MLParams(1.0, 1.0), PolarComplex(1.0, PI), {"epsilon_hat": 0.5}),
+            (MLParams(1.0, 1.0), PolarComplex(1.0, PI), {"deltas": [0.9 * PI, 0.9 * PI]}),
+            (MLParams(2.0, 1.0), PolarComplex(4.0, PI), {}),  # the arc inside the pole
+            (MLParams(1.5, 0.5), PolarComplex(2.0, 2.8), {}),
+        ]
+
+        def fresh(params, z, overrides):
+            mittag_leffler._zeta_loop.cache_clear()
+            return repr(ml_contour(params, z, **overrides))
+
+        expected = [fresh(*case) for case in cases]
+        mittag_leffler._zeta_loop.cache_clear()
+        for repeat in (1, 2, 1):  # alternating, each call a miss; then each a hit
+            got = [repr(ml_contour(params, z, **overrides))
+                   for params, z, overrides in cases for _ in range(repeat)]
+            assert got == [e for e in expected for _ in range(repeat)]
+
+
 class TestInnerArc:
     """The zeta loop's arc at tau-plane radius 1, inside the pole zeta = 1:
     the default once (|z|(1.01))^rho would pass e^8.5, with both ray

@@ -26,13 +26,9 @@ PI = math.pi
 SQRT_PI_HALF = 0.8862269254527580  # sqrt(pi)/2, Gaussian integral
 
 
-def as_complex(mod, ang):
-    return mod * np.exp(1j * ang)
-
-
 class TestArc:
     def test_residue_full_circle(self):
-        res = integrate_path(lambda m, a: 1.0 / as_complex(m, a),
+        res = integrate_path(lambda t, log_t: 1.0 / t,
                              IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert res.converged
         assert res.value == pytest.approx(2j * PI, abs=1e-12)
@@ -40,24 +36,24 @@ class TestArc:
 
     def test_constant_quarter_circle(self):
         # antiderivative zeta: 2(e^{i pi/2} - 1) = -2 + 2i
-        res = integrate_path(lambda m, a: np.ones_like(m, dtype=complex),
+        res = integrate_path(lambda t, log_t: np.ones_like(t),
                              IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),)))
         assert res.value == pytest.approx(-2.0 + 2.0j, abs=1e-12)
 
     def test_exp_closed_circle_vanishes(self):
-        res = integrate_path(lambda m, a: np.exp(as_complex(m, a)),
+        res = integrate_path(lambda t, log_t: np.exp(t),
                              IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert abs(res.value) < 1e-12
 
     def test_descending_span_flips_sign(self):
-        f = lambda m, a: np.ones_like(m, dtype=complex)
+        f = lambda t, log_t: np.ones_like(t)
         fwd = integrate_path(f, IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),)))
         bwd = integrate_path(f, IntegrationPath((ArcSegment(2.0, PI / 2, 0.0),)))
         assert bwd.value == pytest.approx(-fwd.value, abs=1e-14)
 
     def test_non_finite_integrand(self):
-        def f(m, a):
-            return np.where(a > 0, np.nan, 1.0) + 0j
+        def f(t, log_t):
+            return np.where(log_t.imag > 0, np.nan, 1.0) + 0j
         with pytest.raises(IntegrandError, match="not finite"):
             integrate_path(f, IntegrationPath((ArcSegment(2.0, -PI, PI),)))
 
@@ -66,7 +62,7 @@ class TestRay:
     def test_exponential(self):
         ray = RaySegment(0.0, 0.001, "outbound")
         decay = DecayModel(1.0, 1.0, 1.0)
-        res = integrate_path(lambda m, a: np.exp(-m + 0j), IntegrationPath((ray,)), decay)
+        res = integrate_path(lambda t, log_t: np.exp(-t), IntegrationPath((ray,)), decay)
         assert res.converged
         assert res.value == pytest.approx(math.exp(-0.001), rel=1e-10)
         assert res.truncation_radius > 0
@@ -74,38 +70,38 @@ class TestRay:
     def test_gaussian(self):
         ray = RaySegment(0.0, 1e-12, "outbound")
         decay = DecayModel(1.0, 1.0, 2.0)
-        res = integrate_path(lambda m, a: np.exp(-m * m + 0j), IntegrationPath((ray,)), decay)
+        res = integrate_path(lambda t, log_t: np.exp(-t * t), IntegrationPath((ray,)), decay)
         assert res.value == pytest.approx(SQRT_PI_HALF, rel=1e-10)
 
     def test_inbound_negates(self):
         decay = DecayModel(1.0, 1.0, 2.0)
-        out = integrate_path(lambda m, a: np.exp(-m * m + 0j),
+        out = integrate_path(lambda t, log_t: np.exp(-t * t),
                              IntegrationPath((RaySegment(0.0, 1e-12, "outbound"),)), decay)
-        inb = integrate_path(lambda m, a: np.exp(-m * m + 0j),
+        inb = integrate_path(lambda t, log_t: np.exp(-t * t),
                              IntegrationPath((RaySegment(0.0, 1e-12, "inbound"),)), decay)
         assert inb.value == pytest.approx(-out.value, abs=1e-14)
 
     def test_tail_soundness(self):
         # the cut-off tail is the larger part of the true error; the reported
         # estimate must still cover it
-        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+        res = integrate_path(lambda t, log_t: np.exp(-t),
                              IntegrationPath((RaySegment(0.0, 0.001, "outbound"),)),
                              DecayModel(1.0, 1.0, 1.0))
         assert abs(res.value - math.exp(-0.001)) <= res.error_estimate
 
     def test_finite_ray_needs_no_decay(self):
-        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+        res = integrate_path(lambda t, log_t: np.exp(-t),
                              IntegrationPath((RaySegment(0.0, 1.0, "outbound", end_radius=3.0),)))
         assert res.value == pytest.approx(math.exp(-1) - math.exp(-3), rel=1e-12)
         assert res.truncation_radius == 0.0
 
     def test_infinite_ray_requires_decay(self):
         with pytest.raises(ValueError, match="decay"):
-            integrate_path(lambda m, a: np.exp(-m + 0j), IntegrationPath((RaySegment(0.0, 1.0),)))
+            integrate_path(lambda t, log_t: np.exp(-t), IntegrationPath((RaySegment(0.0, 1.0),)))
 
     def test_converged_estimate_within_tolerance(self):
         cfg = QuadratureConfig()
-        res = integrate_path(lambda m, a: np.exp(-m + 0j),
+        res = integrate_path(lambda t, log_t: np.exp(-t),
                              IntegrationPath((RaySegment(0.0, 0.5, "outbound"),)),
                              DecayModel(1.0, 1.0, 1.0), cfg)
         assert res.converged
@@ -239,8 +235,8 @@ class TestPath:
         # vanishes; this is the engine's closed-contour test at s = 0.7
         s = 0.7
 
-        def f(mod, ang):
-            return np.exp(mod * np.exp(1j * ang) + (s - 1.0) * (np.log(mod) + 1j * ang))
+        def f(t, log_t):
+            return np.exp(t + (s - 1.0) * log_t)
 
         res = integrate_path(f, self.closed_contour())
         assert res.converged
@@ -254,7 +250,7 @@ class TestPath:
             ArcSegment(1.0, -PI, PI),
             RaySegment(PI, 1.0, "outbound", end_radius=30.0),
         ))
-        res = integrate_path(lambda m, a: 1.0 / as_complex(m, a), path)
+        res = integrate_path(lambda t, log_t: 1.0 / t, path)
         assert res.value == pytest.approx(2j * PI, abs=1e-10)
 
     def test_hankel_loop_exp_over_t(self):
@@ -265,8 +261,8 @@ class TestPath:
             RaySegment(PI, 1.0, "outbound"),
         ))
 
-        def f(mod, ang):
-            return np.exp(mod * np.exp(1j * ang) - (np.log(mod) + 1j * ang))
+        def f(t, log_t):
+            return np.exp(t - log_t)
 
         res = integrate_path(f, path, decay=DecayModel(3.0, 1.0, 1.0))
         assert res.converged
@@ -278,8 +274,8 @@ class TestPath:
             ArcSegment(4.0, 0.7, 2.0),
         ))
 
-        def f(mod, ang):
-            return np.exp(1j * as_complex(mod, ang))
+        def f(t, log_t):
+            return np.exp(1j * t)
 
         fwd = integrate_path(f, path)
         rev = integrate_path(f, IntegrationPath((
@@ -295,8 +291,8 @@ class TestPath:
             RaySegment(2.0, 1.0, "outbound"),
         ))
 
-        def f(mod, ang):
-            return np.exp(as_complex(mod, ang))
+        def f(t, log_t):
+            return np.exp(t)
 
         res = integrate_path(
             f, path,
@@ -306,12 +302,12 @@ class TestPath:
 
     def test_panels_accumulate(self):
         path = IntegrationPath((ArcSegment(1.0, -PI, PI),))
-        res = integrate_path(lambda m, a: 1.0 / as_complex(m, a), path)
+        res = integrate_path(lambda t, log_t: 1.0 / t, path)
         assert res.panels_used >= 8
 
     def test_non_convergence_reported(self):
         # a pole 1e-5 off the arc: doubling stalls on the near-singular panels
-        res = integrate_path(lambda m, a: 1.0 / (as_complex(m, a) - 0.99999),
+        res = integrate_path(lambda t, log_t: 1.0 / (t - 0.99999),
                              IntegrationPath((ArcSegment(1.0, -PI, PI),)))
         assert not res.converged
         assert res.panels_used == 128
@@ -332,18 +328,17 @@ class TestRounds:
     def counted(f):
         sizes = []
 
-        def g(mod, ang):
-            assert mod.ndim == 1 and ang.shape == mod.shape
-            sizes.append(mod.size)
-            return f(mod, ang)
+        def g(t, log_t):
+            assert t.ndim == 1 and log_t.shape == t.shape
+            sizes.append(t.size)
+            return f(t, log_t)
 
         return g, sizes
 
     @staticmethod
-    def integrand(mod, ang):
+    def integrand(t, log_t):
         # a pole 0.02 off the arc and an e^t decay along the rays: the arc
         # needs more levels than the rays
-        t = as_complex(mod, ang)
         return np.exp(t) / (t - 0.98)
 
     def one_segment(self, seg):
@@ -384,7 +379,7 @@ class TestRounds:
         # both arcs refine to 16,384 panels; past 16,384 nodes a round still
         # takes both arcs' levels in one call
         path = IntegrationPath((ArcSegment(1.0, 0.0, PI), ArcSegment(1.0, PI, 2 * PI)))
-        g, sizes = self.counted(lambda m, a: (0.3 + 1.7j) * np.sqrt(as_complex(m, a) - 1.0))
+        g, sizes = self.counted(lambda t, log_t: (0.3 + 1.7j) * np.sqrt(t - 1.0))
         res = integrate_path(g, path, cfg=QuadratureConfig(rel_tol=1e-12))
         assert res.panels_used == 2 * 16384
         # level k of one arc has 120 * 2**k nodes; round 0 takes levels 0 and 1
@@ -397,12 +392,13 @@ class TestRounds:
             ArcSegment(1.0, -2.0, 2.0),
             RaySegment(2.0, 1.0, "outbound"),
         ))
-        # Gauss nodes are interior: only arc nodes have modulus 1, only ray
-        # nodes sit at angle -2 or 2
-        where = [lambda m, a: a == -2.0, lambda m, a: m == 1.0, lambda m, a: a == 2.0][bad]
+        # Gauss nodes are interior: only arc nodes have modulus 1 (log 0),
+        # only ray nodes sit at angle -2 or 2
+        where = [lambda log_t: log_t.imag == -2.0, lambda log_t: log_t.real == 0.0,
+                 lambda log_t: log_t.imag == 2.0][bad]
 
-        def f(mod, ang):
-            return np.where(where(mod, ang), np.nan, np.exp(as_complex(mod, ang)))
+        def f(t, log_t):
+            return np.where(where(log_t), np.nan, np.exp(t))
 
         with pytest.raises(IntegrandError, match="not finite"):
             integrate_path(f, path, decay=lambda ray: DecayModel(3.0, abs(math.cos(ray.angle)), 1.0))
@@ -410,8 +406,10 @@ class TestRounds:
 
 # --------------------------------------------------------------------------
 # Reference for a quadrature round: the per-job layout that _level_sums
-# replaced, kept as it was apart from the arc Jacobian, which _Segment no
-# longer computes (``_reference_jacobian`` is its former body).
+# replaced, kept as it was apart from the Jacobian, which the engine now
+# takes from each node's phase (``_reference_jacobian`` is the former body
+# of _Segment's), and the integrand's arguments, which it builds with the
+# formulas the integrands used before they took t and log t from the engine.
 # --------------------------------------------------------------------------
 
 _GAUSS_ORDER = 15
@@ -458,7 +456,7 @@ def _reference_level_sums(f, jobs) -> list[complex]:
         spans.append((at, stop))
         at = stop
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(f(mods, angs), dtype=complex)
+        vals = np.asarray(f(mods * np.exp(1j * angs), np.log(mods) + 1j * angs), dtype=complex)
         for (seg, _, _), (at, stop) in zip(levels, spans):
             v = vals[at:stop]
             np.multiply(v, _reference_jacobian(seg, angs[at:stop]), out=v)
@@ -486,9 +484,9 @@ class TestRoundReference:
     sums must have the bits of the per-job reference above."""
 
     @staticmethod
-    def integrand(mod, ang):
+    def integrand(t, log_t):
         # smooth, complex, and different on every node
-        return np.exp((0.3 - 0.7j) * mod * np.exp(1j * ang) - 0.05 * mod) * (1.5 + np.cos(3 * ang))
+        return np.exp((0.3 - 0.7j) * t - 0.05 * np.abs(t)) * (1.5 + np.cos(3 * log_t.imag))
 
     @staticmethod
     def segment(rng):
@@ -607,3 +605,37 @@ class TestGolden:
             ref = float(mpmath.exp(16) * mpmath.erfc(4))
         value = ml_contour(MLParams(2.0, 1.0), PolarComplex(4.0, PI)).value
         assert abs(value - ref) <= 2e-15 * ref
+
+
+class TestLargeRound:
+    """s = -11 + 20i converges on 1,184 panels, after a round of 17,280
+    nodes.  Recorded when the engine began passing t and log t: before, the
+    gamma integrand formed s * (log |t| + i angle), and on arrays of 256 KiB
+    or more numpy reused the temporary in place with the operands swapped,
+    which read 2,336 panels here."""
+
+    def test_exact_repr(self):
+        assert repr(recip_gamma_contour(-11 + 20j).quadrature) == (
+            "QuadratureResult(value=(2.839591908408663e+28+4.0627064423475915e+27j), "
+            "error_estimate=2.72318932301511e+18, truncation_radius=243.51678162953584, "
+            "panels_used=1184, converged=True)")
+
+
+class TestPhase:
+    """The engine builds each node's phase e^{i angle} from math.cos and
+    math.sin on a ray and from np.cos and np.sin on an arc; the integrands
+    and the Jacobian used to take it from np.exp(1j * angle).  Where these
+    differ by one bit every result may move, so this fails before
+    TestGolden does."""
+
+    ANGLES = np.random.default_rng(13).uniform(-1.0, 1.0, 400_000) * np.repeat([1e4, 7.0], 200_000)
+
+    def test_np_cos_sin_are_the_parts_of_exp(self):
+        phase = np.exp(1j * self.ANGLES)
+        assert np.cos(self.ANGLES).tobytes() == phase.real.tobytes()
+        assert np.sin(self.ANGLES).tobytes() == phase.imag.tobytes()
+
+    def test_math_cos_sin_are_the_parts_of_exp(self):
+        angles = self.ANGLES[::100]
+        expected = _bits(np.exp(1j * angles))
+        assert _bits(complex(math.cos(a), math.sin(a)) for a in angles.tolist()) == expected
