@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gamma import (
-    DEFAULT_GAMMA_SPEC,
     recip_gamma_contour,
     recip_gamma_oracle,
     reflection_residual,

@@ -1,16 +1,19 @@
 """Command-line interface.
 
-Subcommands: eval, grid, invariance, window, compare, selftest.  Results are
-CSV (default), floats at 17 significant digits, or JSON, floats as Python's
-shortest round-trip repr; identical invocations give identical bytes.  z is
+Subcommands: eval, grid, invariance, window, compare, selftest.  Commands
+build plain records and one writer, ``emit``, formats them all: CSV
+(default), floats at 17 significant digits, or JSON, floats as Python's
+shortest round-trip repr and a non-finite float as null, so that the JSON is
+strict (the CSV keeps inf); identical invocations give identical bytes.  z is
 always given as (modulus, argument): the loop representations are stated in
 arg z, and Cartesian input would be ambiguous exactly where they are most
 useful (arg z = pi).
 
 Which Mittag-Leffler route runs, and with which contour parameters, is the
 library's decision (``mittag_leffler.evaluate_ml`` and ``ml_route``); the
-commands here parse flags, call it and format what comes back.  Grid rows
-are computed one after another, in order.
+commands here parse flags, call it and read what comes back, gamma and
+Mittag-Leffler results alike, through ``evaluation_record``.  Grid rows are
+computed one after another, in order.
 
 Exit codes: 0 success, 1 threshold/criterion failure, 2 precondition or
 validation error, 3 numerical non-convergence.
@@ -54,16 +57,12 @@ from .mittag_leffler import (
 # Unused here; kept because perfbench's tracer wraps these names in this module.
 from .geometry import validate_ml_contour  # noqa: F401
 from .mittag_leffler import default_ml_spec, ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureResult
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_PRECONDITION = 2
 EXIT_NON_CONVERGENCE = 3
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def load_config_args(path: str) -> list[str]:
@@ -125,18 +124,21 @@ def resolve_z(ns: argparse.Namespace) -> PolarComplex:
     return PolarComplex(ns.z_mod, arg)
 
 
-def emit(ns: argparse.Namespace, rows: list[dict], json_payload=None) -> None:
-    """Write CSV rows or a JSON payload to --output (or stdout)."""
+def emit(ns: argparse.Namespace, rows: list[dict], payload) -> None:
+    """Write ``rows`` as CSV, or ``payload`` as JSON, to --output (or stdout).
+
+    The CSV header is the first row's keys; None is an empty cell and a
+    float has 17 significant digits."""
     if ns.format == "json":
-        text = json.dumps(json_payload if json_payload is not None else rows, indent=2)
-        text += "\n"
+        # Read back with Infinity and NaN as None, so that they are written as null.
+        strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(strict, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                          for v in row.values()] for row in rows)
         text = buf.getvalue()
     if ns.output:
         with open(ns.output, "w", encoding="utf-8", newline="") as fh:
@@ -146,6 +148,10 @@ def emit(ns: argparse.Namespace, rows: list[dict], json_payload=None) -> None:
 
 
 def evaluation_record(ev) -> dict:
+    """A gamma or Mittag-Leffler result as a record: its value and its
+    diagnostics' evidence.  A series result gives its terms, cancellation
+    digits and flags; a loop result its quadrature's error estimate, panels
+    and truncation radius."""
     diag = ev.diagnostics
     flags = []
     rec = {
@@ -157,7 +163,6 @@ def evaluation_record(ev) -> dict:
         "panels": None,
         "truncation_radius": None,
         "cancellation_digits": None,
-        "flags": "",
     }
     if isinstance(diag, SeriesDiagnostics):
         rec["terms"] = diag.terms_used
@@ -166,7 +171,7 @@ def evaluation_record(ev) -> dict:
             flags.append("series_cancellation_unreliable")
         if not diag.converged:
             flags.append("not_converged")
-    elif isinstance(diag, QuadratureResult):
+    else:
         rec["err_estimate"] = diag.error_estimate
         rec["panels"] = diag.panels_used
         rec["truncation_radius"] = diag.truncation_radius
@@ -174,16 +179,9 @@ def evaluation_record(ev) -> dict:
     return rec
 
 
-def record_for_csv(rec: dict) -> dict:
-    out = {}
-    for key, value in rec.items():
-        if value is None:
-            out[key] = ""
-        elif isinstance(value, float):
-            out[key] = fmt(value)
-        else:
-            out[key] = value
-    return out
+def _not_converged(rec: dict) -> bool:
+    """A series that ran out of terms: its record has a value, yet it failed."""
+    return "not_converged" in rec["flags"].split(";")
 
 
 # --------------------------------------------------------------------------
@@ -206,10 +204,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                      epsilon=ns.arc_radius, theta=theta)
 
     rec = evaluation_record(ev)
-    emit(ns, [record_for_csv(rec)], json_payload=rec)
-    if isinstance(ev.diagnostics, SeriesDiagnostics) and not ev.diagnostics.converged:
-        return EXIT_NON_CONVERGENCE
-    return EXIT_OK
+    emit(ns, [rec], rec)
+    return EXIT_NON_CONVERGENCE if _not_converged(rec) else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -238,31 +234,33 @@ _ROW_STATUS = {ContourValidityError: "window_violation",
                PreconditionError: "precondition_violation",
                ConvergenceError: "non_convergence",
                IntegrandError: "non_convergence"}
-_ROW_ERRORS = tuple(_ROW_STATUS)
 
 
-def _row_status(exc: Exception) -> str:
-    return next(status for cls, status in _ROW_STATUS.items() if isinstance(exc, cls))
-
-
-def _gamma_row(s_re: float, s_im: float, method: str, cfg: QuadratureConfig,
-               oracle_value: complex | None) -> dict:
-    """One row of ``grid gamma``; ``cmd_grid`` computes the oracle's values
-    in one array call."""
-    row = {"s_re": s_re, "s_im": s_im, "value_re": None, "value_im": None,
-           "err_estimate": None, "method": method, "flags": "", "status": "ok"}
+def _grid_row(coords: dict, method: str, record, *args) -> dict:
+    """One grid row: ``coords``, the route's name, and the value, error
+    estimate and flags of ``record(*args)``, or the status of the error it
+    raises."""
+    row = {**coords, "value_re": None, "value_im": None, "err_estimate": None,
+           "method": method, "flags": "", "status": "ok"}
     try:
-        if method == "oracle":
-            value = complex(oracle_value)
-            err = 0.0
-        else:
-            ev = recip_gamma_contour(complex(s_re, s_im), DEFAULT_GAMMA_SPEC, cfg)
-            value = ev.value
-            err = ev.quadrature.error_estimate
-        row["value_re"], row["value_im"], row["err_estimate"] = value.real, value.imag, err
-    except _ROW_ERRORS as exc:
-        row["status"] = _row_status(exc)
+        rec = record(*args)
+    except tuple(_ROW_STATUS) as exc:
+        row["status"] = next(status for cls, status in _ROW_STATUS.items()
+                             if isinstance(exc, cls))
+        return row
+    for key in ("value_re", "value_im", "err_estimate", "flags"):
+        row[key] = rec[key]
+    if _not_converged(rec):
+        row["status"] = "non_convergence"
     return row
+
+
+def _gamma_record(s: complex, cfg: QuadratureConfig) -> dict:
+    return evaluation_record(recip_gamma_contour(s, DEFAULT_GAMMA_SPEC, cfg))
+
+
+def _oracle_record(value: complex) -> dict:
+    return {"value_re": value.real, "value_im": value.imag, "err_estimate": 0.0, "flags": ""}
 
 
 def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
@@ -270,20 +268,8 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
     z = PolarComplex(z_mod, z_arg)
     # Resolved here so that a failed row still names the route it was sent to.
     route = ml_route(params, z) if method == "auto" else method
-    row = {"z_mod": z_mod, "z_arg": z_arg, "value_re": None, "value_im": None,
-           "err_estimate": None, "method": route, "flags": "", "status": "ok"}
-    try:
-        ev = evaluate_ml(params, z, route, cfg)
-    except _ROW_ERRORS as exc:
-        row["status"] = _row_status(exc)
-        return row
-    rec = evaluation_record(ev)
-    row["value_re"], row["value_im"] = rec["value_re"], rec["value_im"]
-    row["err_estimate"] = rec["err_estimate"]
-    row["flags"] = rec["flags"]
-    if isinstance(ev.diagnostics, SeriesDiagnostics) and not ev.diagnostics.converged:
-        row["status"] = "non_convergence"
-    return row
+    return _grid_row({"z_mod": z_mod, "z_arg": z_arg}, route,
+                     lambda: evaluation_record(evaluate_ml(params, z, route, cfg)))
 
 
 def cmd_grid(ns: argparse.Namespace) -> int:
@@ -291,17 +277,21 @@ def cmd_grid(ns: argparse.Namespace) -> int:
     if ns.target == "gamma":
         points = [(a, b) for a in _axis(ns.re_min, ns.re_max, ns.re_step)
                   for b in _axis(ns.im_min, ns.im_max, ns.im_step)]
-        # The array call gives the same bits as one scalar call per point.
-        oracle = (recip_gamma_oracle([complex(a, b) for a, b in points])
-                  if ns.method == "oracle" else [None] * len(points))
-        rows = [_gamma_row(a, b, ns.method, cfg, v) for (a, b), v in zip(points, oracle)]
+        if ns.method == "oracle":
+            # The array call gives the same bits as one scalar call per point.
+            values = recip_gamma_oracle([complex(a, b) for a, b in points]).tolist()
+            rows = [_grid_row({"s_re": a, "s_im": b}, "oracle", _oracle_record, v)
+                    for (a, b), v in zip(points, values)]
+        else:
+            rows = [_grid_row({"s_re": a, "s_im": b}, "contour", _gamma_record,
+                              complex(a, b), cfg) for a, b in points]
     else:
         params = resolve_params(ns)
         mod_axis = _axis(ns.zmod_min, ns.zmod_max, ns.zmod_step)
         arg_axis = _axis(ns.zarg_min, ns.zarg_max, ns.zarg_step)
         rows = [_ml_row(m, a, params, ns.method, cfg) for m in mod_axis for a in arg_axis]
 
-    emit(ns, [record_for_csv(r) for r in rows], json_payload=rows)
+    emit(ns, rows, rows)
     return EXIT_OK if any(r["status"] == "ok" for r in rows) else EXIT_THRESHOLD
 
 
@@ -367,7 +357,7 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
         "threshold": ns.threshold,
         "passed": passed,
     }
-    emit(ns, [record_for_csv(payload)], json_payload=payload)
+    emit(ns, [payload], payload)
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
@@ -375,18 +365,9 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
 # window
 # --------------------------------------------------------------------------
 
-def _window_payload(low: float, high: float, samples: int) -> dict:
-    payload = {"low": low, "high": high, "inclusive": False}
-    if samples:
-        boundary = []
-        for k in range(samples):
-            ang = low + (high - low) * k / max(samples - 1, 1)
-            boundary.append({"angle": ang, "x": math.cos(ang), "y": math.sin(ang)})
-        payload["boundary"] = boundary
-    return payload
-
-
 def cmd_window(ns: argparse.Namespace) -> int:
+    if ns.samples < 0:
+        raise PreconditionError("--samples must be >= 0")
     if ns.target == "ml":
         d1, d2 = ns.delta1_rho, ns.delta2_rho
         if (d1 is None) != (d2 is None):
@@ -396,18 +377,24 @@ def cmd_window(ns: argparse.Namespace) -> int:
         low, high = ml_arg_window(ns.rho, d1, d2)
     else:
         low, high = gamma_psi_window(ns.delta1, ns.delta2)
-    payload = _window_payload(low, high, ns.samples)
-    if ns.format == "csv":
-        row = {"low": fmt(low), "high": fmt(high), "inclusive": "false"}
-        emit(ns, [row], json_payload=payload)
-    else:
-        emit(ns, [], json_payload=payload)
+    payload = {"low": low, "high": high, "inclusive": False}
+    if ns.samples:
+        angles = [low + (high - low) * k / max(ns.samples - 1, 1) for k in range(ns.samples)]
+        payload["boundary"] = [{"angle": a, "x": math.cos(a), "y": math.sin(a)} for a in angles]
+    # The boundary polyline is JSON only.
+    emit(ns, [{"low": low, "high": high, "inclusive": "false"}], payload)
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # compare
 # --------------------------------------------------------------------------
+
+#: The columns of ``compare``'s CSV; a method row leaves ``method_b`` and
+#: ``deviation`` empty, a deviation row every column but the two methods.
+_COMPARE_COLUMNS = ("record", "method_a", "method_b", "value_re", "value_im",
+                    "error_estimate", "status", "reliable", "deviation", "reason")
+
 
 def cmd_compare(ns: argparse.Namespace) -> int:
     params = resolve_params(ns)
@@ -417,48 +404,24 @@ def cmd_compare(ns: argparse.Namespace) -> int:
                              bateman_epsilon=ns.bateman_radius,
                              dzh_epsilon=ns.dzh_radius,
                              dzh_theta=ns.theta)
-    rows = []
-    for o in report.outcomes:
-        rows.append(record_for_csv({
-            "record": "method",
-            "method_a": o.method,
-            "method_b": "",
-            "value_re": None if o.value is None else o.value.real,
-            "value_im": None if o.value is None else o.value.imag,
-            "error_estimate": o.error_estimate,
-            "status": o.status,
-            "reliable": str(o.reliable).lower(),
-            "deviation": None,
-            "reason": o.reason,
-        }))
-    for (ma, mb), dev in sorted(report.deviations.items()):
-        rows.append(record_for_csv({
-            "record": "deviation",
-            "method_a": ma,
-            "method_b": mb,
-            "value_re": None,
-            "value_im": None,
-            "error_estimate": None,
-            "status": "",
-            "reliable": "",
-            "deviation": dev,
-            "reason": "",
-        }))
+    outcomes = [{"method": o.method, "status": o.status,
+                 "value_re": None if o.value is None else o.value.real,
+                 "value_im": None if o.value is None else o.value.imag,
+                 "error_estimate": o.error_estimate, "reliable": o.reliable,
+                 "reason": o.reason} for o in report.outcomes]
+    deviations = sorted(report.deviations.items())
+    rows = [{**o, "record": "method", "method_a": o["method"],
+             "reliable": str(o["reliable"]).lower()} for o in outcomes]
+    rows += [{"record": "deviation", "method_a": a, "method_b": b, "deviation": d}
+             for (a, b), d in deviations]
     payload = {
         "params": {"rho": params.rho, "mu_re": complex(params.mu).real,
                    "mu_im": complex(params.mu).imag},
         "z": {"modulus": z.modulus, "argument": z.argument},
-        "outcomes": [
-            {"method": o.method, "status": o.status,
-             "value_re": None if o.value is None else o.value.real,
-             "value_im": None if o.value is None else o.value.imag,
-             "error_estimate": o.error_estimate,
-             "reliable": o.reliable, "reason": o.reason}
-            for o in report.outcomes
-        ],
-        "deviations": {f"{a}|{b}": d for (a, b), d in sorted(report.deviations.items())},
+        "outcomes": outcomes,
+        "deviations": {f"{a}|{b}": d for (a, b), d in deviations},
     }
-    emit(ns, rows, json_payload=payload)
+    emit(ns, [{col: row.get(col) for col in _COMPARE_COLUMNS} for row in rows], payload)
     return EXIT_OK
 
 
@@ -474,12 +437,8 @@ def cmd_selftest(ns: argparse.Namespace) -> int:
         print(f"no acceptance criteria match --only {ns.only!r}", file=sys.stderr)
         return EXIT_PRECONDITION
     if ns.json:
-        payload = [
-            {"criterion": r.criterion, "passed": r.passed, "detail": r.detail,
-             "runtime_seconds": r.runtime_seconds}
-            for r in results
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        emit(ns, [], [{"criterion": r.criterion, "passed": r.passed, "detail": r.detail,
+                       "runtime_seconds": r.runtime_seconds} for r in results])
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -602,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--only", default=None,
                         help="run only criteria whose name contains this substring")
     p_self.add_argument("--json", action="store_true")
-    p_self.set_defaults(func=cmd_selftest)
+    # --json goes through emit, which reads these.
+    p_self.set_defaults(func=cmd_selftest, format="json", output=None)
 
     return parser
 

@@ -153,10 +153,15 @@ def recip_gamma_oracle(s) -> complex | np.ndarray:
 
 @dataclass(frozen=True)
 class GammaEvaluation:
+    """1/Gamma(s) from the contour route.  ``diagnostics`` is the loop's
+    QuadratureResult, scaled like ``value`` (error estimate, panels,
+    truncation radius): the field ``MLEvaluation`` fills the same way, so
+    gamma and Mittag-Leffler results are read alike."""
+
     s: complex
     value: complex
     method: str  # "contour"
-    quadrature: QuadratureResult | None = None
+    diagnostics: QuadratureResult | None = None
 
 
 def _loop_integrand(s: complex, lam: complex):

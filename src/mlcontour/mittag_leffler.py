@@ -537,20 +537,26 @@ def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
 # --------------------------------------------------------------------------
 
 def ml_closed_form(params: MLParams, z: complex) -> Optional[complex]:
-    """Known elementary cases; None when (rho, mu) has no closed form here."""
+    """Known elementary cases; None when (rho, mu) has no closed form here.
+
+    Raises PreconditionError where the value leaves the double range."""
     z = complex(z)
     mu = complex(params.mu)
     if mu.imag != 0.0:
         return None
     key = (params.rho, mu.real)
-    if key == (1.0, 1.0):
-        return cmath.exp(z)
-    if key == (1.0, 2.0):
-        if z == 0:
-            return 1.0 + 0j
-        return (cmath.exp(z) - 1.0) / z
-    if key == (0.5, 1.0):
-        return cmath.cosh(cmath.sqrt(z))
+    try:
+        if key == (1.0, 1.0):
+            return cmath.exp(z)
+        if key == (1.0, 2.0):
+            if z == 0:
+                return 1.0 + 0j
+            return (cmath.exp(z) - 1.0) / z
+        if key == (0.5, 1.0):
+            return cmath.cosh(cmath.sqrt(z))
+    except OverflowError:
+        raise PreconditionError(
+            f"closed form overflows for rho={params.rho}, mu={params.mu}, z={z}") from None
     return None
 
 
@@ -614,9 +620,13 @@ def compare_methods(params: MLParams, z: PolarComplex,
     run("bateman", lambda: ml_bateman(params, z, bateman_epsilon, cfg))
     run("dzhrbashyan", lambda: ml_dzhrbashyan(params, z, dzh_epsilon, dzh_theta, cfg))
 
-    closed = ml_closed_form(params, z.to_complex())
-    if closed is not None:
-        outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0))
+    try:
+        closed = ml_closed_form(params, z.to_complex())
+    except PreconditionError as exc:
+        outcomes.append(MethodOutcome("closed-form", "skipped", reason=str(exc)))
+    else:
+        if closed is not None:
+            outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0))
 
     usable = [o for o in outcomes if o.status == "ok" and o.reliable]
     deviations: dict[tuple[str, str], float] = {}

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import re
 
 import pytest
@@ -386,6 +387,13 @@ class TestWindow:
         assert code == 0
         assert len(json.loads(out)["boundary"]) == 4
 
+    @pytest.mark.parametrize("target", [("ml", "--rho", 1.5),
+                                        ("gamma", "--delta1", 2.5, "--delta2", 3)])
+    def test_negative_samples_is_precondition_error(self, capsys, target):
+        code = main([str(a) for a in ("window", *target, "--samples", -3)])
+        assert code == 2
+        assert "--samples must be >= 0" in capsys.readouterr().err
+
 
 class TestInvariance:
     S = ("--s-re", 2, "--s-im", 1)
@@ -489,6 +497,44 @@ class TestOutput:
                 assert row[key] == str(value)
 
 
+class TestStrictJson:
+    """JSON output is strict RFC 8259: a non-finite float is written as null."""
+
+    POINT = ("--rho", 1, "--mu-re", 1)
+
+    @staticmethod
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", *POINT, "--z-mod", 800, "--z-arg", 0, "--method", "series"),
+        ("grid", "ml", *POINT, "--zmod-min", 800, "--zmod-max", 800, "--zmod-step", 1,
+         "--zarg-min", 0, "--zarg-max", 0, "--zarg-step", 1, "--method", "series"),
+        ("compare", *POINT, "--z-mod", 800, "--z-arg", 0),
+        ("grid", "ml", "--rho", 4, "--mu-re", 1, "--zmod-min", 10, "--zmod-max", 10,
+         "--zmod-step", 1, "--zarg-min", 0, "--zarg-max", 0, "--zarg-step", 1,
+         "--method", "series"),  # the sum overflows to inf
+    ])
+    def test_parses_without_constants(self, capsys, argv):
+        _, out = run(capsys, *argv, "--format", "json")
+        json.loads(out, parse_constant=self.refuse)
+
+
+class TestClosedFormOverflow:
+    """Where the closed form leaves the double range, compare skips it."""
+
+    @pytest.mark.parametrize("point", [(1, 1, 800), (1, 2, 800), (0.5, 1, 1e6)])
+    def test_compare_skips_the_closed_form(self, capsys, point):
+        rho, mu_re, z_mod = point
+        code, out = run(capsys, "compare", "--rho", rho, "--mu-re", mu_re,
+                        "--z-mod", z_mod, "--z-arg", 0)
+        assert code == 0
+        rows = {r["method_a"]: r for r in csv.DictReader(io.StringIO(out))
+                if r["record"] == "method"}
+        assert rows["closed-form"]["status"] == "skipped"
+        assert rows["closed-form"]["reason"].startswith("closed form overflows")
+
+
 class TestQuadratureFlags:
     @pytest.mark.parametrize("command", [("eval",), ("grid", "gamma"), ("grid", "ml"),
                                          ("invariance", "gamma"), ("invariance", "ml"),
@@ -548,3 +594,53 @@ class TestOracleGrid:
             assert row["err_estimate"] == 0.0 and row["status"] == "ok"
         # the poles at Re s = -3, ..., 0 on the real axis are exact zeros
         assert sum(r["value_re"] == 0.0 and r["value_im"] == 0.0 for r in rows) == 4
+
+
+class TestOutputBytes:
+    """Every command's exact stdout and exit code, in CSV and in JSON, as
+    recorded in ``cli_output.txt``: the output format is a contract."""
+
+    GRID_ML = ("grid", "ml", "--zmod-min", 1, "--zmod-max", 1, "--zmod-step", 1)
+    CASES = {
+        "eval": ("eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1),
+        "eval_series_overflow": ("eval", "--rho", 1, "--mu-re", 1, "--z-mod", 800,
+                                 "--z-arg", 0, "--method", "series"),
+        "grid_gamma_contour": ("grid", "gamma", "--re-min", 0.5, "--re-max", 1.5,
+                               "--re-step", 1, "--im-min", 0, "--im-max", 0, "--im-step", 1),
+        "grid_gamma_oracle": ("grid", "gamma", "--re-min", -1, "--re-max", 0.5,
+                              "--re-step", 1.5, "--im-min", 0, "--im-max", 0, "--im-step", 1,
+                              "--method", "oracle"),
+        "grid_ml_auto": (*GRID_ML, "--rho", 1, "--mu-re", 1, "--zarg-min", 0,
+                         "--zarg-max", repr(PI), "--zarg-step", repr(PI)),
+        "grid_ml_window_violation": (*GRID_ML, "--rho", 2, "--mu-re", 1, "--zarg-min", 0,
+                                     "--zarg-max", 0, "--zarg-step", 1, "--method", "contour"),
+        "grid_ml_series_non_convergence": (
+            "grid", "ml", "--rho", 4, "--mu-re", 1, "--zmod-min", 1, "--zmod-max", 10,
+            "--zmod-step", 9, "--zarg-min", 0, "--zarg-max", 0, "--zarg-step", 1,
+            "--method", "series"),
+        "invariance": ("invariance", "gamma", "--s-re", 2.5, "--points", 3),
+        "window": ("window", "ml", "--rho", 1.5, "--samples", 2),
+        "compare": ("compare", "--rho", 2, "--mu-re", 1, "--z-mod", 4, "--z-arg-pi", 1),
+    }
+
+    @staticmethod
+    def recorded() -> dict:
+        sections, key = {}, None
+        path = pathlib.Path(__file__).with_name("cli_output.txt")
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            header = re.fullmatch(r"# (\w+) (csv|json) -> (\d+)\n", line)
+            if header:
+                key = header[1], header[2]
+                sections[key] = [int(header[3]), ""]
+            elif key is not None:
+                sections[key][1] += line
+        return sections
+
+    def test_every_case_is_recorded(self):
+        assert set(self.recorded()) == {(c, f) for c in self.CASES for f in ("csv", "json")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes(self, capsys, case, fmt):
+        code, out = run(capsys, *self.CASES[case], "--format", fmt)
+        assert [code, out] == self.recorded()[case, fmt]

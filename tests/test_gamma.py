@@ -199,9 +199,9 @@ class TestContour:
 
     def test_evaluation_carries_quadrature(self):
         ev = recip_gamma_contour(0.5)
-        assert ev.quadrature is not None
-        assert ev.quadrature.converged
-        assert ev.quadrature.value == ev.value
+        assert ev.diagnostics is not None
+        assert ev.diagnostics.converged
+        assert ev.diagnostics.value == ev.value
 
 
 class TestLambdaRoute:
@@ -210,7 +210,7 @@ class TestLambdaRoute:
         a = recip_gamma_contour(s, lam=PolarComplex(1.0, 0.0))
         b = recip_gamma_contour(s)
         assert a.value == b.value
-        assert a.quadrature == b.quadrature
+        assert a.diagnostics == b.diagnostics
 
     def test_value_independent_of_lambda(self):
         s = 1.0

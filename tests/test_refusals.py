@@ -12,7 +12,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcontour import (
@@ -65,6 +65,10 @@ RHOS = (0.3, 0.5, math.nextafter(0.5, 0.0), 1.0, 2.0)
 #: |z| and arg z, including z = 0 and the rho = 2 window's edges 3pi/4, 5pi/4.
 Z = st.builds(PolarComplex, st.sampled_from((0.0, 1.0, 4.0)),
               st.sampled_from((0.0, HALF_PI, 0.75 * PI, PI, 1.25 * PI)))
+
+#: Z plus |z| = 800 and 1e6, where the closed forms leave the double range.
+COMPARE_Z = st.builds(PolarComplex, st.sampled_from((0.0, 1.0, 4.0, 800.0, 1e6)),
+                      st.sampled_from((0.0, HALF_PI, 0.75 * PI, PI, 1.25 * PI)))
 
 #: gamma ray half-angles: open at pi/2, closed at pi.
 GAMMA_DELTAS = (*at_and_past(HALF_PI, -math.inf), HALF_PI + 1e-10,
@@ -178,8 +182,10 @@ class TestMLRoutes:
         with pytest.raises(PreconditionError, match="too small"):
             ml_bateman(MLParams(0.5, 1.0), PolarComplex(0.0, 0.0), eps)
 
-    @given(rho=st.sampled_from(RHOS), z=Z,
+    @given(rho=st.sampled_from(RHOS), z=COMPARE_Z,
            eps=st.sampled_from((None,) + RADII), theta=st.sampled_from((None, 0.0, math.nan)))
+    @example(rho=1.0, z=PolarComplex(800.0, 0.0), eps=None, theta=None)
+    @example(rho=0.5, z=PolarComplex(1e6, 0.0), eps=None, theta=None)
     @settings(max_examples=40, deadline=None)
     def test_compare_methods_never_raises(self, rho, z, eps, theta):
         report = compare_methods(MLParams(rho, 1.0), z, bateman_epsilon=eps,
