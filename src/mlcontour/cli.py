@@ -15,8 +15,9 @@ commands here parse flags, call it and read what comes back, gamma and
 Mittag-Leffler results alike, through ``evaluation_record``.  Grid rows are
 computed one after another, in order.
 
-Exit codes: 0 success, 1 threshold/criterion failure, 2 precondition or
-validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 1 threshold/criterion failure, 2 a refusal
+(``PreconditionError``) or an unreadable file, 3 a numerical failure
+(``ConvergenceError``).  Any other error is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import ContourValidityError, ConvergenceError, IntegrandError, PreconditionError
+from .errors import ContourValidityError, ConvergenceError, PreconditionError
 from .gamma import (
     DEFAULT_GAMMA_SPEC,
     recip_gamma_contour,
@@ -66,19 +67,22 @@ EXIT_NON_CONVERGENCE = 3
 
 
 def load_config_args(path: str) -> list[str]:
-    """Read ``key = value`` lines into CLI flags (later flags override)."""
+    """Read a UTF-8 file's ``key = value`` lines into CLI flags (later flags override)."""
     args: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise PreconditionError(f"{path}:{lineno}: empty key")
-            args.extend([f"--{key.replace('_', '-')}", value])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise PreconditionError(f"{path}:{lineno}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if not key:
+                    raise PreconditionError(f"{path}:{lineno}: empty key")
+                args.extend([f"--{key.replace('_', '-')}", value])
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path} is not UTF-8: {exc.reason}") from None
     return args
 
 
@@ -127,8 +131,8 @@ def resolve_z(ns: argparse.Namespace) -> PolarComplex:
 def emit(ns: argparse.Namespace, rows: list[dict], payload) -> None:
     """Write ``rows`` as CSV, or ``payload`` as JSON, to --output (or stdout).
 
-    The CSV header is the first row's keys; None is an empty cell and a
-    float has 17 significant digits."""
+    The CSV header is the first row's keys; None is an empty cell, a bool
+    true or false, and a float has 17 significant digits."""
     if ns.format == "json":
         # Read back with Infinity and NaN as None, so that they are written as null.
         strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
@@ -137,7 +141,8 @@ def emit(ns: argparse.Namespace, rows: list[dict], payload) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])
-        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+        writer.writerows([str(v).lower() if isinstance(v, bool) else
+                          format(v, ".17g") if isinstance(v, float) else v
                           for v in row.values()] for row in rows)
         text = buf.getvalue()
     if ns.output:
@@ -153,7 +158,6 @@ def evaluation_record(ev) -> dict:
     digits and flags; a loop result its quadrature's error estimate, panels
     and truncation radius."""
     diag = ev.diagnostics
-    flags = []
     rec = {
         "method": ev.method,
         "value_re": ev.value.real,
@@ -163,25 +167,17 @@ def evaluation_record(ev) -> dict:
         "panels": None,
         "truncation_radius": None,
         "cancellation_digits": None,
+        "flags": "",
     }
     if isinstance(diag, SeriesDiagnostics):
         rec["terms"] = diag.terms_used
         rec["cancellation_digits"] = diag.cancellation_digits
-        if diag.unreliable:
-            flags.append("series_cancellation_unreliable")
-        if not diag.converged:
-            flags.append("not_converged")
+        rec["flags"] = ";".join(diag.flags)
     else:
         rec["err_estimate"] = diag.error_estimate
         rec["panels"] = diag.panels_used
         rec["truncation_radius"] = diag.truncation_radius
-    rec["flags"] = ";".join(flags)
     return rec
-
-
-def _not_converged(rec: dict) -> bool:
-    """A series that ran out of terms: its record has a value, yet it failed."""
-    return "not_converged" in rec["flags"].split(";")
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +201,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     rec = evaluation_record(ev)
     emit(ns, [rec], rec)
-    return EXIT_NON_CONVERGENCE if _not_converged(rec) else EXIT_OK
+    # A series that ran out of terms has a value, yet it failed.
+    return EXIT_OK if ev.diagnostics.converged else EXIT_NON_CONVERGENCE
 
 
 # --------------------------------------------------------------------------
@@ -232,14 +229,13 @@ def _axis(lo: float, hi: float, step: float) -> list[float]:
 #: first match counts, so the subclass ContourValidityError comes first.
 _ROW_STATUS = {ContourValidityError: "window_violation",
                PreconditionError: "precondition_violation",
-               ConvergenceError: "non_convergence",
-               IntegrandError: "non_convergence"}
+               ConvergenceError: "non_convergence"}
 
 
 def _grid_row(coords: dict, method: str, record, *args) -> dict:
     """One grid row: ``coords``, the route's name, and the value, error
-    estimate and flags of ``record(*args)``, or the status of the error it
-    raises."""
+    estimate, flags and status of ``record(*args)``, or the status of the
+    error it raises."""
     row = {**coords, "value_re": None, "value_im": None, "err_estimate": None,
            "method": method, "flags": "", "status": "ok"}
     try:
@@ -248,19 +244,25 @@ def _grid_row(coords: dict, method: str, record, *args) -> dict:
         row["status"] = next(status for cls, status in _ROW_STATUS.items()
                              if isinstance(exc, cls))
         return row
-    for key in ("value_re", "value_im", "err_estimate", "flags"):
+    for key in ("value_re", "value_im", "err_estimate", "flags", "status"):
         row[key] = rec[key]
-    if _not_converged(rec):
-        row["status"] = "non_convergence"
     return row
 
 
+def _row_record(ev) -> dict:
+    """``evaluation_record`` and the row's status: a series out of terms failed."""
+    return {**evaluation_record(ev),
+            "status": "ok" if ev.diagnostics.converged else "non_convergence"}
+
+
 def _gamma_record(s: complex, cfg: QuadratureConfig) -> dict:
-    return evaluation_record(recip_gamma_contour(s, DEFAULT_GAMMA_SPEC, cfg))
+    return _row_record(recip_gamma_contour(s, DEFAULT_GAMMA_SPEC, cfg))
 
 
 def _oracle_record(value: complex) -> dict:
-    return {"value_re": value.real, "value_im": value.imag, "err_estimate": 0.0, "flags": ""}
+    # The oracle has no estimate of its own error at a point.
+    return {"value_re": value.real, "value_im": value.imag, "err_estimate": None,
+            "flags": "", "status": "ok"}
 
 
 def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
@@ -269,7 +271,7 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
     # Resolved here so that a failed row still names the route it was sent to.
     route = ml_route(params, z) if method == "auto" else method
     return _grid_row({"z_mod": z_mod, "z_arg": z_arg}, route,
-                     lambda: evaluation_record(evaluate_ml(params, z, route, cfg)))
+                     lambda: _row_record(evaluate_ml(params, z, route, cfg)))
 
 
 def cmd_grid(ns: argparse.Namespace) -> int:
@@ -377,12 +379,11 @@ def cmd_window(ns: argparse.Namespace) -> int:
         low, high = ml_arg_window(ns.rho, d1, d2)
     else:
         low, high = gamma_psi_window(ns.delta1, ns.delta2)
-    payload = {"low": low, "high": high, "inclusive": False}
-    if ns.samples:
-        angles = [low + (high - low) * k / max(ns.samples - 1, 1) for k in range(ns.samples)]
-        payload["boundary"] = [{"angle": a, "x": math.cos(a), "y": math.sin(a)} for a in angles]
+    row = {"low": low, "high": high, "inclusive": False}
+    angles = [low + (high - low) * k / max(ns.samples - 1, 1) for k in range(ns.samples)]
+    boundary = [{"angle": a, "x": math.cos(a), "y": math.sin(a)} for a in angles]
     # The boundary polyline is JSON only.
-    emit(ns, [{"low": low, "high": high, "inclusive": "false"}], payload)
+    emit(ns, [row], {**row, "boundary": boundary} if boundary else row)
     return EXIT_OK
 
 
@@ -410,8 +411,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
                  "error_estimate": o.error_estimate, "reliable": o.reliable,
                  "reason": o.reason} for o in report.outcomes]
     deviations = sorted(report.deviations.items())
-    rows = [{**o, "record": "method", "method_a": o["method"],
-             "reliable": str(o["reliable"]).lower()} for o in outcomes]
+    rows = [{**o, "record": "method", "method_a": o["method"]} for o in outcomes]
     rows += [{"record": "deviation", "method_a": a, "method_b": b, "deviation": d}
              for (a, b), d in deviations]
     payload = {
@@ -583,9 +583,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     file_args = load_config_args(found.config)
     # number of leading subcommand tokens: 1 (eval/compare/selftest) or 2
-    n_sub = 1
-    if rest and rest[0] in ("grid", "invariance", "window"):
-        n_sub = 2
+    n_sub = 2 if rest and rest[0] in ("grid", "invariance", "window") else 1
     if len(rest) < n_sub:
         raise PreconditionError("--config given without a complete subcommand")
     return rest[:n_sub] + file_args + rest[n_sub:]
@@ -604,10 +602,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _apply_config_file(argv)
         ns = _parser().parse_args(argv)
         return ns.func(ns)
-    except (ValueError, OSError) as exc:  # PreconditionError is a ValueError
+    except (PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConvergenceError, IntegrandError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
 

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every refusal of an input is a :class:`PreconditionError`, raised once by
-the function that checks the condition; a loop spec outside its
-admissibility window is the subclass :class:`ContourValidityError`.
+A route that does not answer either refuses its input with a
+:class:`PreconditionError`, raised once by the function that checks it
+(:class:`ContourValidityError` for a loop spec outside its window), or fails
+with a :class:`ConvergenceError` when the numerics miss the tolerance
+(:class:`IntegrandError` for a non-finite integrand or an untruncatable ray).
 """
 
 from __future__ import annotations
@@ -36,5 +38,5 @@ class ConvergenceError(MlcError, RuntimeError):
     """The quadrature (or series) failed to reach the requested tolerance."""
 
 
-class IntegrandError(MlcError, ArithmeticError):
-    """The integrand produced a non-finite sample; the segment is aborted."""
+class IntegrandError(ConvergenceError):
+    """The integrand is not finite, or its ray cannot be truncated."""

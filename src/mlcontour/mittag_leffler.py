@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, IntegrandError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .gamma import TWO_PI_I, log_gamma, recip_gamma_oracle
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
@@ -96,6 +96,12 @@ class SeriesDiagnostics:
     @property
     def unreliable(self) -> bool:
         return self.cancellation_digits > CANCELLATION_DIGITS_LIMIT
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Why the sum is not usable, by name; empty for a usable sum."""
+        return ((("series_cancellation_unreliable",) if self.unreliable else ())
+                + (() if self.converged else ("not_converged",)))
 
 
 @dataclass(frozen=True)
@@ -566,7 +572,7 @@ class MethodOutcome:
     status: str  # "ok" | "skipped" | "failed"
     value: Optional[complex] = None
     error_estimate: Optional[float] = None
-    reliable: bool = True
+    reliable: bool = False
     reason: str = ""
 
 
@@ -589,36 +595,29 @@ def compare_methods(params: MLParams, z: PolarComplex,
                     bateman_epsilon: Optional[float] = None,
                     dzh_epsilon: Optional[float] = None,
                     dzh_theta: Optional[float] = None) -> ComparisonReport:
-    """Run every applicable route and report values and pairwise deviations.
-
-    Routes whose preconditions fail are reported as skipped (with the
-    precondition message), numerical failures as failed; deviations are
-    computed only among converged results, excluding a series result flagged
-    for cancellation.
-    """
-    outcomes: list[MethodOutcome] = []
-
-    series = ml_series(params, z, cfg)
-    outcomes.append(MethodOutcome(
-        "series", "ok" if series.diagnostics.converged else "failed",
-        series.value, None,
-        reliable=not series.diagnostics.unreliable,
-        reason="" if series.diagnostics.converged else "series did not converge"))
-
-    def run(method: str, call):
+    """Every route through ``evaluate_ml``, and the closed form where there
+    is one, with pairwise deviations among the ``reliable`` outcomes.
+    A refusal (PreconditionError) is ``skipped``; a failure (ConvergenceError)
+    or a series that did not converge (its value kept) is ``failed``.
+    ``reliable`` means ``ok`` with no flag: a series flagged for cancellation
+    is ``ok`` but not reliable."""
+    def outcome(method: str, **options) -> MethodOutcome:
         try:
-            ev = call()
+            ev = evaluate_ml(params, z, method, cfg, **options)
         except PreconditionError as exc:
-            outcomes.append(MethodOutcome(method, "skipped", reason=str(exc)))
-        except (ConvergenceError, IntegrandError) as exc:
-            outcomes.append(MethodOutcome(method, "failed", reason=str(exc)))
-        else:
-            err = ev.diagnostics.error_estimate if ev.diagnostics else None
-            outcomes.append(MethodOutcome(method, "ok", ev.value, err))
+            return MethodOutcome(method, "skipped", reason=str(exc))
+        except ConvergenceError as exc:
+            return MethodOutcome(method, "failed", reason=str(exc))
+        diag = ev.diagnostics
+        if not diag.converged:  # only the series returns a result that did not converge
+            return MethodOutcome(method, "failed", ev.value, reason="series did not converge")
+        if isinstance(diag, SeriesDiagnostics):
+            return MethodOutcome(method, "ok", ev.value, reliable=not diag.flags)
+        return MethodOutcome(method, "ok", ev.value, diag.error_estimate, reliable=True)
 
-    run("contour", lambda: ml_contour(params, z, cfg=cfg))
-    run("bateman", lambda: ml_bateman(params, z, bateman_epsilon, cfg))
-    run("dzhrbashyan", lambda: ml_dzhrbashyan(params, z, dzh_epsilon, dzh_theta, cfg))
+    outcomes = [outcome("series"), outcome("contour"),
+                outcome("bateman", epsilon=bateman_epsilon),
+                outcome("dzhrbashyan", epsilon=dzh_epsilon, theta=dzh_theta)]
 
     try:
         closed = ml_closed_form(params, z.to_complex())
@@ -626,9 +625,9 @@ def compare_methods(params: MLParams, z: PolarComplex,
         outcomes.append(MethodOutcome("closed-form", "skipped", reason=str(exc)))
     else:
         if closed is not None:
-            outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0))
+            outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0, reliable=True))
 
-    usable = [o for o in outcomes if o.status == "ok" and o.reliable]
+    usable = [o for o in outcomes if o.reliable]
     deviations: dict[tuple[str, str], float] = {}
     for i, a in enumerate(usable):
         for b in usable[i + 1:]:

@@ -10,7 +10,7 @@ import re
 import pytest
 from ml_reference import ml_reference
 
-from mlcontour import recip_gamma_oracle
+from mlcontour import ConvergenceError, IntegrandError, cli, recip_gamma_oracle
 from mlcontour.cli import _axis, build_parser, main
 
 PI = math.pi
@@ -115,6 +115,30 @@ class TestExitCodes:
         code, _ = run(capsys, "eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1,
                       "--z-arg-pi", 1, "--method", "contour", "--max-terms", 0)
         assert code == 0
+
+
+class TestErrorTypes:
+    """main maps a refusal to exit 2 and a numerical failure to exit 3, and
+    nothing else: any other error is a bug and escapes."""
+
+    def test_integrand_error_is_a_convergence_error(self):
+        assert issubclass(IntegrandError, ConvergenceError)
+
+    @staticmethod
+    def eval_raising(monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "evaluate_ml", broken)
+        return main(["eval", "--rho", "1", "--mu-re", "1", "--z-mod", "1", "--z-arg-pi", "1"])
+
+    def test_integrand_error_exits_3(self, capsys, monkeypatch):
+        assert self.eval_raising(monkeypatch, IntegrandError("integrand not finite")) == 3
+        assert "integrand not finite" in capsys.readouterr().err
+
+    def test_value_error_in_a_command_is_not_a_refusal(self, monkeypatch):
+        with pytest.raises(ValueError, match="a bug"):
+            self.eval_raising(monkeypatch, ValueError("a bug, not a refusal"))
 
 
 class TestSeriesOverflow:
@@ -402,7 +426,7 @@ class TestInvariance:
     def test_gamma_passes(self, capsys):
         code, out = run(capsys, "invariance", "gamma", *self.S)
         assert code == 0
-        assert next(csv.DictReader(io.StringIO(out)))["passed"] == "True"
+        assert next(csv.DictReader(io.StringIO(out)))["passed"] == "true"
 
     def test_gamma_threshold_failure(self, capsys):
         code, _ = run(capsys, "invariance", "gamma", *self.S, "--threshold", 1e-30)
@@ -415,6 +439,15 @@ class TestInvariance:
     def test_ml_too_few_points(self, capsys):
         code, _ = run(capsys, "invariance", "ml", *self.ML, "--points", 2)
         assert code == 2
+
+    def test_ml_skips_points_whose_ray_cannot_be_truncated(self, capsys):
+        # every sweep point raises IntegrandError, a ConvergenceError
+        code = main(["invariance", "ml", "--rho", "1", "--mu-re", "1",
+                     "--z-mod", "1e-200", "--z-arg-pi", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sweep point skipped: decay too weak to truncate ray" in err
+        assert "fewer than 3 admissible sweep points" in err
 
     def test_ml_at_z_zero_is_precondition_error(self, capsys):
         code = main(["invariance", "ml", "--rho", "1", "--mu-re", "1",
@@ -446,6 +479,13 @@ class TestConfigFile:
     def test_missing_path(self, capsys):
         code, _ = run(capsys, "eval", *self.POINT, "--config")
         assert code == 2
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "mlc.conf"
+        cfg.write_bytes(b"method = \xff\xfeseries\n")
+        code = main(["eval", "--config", str(cfg), *map(str, self.POINT)])
+        assert code == 2
+        assert "is not UTF-8" in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "eval", "--config", tmp_path / "absent.conf", *self.POINT)
@@ -591,7 +631,7 @@ class TestOracleGrid:
         for row in rows:
             value = complex(recip_gamma_oracle(complex(row["s_re"], row["s_im"])))
             assert (row["value_re"], row["value_im"]) == (value.real, value.imag)
-            assert row["err_estimate"] == 0.0 and row["status"] == "ok"
+            assert row["err_estimate"] is None and row["status"] == "ok"
         # the poles at Re s = -3, ..., 0 on the real axis are exact zeros
         assert sum(r["value_re"] == 0.0 and r["value_im"] == 0.0 for r in rows) == 4
 

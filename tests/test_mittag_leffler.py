@@ -566,6 +566,64 @@ class TestCompareMethods:
         assert series.status == "ok" and not series.reliable
         assert not any("series" in pair for pair in report.deviations)
 
+    @pytest.mark.parametrize("point,expected", [
+        # two loops fail at their default radii
+        ((2.0, 1.0, 4.0, PI), {"series": "ok", "contour": "ok",
+                               "bateman": "failed", "dzhrbashyan": "failed"}),
+        # complex mu: the Bateman loop refuses
+        ((1.0, 1 + 0.5j, 1.0, PI), {"series": "ok", "contour": "ok",
+                                    "bateman": "skipped", "dzhrbashyan": "ok"}),
+        # the series overflows, and every loop refuses
+        ((4.0, 1.0, 10.0, 0.0), {"series": "failed", "contour": "skipped",
+                                 "bateman": "skipped", "dzhrbashyan": "skipped"}),
+        # the series is flagged for cancellation: ok, but not reliable
+        ((2.0, 1.0, 5.0, PI), {"series": "ok", "contour": "ok",
+                               "bateman": "failed", "dzhrbashyan": "failed"}),
+    ])
+    def test_reliable_only_for_usable_answers(self, point, expected):
+        rho, mu, zmod, zarg = point
+        params, z = MLParams(rho, mu), PolarComplex(zmod, zarg)
+        report = compare_methods(params, z)
+        routes = [o for o in report.outcomes if o.method != "closed-form"]
+        assert {o.method: o.status for o in routes} == expected
+        series = ml_series(params, z).diagnostics
+        for o in routes:
+            flagged = o.method == "series" and bool(series.flags)
+            assert o.reliable == (o.status == "ok" and not flagged), o.method
+            # a failed series keeps its value; a refused or failed loop has none
+            assert (o.value is None) == (o.status != "ok" and o.method != "series")
+        reliable = {o.method for o in report.outcomes if o.reliable}
+        assert {m for pair in report.deviations for m in pair} <= reliable
+
+    def test_series_out_of_terms_is_failed(self):
+        report = compare_methods(MLParams(4.0, 1.0), PolarComplex(10.0, 0.0))
+        series = report.outcome("series")
+        assert series.reason == "series did not converge"
+        assert series.value == ml_series(MLParams(4.0, 1.0), PolarComplex(10.0, 0.0)).value
+
+    @pytest.mark.parametrize("rho,mu,zmod,zarg", [
+        (0.75, 1.0, 1.5, 0.8 * PI),
+        (1.3, 0.5, 2.0, PI),
+        (1.9, 1 + 0.5j, 0.4, 0.9 * PI),
+        (1.0, 2.0, 1.2, 0.3),  # outside the zeta loop's window
+    ])
+    def test_values_are_the_direct_route_calls(self, rho, mu, zmod, zarg):
+        params, z = MLParams(rho, mu), PolarComplex(zmod, zarg)
+        report = compare_methods(params, z)
+        routes = {"series": ml_series, "contour": ml_contour,
+                  "bateman": ml_bateman, "dzhrbashyan": ml_dzhrbashyan}
+        answered = 0
+        for method, route in routes.items():
+            outcome = report.outcome(method)
+            if outcome.status != "ok":
+                continue
+            answered += 1
+            ev = route(params, z)
+            assert outcome.value == ev.value, method
+            if method != "series":
+                assert outcome.error_estimate == ev.diagnostics.error_estimate, method
+        assert answered >= 3
+
 
 class TestWindowMidpointAgreement:
     @pytest.mark.parametrize("rho", [0.6, 0.75, 1.0, 2.0])
@@ -632,6 +690,31 @@ class TestRouteSelection:
     def test_unknown_method(self):
         with pytest.raises(PreconditionError, match="unknown method"):
             evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "trapezoid")
+
+
+class TestAutoRouteDefects:
+    """Points where the auto route picks a loop that fails, though E is
+    known.  Each must answer within 1e-8 relative of the reference."""
+
+    @staticmethod
+    def assert_auto_answers(rho, mu, z):
+        value = evaluate_ml(MLParams(rho, mu), z).value
+        ref = ml_reference(rho, mu, z.to_complex())
+        assert abs(value - ref) <= 1e-8 * abs(ref)
+
+    # F11: at rho <= 1 past |z| of about 8.5**(1/rho), the default arc falls
+    # back to epsilon_hat = 0.01, where the zeta loop mostly does not converge.
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="F11: the fallback arc epsilon_hat = 0.01 does not converge")
+    def test_past_the_growth_cap_at_rho_one(self):
+        self.assert_auto_answers(1.0, 1.0, PolarComplex(9.0, PI))
+
+    # F12: at tiny |z| the auto route still picks the loop; E is about 1/Gamma(mu).
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="F12: the loop is picked at tiny |z|")
+    @pytest.mark.parametrize("zmod", [1e-30, 1e-200])
+    def test_tiny_modulus(self, zmod):
+        self.assert_auto_answers(1.0, 1.0, PolarComplex(zmod, PI))
 
 
 class TestZetaLoopReuse:
