@@ -11,7 +11,6 @@ from .errors import (
 )
 from .gamma import (
     DEFAULT_GAMMA_SPEC,
-    GammaEvaluation,
     is_gamma_pole,
     log_gamma,
     recip_gamma_contour,
@@ -20,24 +19,18 @@ from .gamma import (
 )
 from .geometry import (
     GammaContourSpec,
-    MLContourSpec,
     PolarComplex,
-    Violation,
     default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
     validate_gamma_contour,
-    validate_ml_contour,
 )
 from .mittag_leffler import (
-    CANCELLATION_DIGITS_LIMIT,
     ComparisonReport,
     MethodOutcome,
-    MLEvaluation,
     MLParams,
     SeriesDiagnostics,
     compare_methods,
-    default_ml_spec,
     evaluate_ml,
     ml_bateman,
     ml_closed_form,
@@ -48,6 +41,7 @@ from .mittag_leffler import (
 )
 from .quadrature import (
     DEFAULT_QUADRATURE,
+    Evaluation,
     QuadratureConfig,
     QuadratureResult,
 )
@@ -55,18 +49,15 @@ from .quadrature import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANCELLATION_DIGITS_LIMIT",
     "ComparisonReport",
     "ContourValidityError",
     "ConvergenceError",
     "DEFAULT_GAMMA_SPEC",
     "DEFAULT_QUADRATURE",
+    "Evaluation",
     "GammaContourSpec",
-    "GammaEvaluation",
     "IntegrandError",
     "MethodOutcome",
-    "MLContourSpec",
-    "MLEvaluation",
     "MLParams",
     "MlcError",
     "PolarComplex",
@@ -74,10 +65,8 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "SeriesDiagnostics",
-    "Violation",
     "compare_methods",
     "default_ml_deltas",
-    "default_ml_spec",
     "evaluate_ml",
     "gamma_psi_window",
     "is_gamma_pole",
@@ -93,5 +82,4 @@ __all__ = [
     "recip_gamma_oracle",
     "reflection_residual",
     "validate_gamma_contour",
-    "validate_ml_contour",
 ]

@@ -36,13 +36,13 @@ from .geometry import (
     gamma_psi_window,
     ml_arg_window,
 )
-from .cli import relative_spread
 from .mittag_leffler import (
     MLParams,
     compare_methods,
     default_ml_deltas,
     ml_contour,
     ml_series,
+    relative_spread,
 )
 from .quadrature import QuadratureConfig, integrate_path
 

@@ -54,11 +54,12 @@ from .mittag_leffler import (
     evaluate_ml,
     ml_contour,
     ml_route,
+    relative_spread,
 )
 # Unused here; kept because perfbench's tracer wraps these names in this module.
 from .geometry import validate_ml_contour  # noqa: F401
 from .mittag_leffler import default_ml_spec, ml_bateman, ml_dzhrbashyan, ml_series  # noqa: F401
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, Evaluation, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -152,11 +153,11 @@ def emit(ns: argparse.Namespace, rows: list[dict], payload) -> None:
         sys.stdout.write(text)
 
 
-def evaluation_record(ev) -> dict:
-    """A gamma or Mittag-Leffler result as a record: its value and its
-    diagnostics' evidence.  A series result gives its terms, cancellation
-    digits and flags; a loop result its quadrature's error estimate, panels
-    and truncation radius."""
+def evaluation_record(ev: Evaluation) -> dict:
+    """Any route's ``Evaluation``, gamma or Mittag-Leffler, as a record: its
+    value and its diagnostics' evidence.  A series result gives its terms,
+    cancellation digits and flags; a loop result its quadrature's error
+    estimate, panels and truncation radius."""
     diag = ev.diagnostics
     rec = {
         "method": ev.method,
@@ -300,13 +301,6 @@ def cmd_grid(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # invariance
 # --------------------------------------------------------------------------
-
-def relative_spread(values: list[complex]) -> float:
-    """Largest pairwise distance over the modulus of the mean."""
-    worst = max(abs(a - b) for a in values for b in values)
-    scale = abs(sum(values) / len(values))
-    return worst / max(scale, 1e-300)
-
 
 def cmd_invariance(ns: argparse.Namespace) -> int:
     if ns.points < 3:

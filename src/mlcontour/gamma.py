@@ -14,11 +14,10 @@ are thin wrappers over it that take a scalar or an array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import PreconditionError
 from .geometry import (
     UNIT_LAMBDA,
     GammaContourSpec,
@@ -29,8 +28,9 @@ from .geometry import (
 from .quadrature import (
     DEFAULT_QUADRATURE,
     DecayModel,
+    Evaluation,
     QuadratureConfig,
-    QuadratureResult,
+    finish_loop,
     integrate_path,
 )
 
@@ -151,19 +151,6 @@ def recip_gamma_oracle(s) -> complex | np.ndarray:
 # Contour route
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaEvaluation:
-    """1/Gamma(s) from the contour route.  ``diagnostics`` is the loop's
-    QuadratureResult, scaled like ``value`` (error estimate, panels,
-    truncation radius): the field ``MLEvaluation`` fills the same way, so
-    gamma and Mittag-Leffler results are read alike."""
-
-    s: complex
-    value: complex
-    method: str  # "contour"
-    diagnostics: QuadratureResult | None = None
-
-
 def _loop_integrand(s: complex, lam: complex):
     """exp(lam*t) * t^(-s) from t and its log with the unwrapped angle."""
     s = complex(s)
@@ -186,29 +173,30 @@ def _loop_ray_decay(s: complex, ray: RaySegment, lam: PolarComplex) -> DecayMode
 def recip_gamma_contour(s: complex,
                         spec: GammaContourSpec = DEFAULT_GAMMA_SPEC,
                         cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                        lam: PolarComplex = UNIT_LAMBDA) -> GammaEvaluation:
+                        lam: PolarComplex = UNIT_LAMBDA) -> Evaluation:
     """1/Gamma(s) as lam^(1-s)/(2pi i) times the loop integral of
     e^(lam t) t^(-s).
 
     Substituting t -> lam t moves the loop to radius epsilon/|lam| and its
     psi window by -arg lam; the prefactor is taken from the stored argument
     of ``lam``, the same value that shifts the window.  Raises
-    PreconditionError for a non-finite s, ContourValidityError for an
-    inadmissible (spec, lam) and ConvergenceError when the quadrature cannot
-    reach its tolerance.
+    PreconditionError for a non-finite s or where lam^(1-s) leaves the
+    double range, ContourValidityError for an inadmissible (spec, lam) and
+    ConvergenceError when the quadrature cannot reach its tolerance.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise PreconditionError("s must be finite")
     path = build_gamma_path(spec, lam=lam)
+    try:
+        factor = lam.power(1.0 - s) / TWO_PI_I
+    except OverflowError:
+        raise PreconditionError(f"lam^(1-s) overflows at s={s}, "
+                                f"lam=({lam.modulus}, {lam.argument})") from None
     raw = integrate_path(_loop_integrand(s, lam.to_complex()), path,
                          decay=lambda ray: _loop_ray_decay(s, ray, lam), cfg=cfg)
-    if not raw.converged:
-        raise ConvergenceError(
-            f"gamma contour quadrature did not converge at s={s} "
-            f"(error estimate {raw.error_estimate:.3g})")
-    result = raw.scaled(lam.power(1.0 - s) / TWO_PI_I)
-    return GammaEvaluation(s, result.value, "contour", result)
+    return finish_loop(raw, factor, "contour",
+                       lambda: f"gamma contour quadrature did not converge at s={s}")
 
 
 def reflection_residual(s: complex,

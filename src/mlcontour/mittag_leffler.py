@@ -9,11 +9,13 @@ Routes:
 * ``ml_bateman``     -- classical loop with the pole factor t^(1/rho) - z.
 * ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z.
 
-All four take ``(params, z: PolarComplex)`` and then their own contour
-parameters and ``cfg``; each owns the defaults of its parameters.  The zeta
-loop's free parameters are ``epsilon_hat`` and ``deltas`` (rho, mu and
-arg z fix the rest).  ``evaluate_ml`` dispatches on a route name from
-``ML_METHODS``, and ``ml_route`` is the rule behind ``method="auto"``.
+All four take ``(params, z: PolarComplex)`` first; the series and the zeta
+loop then take ``cfg`` and their own parameters, the Bateman and Dzhrbashyan
+loops their own contour parameters and then ``cfg``.  Each owns the defaults
+of its parameters and returns an ``Evaluation``.  The zeta loop's free
+parameters are ``epsilon_hat`` and ``deltas`` (rho, mu and arg z fix the
+rest).  ``evaluate_ml`` dispatches on a route name from ``ML_METHODS``, and
+``ml_route`` is the rule behind ``method="auto"``.
 
 All power factors inside contour integrands are computed from accumulated
 (unwrapped) arguments; reducing them to the principal range would hop sheets
@@ -26,7 +28,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -47,9 +49,10 @@ from .geometry import (
 from .quadrature import (
     DEFAULT_QUADRATURE,
     DecayModel,
+    Evaluation,
     QuadratureConfig,
-    QuadratureResult,
     _float_power,
+    finish_loop,
     integrate_path,
 )
 
@@ -102,15 +105,6 @@ class SeriesDiagnostics:
         """Why the sum is not usable, by name; empty for a usable sum."""
         return ((("series_cancellation_unreliable",) if self.unreliable else ())
                 + (() if self.converged else ("not_converged",)))
-
-
-@dataclass(frozen=True)
-class MLEvaluation:
-    params: MLParams
-    z: PolarComplex
-    value: complex
-    method: str  # "series" | "contour" | "bateman" | "dzhrbashyan" | "closed-form"
-    diagnostics: Union[SeriesDiagnostics, QuadratureResult, None] = None
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def _series_blocks(rho: float, mu: complex) -> _SeriesBlocks:
 
 def ml_series(params: MLParams, z: PolarComplex,
               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-              max_terms: int = SERIES_MAX_TERMS) -> MLEvaluation:
+              max_terms: int = SERIES_MAX_TERMS) -> Evaluation:
     """Taylor series with compensated (Kahan) summation.
 
     The accumulation runs in ordinary complex arithmetic: z^n is built by an
@@ -198,7 +192,7 @@ def ml_series(params: MLParams, z: PolarComplex,
     if z.modulus == 0.0:
         value = complex(recip_gamma_oracle(mu))
         diag = SeriesDiagnostics(1, abs(value), 0.0, True)
-        return MLEvaluation(params, z, value, "series", diag)
+        return Evaluation(value, "series", diag)
 
     zc = z.modulus * cmath.exp(1j * z.argument)
     total = 0j
@@ -270,7 +264,7 @@ def ml_series(params: MLParams, z: PolarComplex,
     else:
         cancellation = math.log10(max_term / abs(total))
     diag = SeriesDiagnostics(terms_used, max_term, cancellation, converged)
-    return MLEvaluation(params, z, total, "series", diag)
+    return Evaluation(total, "series", diag)
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +350,11 @@ def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
+    # The rays decay at rate |z|^rho, which can overflow where the arc
+    # passes inside the pole and the growth above is small.
+    if _float_power(z.modulus, params.rho) == math.inf:
+        raise PreconditionError(
+            "modulus too large for the loop route: |z|^rho overflows; use the series")
     return spec, path
 
 
@@ -373,7 +372,7 @@ def ml_route(params: MLParams, z: PolarComplex) -> str:
 def ml_contour(params: MLParams, z: PolarComplex,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
                epsilon_hat: Optional[float] = None,
-               deltas: Optional[tuple[float, float]] = None) -> MLEvaluation:
+               deltas: Optional[tuple[float, float]] = None) -> Evaluation:
     """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
     arg z inside the admissibility window).  ``epsilon_hat`` and the ray
     half-angles ``deltas`` = (delta1_rho, delta2_rho) override the defaults
@@ -382,21 +381,17 @@ def ml_contour(params: MLParams, z: PolarComplex,
 
     Raises PreconditionError for rho <= 1/2, at z = 0, for a spec
     ``validate_ml_contour`` refuses (ContourValidityError), when
-    exp((|z|(1+eps))^rho) would overflow, and ConvergenceError when the
-    quadrature stalls.
+    exp((|z|(1+eps))^rho) or |z|^rho would overflow, and ConvergenceError
+    when the quadrature stalls.
     """
     spec, path = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
     log_z = complex(math.log(z.modulus), z.argument)
     raw = integrate_path(_tau_integrand(params, log_z, 1.0), path,
                          decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
                          cfg=cfg)
-    if not raw.converged:
-        raise ConvergenceError(
-            f"zeta-loop quadrature did not converge for rho={params.rho}, "
-            f"mu={params.mu}, z=({z.modulus}, {z.argument}) "
-            f"(error estimate {raw.error_estimate:.3g})")
-    result = raw.scaled(params.rho / TWO_PI_I)
-    return MLEvaluation(params, z, result.value, "contour", result)
+    return finish_loop(raw, params.rho / TWO_PI_I, "contour",
+                       lambda: f"zeta-loop quadrature did not converge for rho={params.rho}, "
+                               f"mu={params.mu}, z=({z.modulus}, {z.argument})")
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +399,7 @@ def ml_contour(params: MLParams, z: PolarComplex,
 # --------------------------------------------------------------------------
 
 def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Evaluation:
     """Classical loop route: rays along the cut, arc radius epsilon
     (default 1.5|z|^rho + 0.5).
 
@@ -440,17 +435,14 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
     base = 1.0 / (eps_alpha - abs(zc))
     decay = DecayModel.with_power_growth(base, alpha - beta, 1.0, 1.0, epsilon)
     raw = integrate_path(f, path, decay=decay, cfg=cfg)
-    if not raw.converged:
-        raise ConvergenceError(
-            f"classical-loop quadrature did not converge for rho={params.rho}, "
-            f"mu={params.mu}, z={zc} (error estimate {raw.error_estimate:.3g})")
-    result = raw.scaled(1.0 / TWO_PI_I)
-    return MLEvaluation(params, z, result.value, "bateman", result)
+    return finish_loop(raw, 1.0 / TWO_PI_I, "bateman",
+                       lambda: f"classical-loop quadrature did not converge for "
+                               f"rho={params.rho}, mu={params.mu}, z={zc}")
 
 
 def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
                    theta: Optional[float] = None,
-                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MLEvaluation:
+                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Evaluation:
     """Loop at opening angle theta (default: mid-window) with pole factor
     tau - z and arc radius epsilon (default |z| + 1).
 
@@ -492,12 +484,9 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
         return DecayModel.with_power_growth(weight / pole_gap, poly, rate, rho, epsilon)
 
     raw = integrate_path(_tau_integrand(params, 0j, zc), path, decay=decay, cfg=cfg)
-    if not raw.converged:
-        raise ConvergenceError(
-            f"theta-loop quadrature did not converge for rho={params.rho}, "
-            f"mu={params.mu}, z={zc} (error estimate {raw.error_estimate:.3g})")
-    result = raw.scaled(params.rho / TWO_PI_I)
-    return MLEvaluation(params, z, result.value, "dzhrbashyan", result)
+    return finish_loop(raw, params.rho / TWO_PI_I, "dzhrbashyan",
+                       lambda: f"theta-loop quadrature did not converge for "
+                               f"rho={params.rho}, mu={params.mu}, z={zc}")
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +500,7 @@ def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
                 delta1_rho: Optional[float] = None,
                 delta2_rho: Optional[float] = None,
                 epsilon: Optional[float] = None,
-                theta: Optional[float] = None) -> MLEvaluation:
+                theta: Optional[float] = None) -> Evaluation:
     """E(rho, mu; z) by ``method``, one of ``ML_METHODS``: "series",
     "contour", "bateman", "dzhrbashyan", or "auto" for the route
     ``ml_route`` picks.
@@ -566,6 +555,13 @@ def ml_closed_form(params: MLParams, z: complex) -> Optional[complex]:
     return None
 
 
+def relative_spread(values: list[complex]) -> float:
+    """Largest pairwise distance over the modulus of the mean."""
+    worst = max(abs(a - b) for a in values for b in values)
+    scale = abs(sum(values) / len(values))
+    return worst / max(scale, 1e-300)
+
+
 @dataclass(frozen=True)
 class MethodOutcome:
     method: str
@@ -578,8 +574,6 @@ class MethodOutcome:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    params: MLParams
-    z: PolarComplex
     outcomes: tuple[MethodOutcome, ...]
     deviations: dict[tuple[str, str], float]
 
@@ -628,9 +622,6 @@ def compare_methods(params: MLParams, z: PolarComplex,
             outcomes.append(MethodOutcome("closed-form", "ok", closed, 0.0, reliable=True))
 
     usable = [o for o in outcomes if o.reliable]
-    deviations: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(usable):
-        for b in usable[i + 1:]:
-            scale = max(abs(a.value), abs(b.value), 1e-300)
-            deviations[(a.method, b.method)] = abs(a.value - b.value) / scale
-    return ComparisonReport(params, z, tuple(outcomes), deviations)
+    deviations = {(a.method, b.method): relative_spread([a.value, b.value])
+                  for i, a in enumerate(usable) for b in usable[i + 1:]}
+    return ComparisonReport(tuple(outcomes), deviations)

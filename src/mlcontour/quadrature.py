@@ -55,7 +55,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import IntegrandError, PreconditionError
+from .errors import ConvergenceError, IntegrandError, PreconditionError
 from .geometry import ArcSegment, IntegrationPath, RaySegment
 
 _GAUSS_ORDER = 15
@@ -178,9 +178,30 @@ class QuadratureResult:
     panels_used: int = 0
     converged: bool = False
 
-    def scaled(self, factor: complex) -> "QuadratureResult":
-        return QuadratureResult(self.value * factor, self.error_estimate * abs(factor),
-                                self.truncation_radius, self.panels_used, self.converged)
+
+@dataclass(frozen=True)
+class Evaluation:
+    """What every route returns: its value, its name, and the evidence.
+    ``diagnostics`` is the series' ``SeriesDiagnostics`` or a loop's
+    ``QuadratureResult``, scaled like ``value``."""
+
+    value: complex
+    method: str
+    diagnostics: QuadratureResult | SeriesDiagnostics
+
+
+def finish_loop(raw: QuadratureResult, factor: complex, method: str,
+                failure: Callable[[], str]) -> Evaluation:
+    """A loop route's answer from its integral ``raw``: the value and the
+    error estimate times ``factor`` and ``abs(factor)``.  Raises
+    ConvergenceError for a loop that did not converge, with ``failure()``
+    and the estimate as its message; only then is the message formatted."""
+    if not raw.converged:
+        raise ConvergenceError(f"{failure()} (error estimate {raw.error_estimate:.3g})")
+    value = raw.value * factor
+    return Evaluation(value, method,
+                      QuadratureResult(value, raw.error_estimate * abs(factor),
+                                       raw.truncation_radius, raw.panels_used, True))
 
 
 # --------------------------------------------------------------------------

@@ -242,6 +242,15 @@ class TestLambdaRoute:
         with pytest.raises(PreconditionError, match="DecayModel requires"):
             recip_gamma_contour(2.0, lam=PolarComplex(1e-300, 0.0))
 
+    def test_prefactor_past_the_double_range_is_refused(self):
+        # 1/Gamma(-80.5) = -2.05e119 is a double; lambda^(1-s) = 1e4^81.5 is
+        # not, nor is 1e-4^(-99)
+        ev = recip_gamma_contour(-80.5, lam=PolarComplex(4e3, 0.0))
+        assert rel_err(ev.value, -2.04715231092716e119) < 1e-13
+        for s, lam in ((-80.5, PolarComplex(1e4, 0.0)), (100.0, PolarComplex(1e-4, 0.0))):
+            with pytest.raises(PreconditionError, match=r"lam\^\(1-s\) overflows"):
+                recip_gamma_contour(s, lam=lam)
+
     def test_joint_validity_enforced(self):
         # psi outside the window shifted by -arg lambda
         spec = GammaContourSpec(1.0, PI / 2, PI, PI)

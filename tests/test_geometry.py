@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from mlcontour import (
     ContourValidityError,
     GammaContourSpec,
-    MLContourSpec,
     PolarComplex,
     PreconditionError,
     default_ml_deltas,
     gamma_psi_window,
     ml_arg_window,
     validate_gamma_contour,
-    validate_ml_contour,
 )
+from mlcontour.geometry import MLContourSpec, validate_ml_contour
 from mlcontour.geometry import (
     ArcSegment,
     IntegrationPath,

@@ -12,12 +12,10 @@ from mlcontour import (
     MLParams,
     ConvergenceError,
     SeriesDiagnostics,
-    MLContourSpec,
     PolarComplex,
     PreconditionError,
     compare_methods,
     default_ml_deltas,
-    default_ml_spec,
     evaluate_ml,
     ml_arg_window,
     ml_bateman,
@@ -27,11 +25,11 @@ from mlcontour import (
     ml_route,
     ml_series,
     recip_gamma_oracle,
-    validate_ml_contour,
 )
+from mlcontour.mittag_leffler import default_ml_spec
 from mlcontour import mittag_leffler
 from mlcontour.gamma import log_gamma
-from mlcontour.geometry import ml_delta_range
+from mlcontour.geometry import MLContourSpec, ml_delta_range, validate_ml_contour
 
 PI = math.pi
 

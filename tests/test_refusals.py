@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from mlcontour import (
     GammaContourSpec,
-    MLContourSpec,
     MLParams,
     MlcError,
     PolarComplex,
@@ -25,7 +24,6 @@ from mlcontour import (
     QuadratureConfig,
     compare_methods,
     default_ml_deltas,
-    default_ml_spec,
     evaluate_ml,
     gamma_psi_window,
     ml_arg_window,
@@ -36,10 +34,10 @@ from mlcontour import (
     ml_series,
     recip_gamma_contour,
     validate_gamma_contour,
-    validate_ml_contour,
 )
+from mlcontour.mittag_leffler import default_ml_spec
 from mlcontour.cli import main
-from mlcontour.geometry import ml_delta_range
+from mlcontour.geometry import MLContourSpec, ml_delta_range, validate_ml_contour
 
 PI = math.pi
 HALF_PI = 0.5 * PI
@@ -115,6 +113,10 @@ class TestGammaRoute:
         spec = GammaContourSpec(eps, psi, d1, d2)
         typed(lambda: validate_gamma_contour(spec, lam))
         typed(lambda: recip_gamma_contour(2.0 + 1.0j, spec, lam=lam))
+
+    def test_lam_prefactor_past_the_double_range(self):
+        # lambda^(1-s) = 1e4^81.5 overflows a double; 1/Gamma(-80.5) does not
+        typed(lambda: recip_gamma_contour(-80.5, lam=PolarComplex(1e4, 0.0)))
 
     @pytest.mark.parametrize("s", [complex(math.nan, 0), complex(1, math.inf)])
     def test_non_finite_s(self, s):
@@ -195,6 +197,39 @@ class TestMLRoutes:
     @pytest.mark.parametrize("rho", [0.3, 0.5])
     def test_series_answers_below_half(self, rho):
         assert ml_series(MLParams(rho, 1.0), PolarComplex(1.0, PI)).diagnostics.converged
+
+
+class TestZetaLoopAtLargeRho:
+    """At rho = 50 and |z| = 1e8 the arc passes inside the pole, so the growth
+    check passes, while the rays' decay rate |z|^rho leaves the double range:
+    the zeta loop refuses, and the auto route takes the series."""
+
+    POINT = ["--rho", "50", "--mu-re", "1", "--z-mod", "1e8", "--z-arg-pi", "1"]
+
+    def test_auto_eval_takes_the_series(self, capsys):
+        assert main(["eval", *self.POINT]) == 3  # the series overflows there
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0]["method"] == "series"
+        assert "not_converged" in rows[0]["flags"]
+
+    def test_contour_eval_is_refused(self, capsys):
+        assert main(["eval", *self.POINT, "--method", "contour"]) == 2
+        assert "|z|^rho overflows" in capsys.readouterr().err
+
+    def test_compare_skips_the_contour(self, capsys):
+        args = ["compare", "--rho", "50", "--mu-re", "2", "--mu-im", "0.5",
+                "--z-mod", "1e8", "--z-arg-pi", "1"]
+        assert main(args) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {r["method_a"]: r["status"] for r in rows}["contour"] == "skipped"
+
+    def test_grid_writes_its_row(self, capsys):
+        code = main(["grid", "ml", "--rho", "50", "--mu-re", "1",
+                     "--zmod-min", "1e8", "--zmod-max", "1e8", "--zmod-step", "1",
+                     "--zarg-min", repr(PI), "--zarg-max", repr(PI), "--zarg-step", "1"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert code == 1  # no row is ok
+        assert [(r["method"], r["status"]) for r in rows] == [("series", "non_convergence")]
 
 
 @pytest.mark.parametrize("method", ["contour", "bateman", "dzhrbashyan"])
