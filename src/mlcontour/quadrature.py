@@ -5,8 +5,10 @@ holds the nodes as complex points and log_t their logarithms, ln |t| + i
 times the angle the path carries, unwrapped; both are 1-D complex arrays of
 equal shape.  The logarithm is passed with t deliberately: branch-sensitive
 powers must be computed from the unwrapped angle, which t alone cannot
-encode.  The engine scales the array f returns in place, so f returns a new
-array.
+encode.  f must not write into t or log t: both are read-only on every
+round, so a write raises numpy's ValueError at the first call, and a round
+can be reused (below).  The engine scales the array f returns in place; one
+that numpy may not write, such as t itself, it copies first.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
@@ -20,7 +22,7 @@ truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
 every segment; each later round evaluates the next level of every segment
 whose doubling rule has not stopped.  A round makes one integrand call over
 the nodes of all its levels, whatever their number.  ``_layout`` lays those
-nodes out, and ``_level_sums`` weights the integrand's values, with one
+nodes out, and ``_round_sums`` weights the integrand's values, with one
 fixed set of array operations whatever the number of its (segment, level)
 jobs; only each level's final sum is taken level by level.  Every operation
 is elementwise, or sums within one panel or within one level, so given the
@@ -40,16 +42,42 @@ alone.  The bits are fixed by these choices:
   by it in place, the output the left operand (numpy rounds a complex
   product differently with its operands swapped);
 - the weighted sums over each panel's 15 nodes are taken row by row and
-  scaled by the panels' half-widths, and each level's sum is ``.sum()`` of
-  its contiguous slice of those, which numpy adds pairwise.
-  ``np.add.reduceat`` (which adds sequentially) and ``rows @ weights``
-  (which goes through BLAS) would round differently.
+  scaled by the panels' half-widths, and each level's sum is
+  ``np.add.reduce`` of its contiguous slice of those, which numpy adds
+  pairwise (``ndarray.sum`` is the same reduction).  ``np.add.reduceat``
+  (which adds sequentially) and ``rows @ weights`` (which goes through BLAS)
+  would round differently.
+
+Round 0 of a path geometry that recurs soon in the same process is reused.
+Paths repeat: over the default loop, 1/Gamma(s) integrates over one path at
+every s of a line of constant Im s with Re s >= 0, where the rays'
+truncation radii depend on Im s alone, so in a grid of Re s columns each
+such column repeats the paths of the one before.  ``integrate_path`` keys
+round 0 by the bits of each segment's geometry: whether it is radial, its
+fixed coordinate, and the two floats its boundaries come from (start and
+end angle on an arc, start radius and truncated end on a ray); values that
+compare equal with other bits, such as 0.0 and -0.0, key different rounds.
+A layout is a function of those floats alone, and every operation in it is
+elementwise per job, so a reused round has the bits of one laid out afresh.
+The memo remembers the keys of the last ``_SEEN_KEYS`` (32) geometries seen
+once, and keeps a round only when its geometry is seen a second time while
+its key is still among them.  A sweep whose every path is new keeps no
+arrays (rounds kept for nothing slowed the calls that miss).  So a grid
+reuses every Re s >= 0 column after the first when a column has at most 32
+Im s values, and none when it has more: each first sighting then pushes out
+the key the next column needs first, and every call pays only for its key
+and the memo's bookkeeping.  At most ``_MEMO_BYTES`` (2 MB, about 40 gamma
+rounds) of arrays are kept, the round kept longest dropped first.  Later
+rounds, which grow to tens of thousands of nodes, are never kept.  Kept
+arrays are read-only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -226,16 +254,21 @@ def _arc_boundaries(start: float, end: float) -> np.ndarray:
     return base
 
 
-def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
-    """Panel boundaries on [r0, r1], widths doubling away from r0.
+def _ray_panels(r0: float, r1: float) -> int:
+    """Level-0 panel count of a ray on [r0, r1]: it grows logarithmically
+    with span / r0 so the first panel never exceeds r0 itself.  The ratio is
+    clamped at 2**53: past it a panel next to r0 would be narrower than r0's
+    last bit."""
+    return max(_INITIAL_PANELS, math.ceil(math.log2(min((r1 - r0) / r0, 2.0 ** 53) + 1.0)) + 1)
 
-    The integrands peak toward the arc junction at r0, so the smallest panel
-    sits there.  The panel count grows logarithmically with span / r0 so the
-    first panel never exceeds r0 itself.  The ratio is clamped at 2**53:
-    past it a panel next to r0 would be narrower than r0's last bit.
+
+def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
+    """The boundaries of a ray's ``_ray_panels(r0, r1)`` panels on [r0, r1],
+    widths doubling away from r0.  The integrands peak toward the arc
+    junction at r0, so the smallest panel sits there.
     """
     span = r1 - r0
-    n = max(_INITIAL_PANELS, math.ceil(math.log2(min(span / r0, 2.0 ** 53) + 1.0)) + 1)
+    n = _ray_panels(r0, r1)
     grades = _GRADES.get(n)
     if grades is None:
         grades = _GRADES[n] = np.expm1(np.arange(n + 1.0) * math.log(2.0))
@@ -248,44 +281,62 @@ def _graded_boundaries(r0: float, r1: float) -> np.ndarray:
 class _Segment:
     """One segment's panel levels and the state of its doubling rule.
 
-    Level k splits each of the level-0 panels ``base`` into 2**k.  The rule
-    stops at the first level k >= 1 where the change from level k - 1 plus
-    the ray tail bound meets the tolerance (converged; the tail is charged
-    against the tolerance so that the whole estimate stays within it), or
-    once the change has failed to shrink twice by k >= 4 (the estimate sits
-    on the rounding floor, and more panels cannot help), or when another
-    doubling would pass _MAX_PANELS; ``result`` is then (value, change +
-    tail, panels, converged).
+    A ray runs over radius from ``start`` to ``end`` at angle ``fixed``, an
+    arc over angle from ``start`` to ``end`` at radius ``fixed``; an arc of
+    no span has converged to 0 on no panels.  Level k splits each of the
+    level-0 panels ``base`` into 2**k; ``base`` is built when a level is
+    first laid out, which a reused round 0 never does.  The rule stops at
+    the first level k >= 1 where the change from level k - 1 plus the ray
+    tail bound meets the tolerance (converged; the tail is charged against
+    the tolerance so that the whole estimate stays within it), or once the
+    change has failed to shrink twice by k >= 4 (the estimate sits on the
+    rounding floor, and more panels cannot help), or when another doubling
+    would pass _MAX_PANELS; ``result`` is then (value, change + tail,
+    panels, converged).
     """
 
-    def __init__(self, base: np.ndarray, radial: bool, fixed: float, tail: float):
-        self.base = base
-        self.radial = radial  # radial: over radius at angle ``fixed``; else over angle
+    def __init__(self, radial: bool, fixed: float, start: float, end: float, tail: float):
+        self.radial = radial
         self.fixed = fixed
+        self.start = start
+        self.end = end
         self.tail = tail
-        self.panels = len(base) - 1
-        self.left = base[:-1, None]
-        self.width = (base[1:] - base[:-1])[:, None]
+        self.panels = _ray_panels(start, end) if radial else _INITIAL_PANELS
         # dt per unit of the panel coordinate: on a ray e^{i angle}, the
         # phase of all its nodes; on an arc i R, which _layout multiplies by
         # each node's phase e^{i phi}.
         self.jacobian = complex(math.cos(fixed), math.sin(fixed)) if radial else 1j * fixed
+        self._base: np.ndarray | None = None
+        self._parts: tuple[np.ndarray, np.ndarray] | None = None
         self.level = 0
         self.prev = 0j
         self.best_diff = math.inf
         self.stale = 0
         self.result: tuple[complex, float, int, bool] | None = None
+        if not radial and start == end:
+            self.result = (0j, 0.0, 0, True)
 
-    def ends(self, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Level k's panels, every level-0 panel split into 2**k equal parts:
-        their left ends, as pieces to concatenate, and their right ends."""
+    @property
+    def base(self) -> np.ndarray:
+        if self._base is None:
+            self._base = (_graded_boundaries(self.start, self.end) if self.radial
+                          else _arc_boundaries(self.start, self.end))
+        return self._base
+
+    def rights(self, k: int) -> np.ndarray:
+        """The right ends of level k's panels, every level-0 panel split into
+        2**k equal parts; each panel's left end is the right end before it,
+        the first panel's ``base[0]``."""
+        base = self.base
         if k == 0:
-            return (self.base[:-1],), self.base[1:]
+            return base[1:]
+        if self._parts is None:  # each level-0 panel's left end and width
+            self._parts = base[:-1, None], (base[1:] - base[:-1])[:, None]
+        left, width = self._parts
         steps = _STEPS.get(k)
         if steps is None:
             steps = _STEPS[k] = np.linspace(0.0, 1.0, 2 ** k + 1)[1:]
-        rights = (self.left + self.width * steps).ravel()
-        return (self.base[:1], rights[:-1]), rights
+        return (left + width * steps).ravel()
 
     def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
         """Take the value of level k, the level after the last one taken."""
@@ -312,27 +363,36 @@ class _Segment:
             self.result = (cur, err, panels, False)
 
 
-def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[tuple[int, int]], np.ndarray,
-                                                       np.ndarray, np.ndarray, np.ndarray]:
+#: A laid-out round: each job's range of panels, the panels' half-widths,
+#: and node by node t, log t and dt per unit of the panel coordinate.
+_Round = tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _layout(jobs: list[tuple[_Segment, int]]) -> _Round:
     """A round's Gauss-Legendre nodes, laid out once for all its jobs, the
     rays' jobs ahead of the arcs'.
 
-    The left and the right ends of every job's panels go into one array
-    each, which give all the midpoints and half-widths at once.  Returns
-    each job's range of panels, in the order of ``jobs``; the half-width of
-    each panel; and node by node t, log t (ln |t| + i times the unwrapped
-    angle) and dt per unit of the panel coordinate.
+    The right ends of every job's panels go into one array, and shifted by
+    one panel into another for the left ends, which give all the midpoints
+    and half-widths at once.  Returns each job's range of panels, in the
+    order of ``jobs``; the half-width of each panel; and node by node t,
+    log t (ln |t| + i times the unwrapped angle), both read-only, and dt
+    per unit of the panel coordinate.
     """
-    order = sorted(range(len(jobs)), key=lambda j: not jobs[j][0].radial)
+    order = [j for j, (seg, _) in enumerate(jobs) if seg.radial]
+    rays = len(order)
+    order += [j for j, (seg, _) in enumerate(jobs) if not seg.radial]
     laid = [jobs[j] for j in order]
     counts = [seg.panels << k for seg, k in laid]
-    ends = [seg.ends(k) for seg, k in laid]
-    lefts = np.concatenate([piece for pieces, _ in ends for piece in pieces])
-    rights = np.concatenate([piece for _, piece in ends])
-    mid, half = pairs = np.empty((2, len(rights)))
-    np.add(rights, lefts, out=mid)
-    np.subtract(rights, lefts, out=half)
-    pairs *= 0.5
+    starts = list(itertools.accumulate(counts, initial=0))
+    rights = np.concatenate([seg.rights(k) for seg, k in laid])
+    lefts = np.empty_like(rights)
+    lefts[1:] = rights[:-1]
+    lefts[starts[:-1]] = [seg.base[0] for seg, _ in laid]
+    mid = np.add(rights, lefts)
+    mid *= 0.5
+    half = np.subtract(rights, lefts)
+    half *= 0.5
 
     # mid + half * node in the coordinate a panel runs over (the modulus on a
     # ray, the angle on an arc), the segment's fixed coordinate in the other.
@@ -340,8 +400,7 @@ def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[tuple[int, int]], np
     nodes += mid[:, None]
     nodes = nodes.ravel()
     reps = _GAUSS_ORDER * np.array(counts)
-    rays = sum(seg.radial for seg, _ in laid)
-    split = _GAUSS_ORDER * sum(counts[:rays])  # the first arc node
+    split = _GAUSS_ORDER * starts[rays]  # the first arc node
     fixed = np.array([seg.fixed for seg, _ in laid])
     angs = np.concatenate((fixed[:rays].repeat(reps[:rays]), nodes[split:]))
     mods = nodes  # angs holds its own copy of the arcs' nodes
@@ -362,32 +421,109 @@ def _layout(jobs: list[tuple[_Segment, int]]) -> tuple[list[tuple[int, int]], np
     # with its operands swapped).
     jac = phase
     np.multiply(factors[rays:].repeat(reps[rays:]), jac[split:], out=jac[split:])
+    t.flags.writeable = log_t.flags.writeable = False
 
-    bounds = itertools.pairwise([0, *itertools.accumulate(counts)])
-    spans = [span for _, span in sorted(zip(order, bounds))]
-    return spans, half, t, log_t, jac
+    spans = [None] * len(jobs)
+    for j, span in zip(order, itertools.pairwise(starts)):
+        spans[j] = span
+    return tuple(spans), half, t, log_t, jac
 
 
-def _level_sums(f: Integrand, jobs: list[tuple[_Segment, int]]) -> list[complex]:
-    """The composite Gauss-Legendre sum of each (segment, level) job, from
-    one integrand call over the nodes of all of them, in job order.
+def _round_sums(f: Integrand, laid: _Round) -> list[complex]:
+    """The composite Gauss-Legendre sum of each job of the round ``laid``,
+    from one integrand call over all its nodes, in job order.
 
-    The nodes are laid out, and the values weighted, once for the round;
-    only each job's final sum is taken job by job.  Given the integrand's
-    values, every job's sum has the bits of laying that job out alone,
-    because of the operations that fix them: nodes mid + half * node; the
-    output scaled in place by the Jacobian, the output the left operand;
-    each panel's weighted row sum scaled by its half-width; and each job's
-    ``.sum()`` over its contiguous slice of those, pairwise.
+    The values are weighted once for the round; only each job's final sum is
+    taken job by job.  Given the integrand's values, every job's sum has the
+    bits of laying that job out alone, because of the operations that fix
+    them: nodes mid + half * node; the output scaled in place by the
+    Jacobian, the output the left operand; each panel's weighted row sum
+    scaled by its half-width; and each job's ``np.add.reduce`` over its
+    contiguous slice of those, pairwise.
     """
-    spans, half, t, log_t, jac = _layout(jobs)
+    spans, half, t, log_t, jac = laid
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f(t, log_t), dtype=complex)
+        if not vals.flags.writeable:
+            vals = vals.copy()
         np.multiply(vals, jac, out=vals)
     if not np.isfinite(vals).all():
         raise IntegrandError("integrand not finite")
-    weighted = (vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS).sum(axis=1) * half
-    return [complex(weighted[start:stop].sum()) for start, stop in spans]
+    weighted = np.add.reduce(vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS, axis=1)
+    weighted *= half
+    return [complex(np.add.reduce(weighted[start:stop])) for start, stop in spans]
+
+
+# Bytes of arrays the round-0 memo may hold: about 40 rounds of a gamma
+# loop (1,080 nodes, 52 KB each).
+_MEMO_BYTES = 2 << 20
+# Keys of geometries seen once that the memo remembers: a geometry seen again
+# among them is kept.  Fewer than the gamma rounds _MEMO_BYTES holds, so the
+# rounds of one window's recurring geometries all fit.
+_SEEN_KEYS = 32
+
+
+class _RoundMemo:
+    """Round 0 of the path geometries seen lately; see the module docstring.
+
+    One lock guards every change to the dictionaries, so concurrent calls
+    neither lose nor double an entry and eviction cannot raise; a lookup
+    reads one dictionary entry, which needs no lock.  Layouts are made
+    outside the lock, and two threads may lay out the same round, which has
+    the same bits either way.
+    """
+
+    def __init__(self):
+        self.nbytes = 0
+        self._lock = threading.Lock()
+        self._rounds: dict[bytes, _Round] = {}  # oldest first
+        self._seen: dict[bytes, None] = {}  # oldest first
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rounds.clear()
+            self._seen.clear()
+            self.nbytes = 0
+
+    def round0(self, key: bytes, jobs: list[tuple[_Segment, int]]) -> _Round:
+        """Round 0, whose jobs are ``jobs``, of the path geometry ``key``:
+        the round kept for it, or a fresh layout, kept when the geometry was
+        seen lately."""
+        laid = self._rounds.get(key)
+        if laid is not None:
+            return laid
+        with self._lock:
+            seen = key in self._seen
+            if seen:
+                del self._seen[key]
+            else:
+                self._seen[key] = None
+                if len(self._seen) > _SEEN_KEYS:
+                    del self._seen[next(iter(self._seen))]
+        laid = _layout(jobs)
+        if seen:
+            self._keep(key, laid)
+        return laid
+
+    def _keep(self, key: bytes, laid: _Round) -> None:
+        """Keep ``laid``, read-only, dropping the rounds kept longest until
+        it fits; a round larger than the whole memo is not kept."""
+        size = sum(a.nbytes for a in laid[1:])
+        if size > _MEMO_BYTES:
+            return
+        for a in laid[1:]:
+            a.flags.writeable = False
+        with self._lock:
+            if key in self._rounds:
+                return
+            while self.nbytes + size > _MEMO_BYTES:
+                old = self._rounds.pop(next(iter(self._rounds)))
+                self.nbytes -= sum(a.nbytes for a in old[1:])
+            self._rounds[key] = laid
+            self.nbytes += size
+
+
+_ROUNDS = _RoundMemo()
 
 
 # --------------------------------------------------------------------------
@@ -493,36 +629,40 @@ def integrate_path(f: Integrand, path: IntegrationPath,
     its own model (rays at different angles usually decay at different rates).
     An infinite ray requires one; it is truncated at ``truncation_radius``,
     where the tail bound stays below abs_tol / 10, and the bound is added to
-    the ray's error estimate.  Finite rays integrate the stated span exactly.
+    the ray's error estimate.  Finite rays integrate the stated span exactly
+    and never ask for a model.  Round 0 is reused, with the same bits, from
+    an earlier call in this process over the same geometry when that
+    geometry recurs soon (see the module docstring).
     """
     segments = []
     trunc = []
+    shape = []  # each segment's radial flag, fixed coordinate, start and end
     for seg in path.segments:
-        r_end = 0.0
+        r_end = tail = 0.0
         if isinstance(seg, ArcSegment):
-            base = _arc_boundaries(seg.start_angle, seg.end_angle)
-            segment = _Segment(base, False, seg.radius, 0.0)
-            if seg.start_angle == seg.end_angle:
-                segment.result = (0j, 0.0, 0, True)
-        else:
+            where = (False, seg.radius, seg.start_angle, seg.end_angle)
+        elif seg.infinite:
             model = decay(seg) if callable(decay) else decay
-            if seg.infinite:
-                if model is None:
-                    raise PreconditionError("infinite ray requires a decay model")
-                r_end = truncation_radius(model, seg.start_radius, cfg)
-                span_end, tail = r_end, model.tail_bound(r_end)
-            else:
-                span_end, tail = seg.end_radius, 0.0
-            base = _graded_boundaries(seg.start_radius, span_end)
-            segment = _Segment(base, True, seg.angle, tail)
-        segments.append(segment)
+            if model is None:
+                raise PreconditionError("infinite ray requires a decay model")
+            r_end = truncation_radius(model, seg.start_radius, cfg)
+            tail = model.tail_bound(r_end)
+            where = (True, seg.angle, seg.start_radius, r_end)
+        else:
+            where = (True, seg.angle, seg.start_radius, seg.end_radius)
+        segments.append(_Segment(*where, tail))
+        shape += where
         trunc.append(r_end)
 
     jobs = [(seg, k) for seg in segments if seg.result is None for k in (0, 1)]
+    if jobs:
+        sums = _round_sums(f, _ROUNDS.round0(struct.pack(f"{len(shape)}d", *shape), jobs))
     while jobs:
-        for (seg, k), value in zip(jobs, _level_sums(f, jobs)):
+        for (seg, k), value in zip(jobs, sums):
             seg.accept(k, value, cfg)
         jobs = [(seg, seg.level + 1) for seg in segments if seg.result is None]
+        if jobs:
+            sums = _round_sums(f, _layout(jobs))
 
     total = 0j
     err = 0.0
@@ -537,4 +677,3 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         panels += seg_panels
         converged = converged and seg_converged
     return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)
-

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +96,17 @@ class TestRay:
                              IntegrationPath((RaySegment(0.0, 1.0, "outbound", end_radius=3.0),)))
         assert res.value == pytest.approx(math.exp(-1) - math.exp(-3), rel=1e-12)
         assert res.truncation_radius == 0.0
+
+    def test_finite_ray_never_asks_for_decay(self):
+        # a model that would refuse must not abort a path that needs none
+        def refusing(ray):
+            return DecayModel(0.0, 1.0, 1.0)
+
+        res = integrate_path(lambda t, log_t: t * 0 + 1,
+                             IntegrationPath((RaySegment(0.0, 1.0, "outbound", 2.0),)),
+                             decay=refusing)
+        assert res.value == pytest.approx(1.0, rel=1e-14)
+        assert res.converged
 
     def test_infinite_ray_requires_decay(self):
         with pytest.raises(ValueError, match="decay"):
@@ -405,11 +418,12 @@ class TestRounds:
 
 
 # --------------------------------------------------------------------------
-# Reference for a quadrature round: the per-job layout that _level_sums
-# replaced, kept as it was apart from the Jacobian, which the engine now
-# takes from each node's phase (``_reference_jacobian`` is the former body
-# of _Segment's), and the integrand's arguments, which it builds with the
-# formulas the integrands used before they took t and log t from the engine.
+# Reference for a quadrature round: the per-job layout that _layout and
+# _round_sums replaced, kept as it was apart from the Jacobian, which the
+# engine now takes from each node's phase (``_reference_jacobian`` is the
+# former body of _Segment's), and the integrand's arguments, which it builds
+# with the formulas the integrands used before they took t and log t from
+# the engine.
 # --------------------------------------------------------------------------
 
 _GAUSS_ORDER = 15
@@ -480,8 +494,9 @@ def _bits(values) -> list[tuple[str, str]]:
 
 
 class TestRoundReference:
-    """_level_sums lays a round out with one set of array operations; its
-    sums must have the bits of the per-job reference above."""
+    """_layout and _round_sums lay a round out and sum it with one set of
+    array operations; its sums must have the bits of the per-job reference
+    above."""
 
     @staticmethod
     def integrand(t, log_t):
@@ -492,16 +507,14 @@ class TestRoundReference:
     def segment(rng):
         if rng.random() < 0.5:
             start, end = rng.uniform(-7.0, 7.0, 2)  # descending about half the time
-            return quadrature._Segment(quadrature._arc_boundaries(start, end), False,
-                                       float(rng.uniform(0.1, 5.0)), 0.0)
+            return quadrature._Segment(False, float(rng.uniform(0.1, 5.0)), start, end, 0.0)
         r0 = float(rng.uniform(0.0, 3.0))
         r1 = r0 + float(10.0 ** rng.uniform(-2.0, 3.0))
-        return quadrature._Segment(quadrature._graded_boundaries(r0, r1), True,
-                                   float(rng.uniform(-7.0, 7.0)), 0.0)
+        return quadrature._Segment(True, float(rng.uniform(-7.0, 7.0)), r0, r1, 0.0)
 
     def assert_same(self, jobs):
         expected = _reference_level_sums(self.integrand, jobs)
-        assert _bits(quadrature._level_sums(self.integrand, jobs)) == _bits(expected)
+        assert _bits(quadrature._round_sums(self.integrand, quadrature._layout(jobs))) == _bits(expected)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_rounds(self, seed):
@@ -518,8 +531,8 @@ class TestRoundReference:
 
     def test_rounds_above_16384_nodes(self):
         rng = np.random.default_rng(7)
-        arc = quadrature._Segment(quadrature._arc_boundaries(2.5, -3.0), False, 1.3, 0.0)
-        ray = quadrature._Segment(quadrature._graded_boundaries(1.3, 60.0), True, 2.5, 0.0)
+        arc = quadrature._Segment(False, 1.3, 2.5, -3.0, 0.0)
+        ray = quadrature._Segment(True, 2.5, 1.3, 60.0, 0.0)
         # 30,720 and 3,840 nodes; then 16,384 arc panels, where numpy may
         # reuse temporaries of 256 KiB or more in place
         self.assert_same([(arc, 8), (ray, 5), (self.segment(rng), 3)])
@@ -639,3 +652,188 @@ class TestPhase:
         angles = self.ANGLES[::100]
         expected = _bits(np.exp(1j * angles))
         assert _bits(complex(math.cos(a), math.sin(a)) for a in angles.tolist()) == expected
+
+
+class TestRoundMemo:
+    """integrate_path reuses round 0 of a path geometry seen twice lately;
+    a reused round must give every result the bits of a fresh layout."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        quadrature._ROUNDS.clear()
+        yield
+        quadrature._ROUNDS.clear()
+
+    @staticmethod
+    def counting_layouts(monkeypatch):
+        calls = []
+        layout = quadrature._layout
+
+        def counted(jobs):
+            calls.append(len(jobs))
+            return layout(jobs)
+
+        monkeypatch.setattr(quadrature, "_layout", counted)
+        return calls
+
+    @staticmethod
+    def kept_arrays():
+        return [a for laid in quadrature._ROUNDS._rounds.values() for a in laid[1:]]
+
+    @pytest.mark.parametrize("case", range(len(TestGolden.CASES)))
+    def test_golden_cold_seen_and_kept(self, case, monkeypatch):
+        compute, expected = TestGolden.CASES[case]
+        layouts = self.counting_layouts(monkeypatch)
+        assert repr(compute()) == expected  # cold: nothing kept
+        cold = len(layouts)
+        assert len(quadrature._ROUNDS._rounds) == 0
+        assert repr(compute()) == expected  # seen again: kept
+        assert len(quadrature._ROUNDS._rounds) == 1
+        assert repr(compute()) == expected  # round 0 reused
+        assert len(layouts) == 3 * cold - 1
+
+    def test_gamma_grid_by_columns_is_cold_bit_for_bit(self):
+        # Re s >= 0: the rays' radii depend on Im s alone, so each column
+        # reuses the rounds of the one before it
+        points = [complex(a, b) for a in (0.0, 0.5, 1.5, 3.0) for b in range(-8, 9, 2)]
+        warm = [repr(recip_gamma_contour(s)) for s in points]
+        assert len(quadrature._ROUNDS._rounds) == 9
+        cold = []
+        for s in points:
+            quadrature._ROUNDS.clear()
+            cold.append(repr(recip_gamma_contour(s)))
+        assert warm == cold
+
+    def test_signed_zero_angles_never_share_a_round(self):
+        # the sign of the zero angle reaches the integrand through log t
+        def f(t, log_t):
+            return np.exp(-t) * (2.0 + np.copysign(1.0, log_t.imag))
+
+        paths = [IntegrationPath((RaySegment(angle, 1.0, "outbound", 3.0),)) for angle in (0.0, -0.0)]
+        cold = []
+        for path in paths:
+            cold.append(integrate_path(f, path))
+            quadrature._ROUNDS.clear()
+        assert cold[0].value != cold[1].value
+        for _ in range(3):
+            for path, expected in zip(paths, cold):
+                assert integrate_path(f, path) == expected
+        assert len(quadrature._ROUNDS._rounds) == 2
+
+    def test_integrand_returning_t_leaves_the_round_intact(self):
+        path = IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),
+                                RaySegment(PI / 2, 1.0, "inbound", end_radius=2.0)))
+
+        def g(t, log_t):
+            return np.exp(-t)
+
+        expected = integrate_path(lambda t, log_t: t, path)
+        expected_g = integrate_path(g, path)
+        quadrature._ROUNDS.clear()
+        for _ in range(3):
+            assert integrate_path(lambda t, log_t: t, path) == expected
+        assert len(quadrature._ROUNDS._rounds) == 1
+        assert integrate_path(g, path) == expected_g
+
+    def test_kept_arrays_are_read_only(self):
+        path = IntegrationPath((ArcSegment(1.0, -PI, PI),))
+        for _ in range(2):
+            integrate_path(lambda t, log_t: 1.0 / t, path)
+        arrays = self.kept_arrays()
+        assert len(arrays) == 4
+        assert not any(a.flags.writeable for a in arrays)
+
+        def writes_t(t, log_t):
+            t *= 2.0
+            return 1.0 / t
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_path(writes_t, path)
+
+    def test_a_write_into_t_fails_at_the_first_call(self):
+        # t and log t are read-only on every round, so whether a write fails
+        # never depends on the geometries seen before
+        path = IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),
+                                RaySegment(PI / 2, 1.0, "inbound", end_radius=2.0)))
+
+        def writes_log_t(t, log_t):
+            log_t *= 2.0
+            return np.exp(log_t)
+
+        for _ in range(3):
+            with pytest.raises(ValueError, match="read-only"):
+                integrate_path(writes_log_t, path)
+
+    def test_a_geometry_seen_once_keeps_nothing(self):
+        for k in range(3 * quadrature._SEEN_KEYS):
+            recip_gamma_contour(complex(0.5, 0.1 * k))
+        assert len(quadrature._ROUNDS._rounds) == 0
+        assert quadrature._ROUNDS.nbytes == 0
+
+    @pytest.mark.parametrize("column", [quadrature._SEEN_KEYS, quadrature._SEEN_KEYS + 1])
+    def test_columns_reuse_only_within_the_window(self, column, monkeypatch):
+        # three columns of Re s >= 0: the second keeps the first's rounds
+        # and the third reuses them when a column fits the window of keys,
+        # and none is kept when a column is one longer
+        layouts = self.counting_layouts(monkeypatch)
+        for a in (0.0, 1.0, 2.0):
+            for b in range(column):
+                recip_gamma_contour(complex(a, 0.25 * b))
+        fits = column <= quadrature._SEEN_KEYS
+        assert len(quadrature._ROUNDS._rounds) == (column if fits else 0)
+        round0 = sum(1 for jobs in layouts if jobs == 6)  # arc and two rays, levels 0 and 1
+        assert round0 == (2 * column if fits else 3 * column)
+
+    def test_bytes_stay_bounded(self):
+        # column pairs share their Im s values, each pair new ones, so every
+        # second column keeps its rounds and older rounds must be dropped;
+        # s = -11 + 20i refines through a round of 17,280 nodes
+        memo = quadrature._ROUNDS
+        largest = 0
+        for pair in range(50):
+            for a in (0.0, 0.5):
+                for b in range(20):
+                    recip_gamma_contour(complex(a, pair + 0.05 * b))
+                    assert memo.nbytes == sum(x.nbytes for x in self.kept_arrays())
+                    assert memo.nbytes <= quadrature._MEMO_BYTES
+                    largest = max(largest, memo.nbytes)
+            for _ in range(3):
+                assert repr(recip_gamma_contour(-11 + 20j).diagnostics) == (
+                    "QuadratureResult(value=(2.839591908408663e+28+4.0627064423475915e+27j), "
+                    "error_estimate=2.72318932301511e+18, truncation_radius=243.51678162953584, "
+                    "panels_used=1184, converged=True)")
+        assert largest > quadrature._MEMO_BYTES - 60_000  # the bound was reached
+        # only round 0 is kept, never the later round of 17,280 nodes
+        assert max(len(laid[2]) for laid in memo._rounds.values()) < 17_280
+
+    def test_threads_get_the_bits_of_cold_calls(self):
+        # more threads than cores, switching often, over one shared grid
+        points = [complex(a, b) for a in (0.0, 1.0, 2.0) for b in range(-6, 7, 2)]
+        expected = [repr(recip_gamma_contour(s)) for s in points]
+        quadrature._ROUNDS.clear()
+        mismatches, errors = [], []
+
+        def worker(order):
+            try:
+                for k in order:
+                    if repr(recip_gamma_contour(points[k])) != expected[k]:
+                        mismatches.append(points[k])
+            except Exception as exc:  # reported below, with the thread's failure
+                errors.append(exc)
+
+        rng = np.random.default_rng(5)
+        threads = [threading.Thread(target=worker, args=(rng.permutation(len(points) * 3) % len(points),))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert mismatches == []
+        assert quadrature._ROUNDS.nbytes <= quadrature._MEMO_BYTES
