@@ -222,9 +222,9 @@ class IntegrationPath:
 # --------------------------------------------------------------------------
 
 def gamma_psi_window(delta1: float, delta2: float) -> tuple[float, float]:
-    """Open interval of admissible rotation angles for the gamma loop."""
+    """Open interval of admissible gamma-loop rotations; deltas get the guard band."""
     for name, d in (("delta1", delta1), ("delta2", delta2)):
-        if not (HALF_PI < d <= math.pi):
+        if not (HALF_PI + DEFAULT_BOUNDARY_MARGIN < d <= math.pi):
             raise PreconditionError(f"{name} out of range (pi/2, pi]")
     return (HALF_PI - delta2, -HALF_PI + delta1)
 
@@ -238,10 +238,10 @@ def ml_delta_range(rho: float) -> tuple[float, float]:
 
 
 def ml_arg_window(rho: float, delta1_rho: float, delta2_rho: float) -> tuple[float, float]:
-    """Open interval of admissible arg z for the zeta-loop representation."""
+    """Open interval of admissible arg z for the zeta loop; deltas get the guard band."""
     lo_delta, hi_delta = ml_delta_range(rho)
     for name, d in (("delta1_rho", delta1_rho), ("delta2_rho", delta2_rho)):
-        if not (lo_delta < d <= hi_delta):
+        if not (lo_delta + DEFAULT_BOUNDARY_MARGIN < d <= hi_delta):
             raise PreconditionError(f"{name} delta out of range ({lo_delta:.6g}, {hi_delta:.6g}]")
     return (HALF_PI / rho - delta2_rho + math.pi, -HALF_PI / rho + delta1_rho + math.pi)
 

@@ -317,51 +317,50 @@ def _tau_integrand(params: MLParams, log_scale: complex, pole: complex):
     return f
 
 
-def _zeta_ray_decay(params: MLParams, z: PolarComplex, spec: MLContourSpec,
-                    ray: RaySegment) -> DecayModel:
-    rho = params.rho
-    mu = complex(params.mu)
-    rate = z.modulus ** rho * abs(math.cos(rho * (z.argument + ray.angle)))
-    poly = rho * (1.0 - mu.real)
-    # 1/|zeta - 1| on the ray: at most 1/epsilon_hat when the ray starts
-    # past the pole, else 1/(the pole's distance to the ray)
-    pole_gap = spec.epsilon_hat if spec.epsilon_hat > 0 else ray_distance(ray, 1.0)
-    log_base = (poly * math.log(z.modulus)
-                + rho * mu.imag * (z.argument + ray.angle)
-                - math.log(pole_gap))
-    base = math.exp(min(log_base, 700.0))
-    return DecayModel.with_power_growth(base, poly, rate, rho, ray.start_radius)
-
-
 @functools.lru_cache(maxsize=1)
 def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
-               deltas: Optional[tuple[float, float]]) -> tuple[MLContourSpec, IntegrationPath]:
-    """Every check ``ml_contour`` makes before integrating, and the loop it
-    integrates over.  The last loop built is kept, so ``ml_route`` and then
-    ``ml_contour`` at one point (method "auto") build and check it once; a
-    refused spec raises on every call.  Arguments that compare equal share
-    the entry even where the sign of a zero differs (mu = 1 + 0j and 1 - 0j,
-    arg z = 0.0 and -0.0): the loop depends on neither, and ``ml_contour``
-    reads only the spec's epsilon_hat."""
+               deltas: Optional[tuple[float, float]]) -> tuple[IntegrationPath, dict]:
+    """The one place that decides whether the zeta loop runs at z: every
+    check ``ml_contour`` makes, its loop, and each ray's decay bound, by ray.
+    The last loop built is kept, so ``ml_route`` and then ``ml_contour`` at
+    one point (method "auto") build and check it once; a refused loop raises
+    on every call.  Arguments equal but for a zero's sign (mu = 1 +- 0j, arg
+    z = +-0.0) share the entry: the loop ignores that sign, the bounds pass
+    it only through cos and exp, and the integrand, whose bits keep it, is
+    built per call."""
     spec = default_ml_spec(params, z, epsilon_hat, deltas)
     path = build_zeta_path(spec)
-    growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), params.rho)
+    rho = params.rho
+    growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), rho)
     if growth > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
     # The rays decay at rate |z|^rho, which can overflow where the arc
     # passes inside the pole and the growth above is small.
-    if _float_power(z.modulus, params.rho) == math.inf:
+    z_rho = _float_power(z.modulus, rho)
+    if z_rho == math.inf:
         raise PreconditionError(
             "modulus too large for the loop route: |z|^rho overflows; use the series")
-    return spec, path
+    mu = complex(params.mu)
+    poly = rho * (1.0 - mu.real)
+    bounds = {}
+    for ray in path.segments[::2]:  # ray in and ray out, around the arc
+        rate = z_rho * abs(math.cos(rho * (z.argument + ray.angle)))
+        # 1/|zeta - 1| on the ray: at most 1/epsilon_hat when the ray starts
+        # past the pole, else 1/(the pole's distance to the ray)
+        pole_gap = spec.epsilon_hat if spec.epsilon_hat > 0 else ray_distance(ray, 1.0)
+        log_base = (poly * math.log(z.modulus)
+                    + rho * mu.imag * (z.argument + ray.angle)
+                    - math.log(pole_gap))
+        bounds[ray] = DecayModel.with_power_growth(
+            math.exp(min(log_base, 700.0)), poly, rate, rho, ray.start_radius)
+    return path, bounds
 
 
 def ml_route(params: MLParams, z: PolarComplex) -> str:
-    """The route ``method="auto"`` takes at z: "contour" when the zeta loop's
-    default spec passes every check ``ml_contour`` makes before integrating,
-    else "series"."""
+    """The route ``method="auto"`` takes at z: "contour" where ``_zeta_loop``
+    refuses nothing for the default spec, ray bounds included, else "series"."""
     try:
         _zeta_loop(params, z, None, None)
     except PreconditionError:
@@ -379,16 +378,15 @@ def ml_contour(params: MLParams, z: PolarComplex,
     of ``default_ml_spec``; the arc may pass inside the pole
     (-1 < epsilon_hat <= 0) when both half-angles are below pi.
 
-    Raises PreconditionError for rho <= 1/2, at z = 0, for a spec
-    ``validate_ml_contour`` refuses (ContourValidityError), when
-    exp((|z|(1+eps))^rho) or |z|^rho would overflow, and ConvergenceError
-    when the quadrature stalls.
+    Raises PreconditionError, before integrating, for rho <= 1/2, at z = 0,
+    for a spec ``validate_ml_contour`` refuses (ContourValidityError), when
+    exp((|z|(1+eps))^rho), |z|^rho or a ray bound leaves the double range,
+    and ConvergenceError when the quadrature stalls.
     """
-    spec, path = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
+    path, bounds = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
     log_z = complex(math.log(z.modulus), z.argument)
     raw = integrate_path(_tau_integrand(params, log_z, 1.0), path,
-                         decay=lambda ray: _zeta_ray_decay(params, z, spec, ray),
-                         cfg=cfg)
+                         decay=bounds.__getitem__, cfg=cfg)
     return finish_loop(raw, params.rho / TWO_PI_I, "contour",
                        lambda: f"zeta-loop quadrature did not converge for rho={params.rho}, "
                                f"mu={params.mu}, z=({z.modulus}, {z.argument})")

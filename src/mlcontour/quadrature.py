@@ -155,8 +155,10 @@ class DecayModel:
         is maximal at r0 and the rate is kept; for m > 0 the rate is halved
         and the worst case of r**m * exp(-c/2 * r**p) absorbed into A.
         Raises PreconditionError where that worst case leaves the double
-        range: its radius overflows, or A underflows to 0.
+        range: B underflowed to 0, the radius overflows, or A underflows to 0.
         """
+        if base_amplitude == 0.0:
+            raise PreconditionError("with_power_growth requires B > 0, but B underflows to 0")
         if not (base_amplitude > 0 and rate > 0 and exponent > 0):
             raise PreconditionError("with_power_growth requires positive bound parameters")
         c_eff = rate

@@ -239,13 +239,23 @@ class TestRayBoundEdges:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["status"] for r in rows] == ["precondition_violation"]
 
-    def test_ml_grid_row_reads_precondition_violation(self, capsys):
-        code, out = run(capsys, "grid", "ml", "--rho", 1, "--mu-re", 1, "--mu-im", 900,
+    # e^(900 rho (arg z + angle)) on the inbound ray, at angle -2 pi, underflows to 0
+    BOUND_UNDERFLOWS = ("grid", "ml", "--rho", 1, "--mu-re", 1, "--mu-im", 900,
                         "--zmod-min", 1, "--zmod-max", 1, "--zmod-step", 1,
                         "--zarg-min", 3, "--zarg-max", 3, "--zarg-step", 1)
+
+    def test_ml_grid_row_reads_precondition_violation(self, capsys):
+        code, out = run(capsys, *self.BOUND_UNDERFLOWS, "--method", "contour")
         assert code == 1
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["status"] for r in rows] == ["precondition_violation"]
+
+    def test_ml_grid_auto_row_takes_the_series_where_a_bound_underflows(self, capsys):
+        # the loop is refused, so auto takes the series, which overflows here
+        code, out = run(capsys, *self.BOUND_UNDERFLOWS)
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["method"], r["status"]) for r in rows] == [("series", "non_convergence")]
 
     def test_gamma_invariance_at_tiny_radius_is_non_convergence(self, capsys):
         # r0**(-Re s) overflows at r0 = 1e-300
@@ -260,11 +270,36 @@ class TestRayBoundEdges:
         # Bateman's ray bound: B r0**m underflows to 0
         (["--rho", "0.8", "--mu-re=1e200", "--z-arg", "2.5", "--method", "bateman"],
          "underflows to 0"),
+        # the zeta loop's ray bound: B itself underflows to 0
+        (["--rho", "1", "--mu-re", "1", "--mu-im", "900", "--z-arg", "3", "--method", "contour"],
+         "B underflows to 0"),
     ])
     def test_eval_names_the_bound_that_leaves_the_double_range(self, capsys, argv, cause):
         code = main(["eval", "--z-mod", "1", *argv])
         assert code == 2
         assert cause in capsys.readouterr().err
+
+    def test_gamma_invariance_names_an_underflowed_bound(self, capsys):
+        # e^(Im s angle) on the inbound ray underflows to 0
+        code = main(["invariance", "gamma", "--s-re", "0.5", "--s-im", "300"])
+        assert code == 2
+        assert "B underflows to 0" in capsys.readouterr().err
+
+    # Where the zeta loop's ray bound underflows, auto answers with the series
+    # (TestZetaLoopDecides checks it against mpmath) and contour still refuses
+    @pytest.mark.parametrize("argv, value", [
+        (("--rho", 1, "--mu-re", 0.5, "--mu-im", -300, "--z-mod", 1, "--z-arg-pi", 1),
+         -1.5358055453983208e+204 - 9.5528694998256745e+203j),
+        (("--rho", 2, "--mu-re", 200, "--z-mod", 20, "--z-arg-pi", 1), 0j),
+    ])
+    def test_eval_where_the_loop_is_refused(self, capsys, argv, value):
+        code, out = run(capsys, "eval", *argv)
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (code, row["method"]) == (0, "series")
+        assert complex(float(row["value_re"]), float(row["value_im"])) == value
+        code = main([str(a) for a in ("eval", *argv, "--method", "contour")])
+        assert code == 2
+        assert "B underflows to 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("s_re", ["nan", "inf"])
     def test_non_finite_s_is_precondition_error(self, capsys, s_re):
@@ -404,6 +439,19 @@ class TestWindow:
         assert float(row["low"]) == PI / 2 - 3
         assert float(row["high"]) == 2.5 - PI / 2
         assert row["inclusive"] == "false"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gamma", "--delta1", 1.5707963272, "--delta2", 3.14),
+         "delta1 out of range (pi/2, pi]"),
+        (("ml", "--rho", 2, "--delta1-rho", 0.7853981639, "--delta2-rho", 1),
+         "delta1_rho delta out of range"),
+    ])
+    def test_delta_inside_the_guard_band_is_refused(self, capsys, argv, message):
+        # within DEFAULT_BOUNDARY_MARGIN of the open bound, which every
+        # route that integrates refuses too
+        code = main([str(a) for a in ("window", *argv)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_ml_boundary_samples(self, capsys):
         code, out = run(capsys, "window", "ml", "--rho", 1.5, "--samples", 4,

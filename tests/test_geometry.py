@@ -16,6 +16,7 @@ from mlcontour import (
 )
 from mlcontour.geometry import MLContourSpec, validate_ml_contour
 from mlcontour.geometry import (
+    DEFAULT_BOUNDARY_MARGIN,
     ArcSegment,
     IntegrationPath,
     RaySegment,
@@ -75,6 +76,24 @@ class TestWindows:
             ml_arg_window(1.0, PI / 4, PI)
         with pytest.raises(PreconditionError, match="delta out of range"):
             ml_arg_window(2.0, PI / 2, 0.6 * PI)
+
+    def test_windows_refuse_the_deltas_the_validators_refuse(self):
+        # the open lower delta bound carries the validators' guard band;
+        # a delta just past it gets the window of the plain formula
+        edge = PI / 2 + DEFAULT_BOUNDARY_MARGIN
+        with pytest.raises(PreconditionError, match="delta1 out of range"):
+            gamma_psi_window(edge, PI)
+        with pytest.raises(ContourValidityError, match="delta1 at or below pi/2"):
+            validate_gamma_contour(GammaContourSpec(1.0, 0.0, edge, PI))
+        above = math.nextafter(edge, PI)
+        assert gamma_psi_window(above, PI) == (PI / 2 - PI, -PI / 2 + above)
+        edge = PI / 4 + DEFAULT_BOUNDARY_MARGIN  # rho = 2
+        with pytest.raises(PreconditionError, match="delta1_rho delta out of range"):
+            ml_arg_window(2.0, edge, PI / 2)
+        with pytest.raises(ContourValidityError, match="delta1_rho at or below"):
+            validate_ml_contour(MLContourSpec(2.0, 1.0, 1.0, PI, edge, PI / 2))
+        above = math.nextafter(edge, PI)
+        assert ml_arg_window(2.0, above, PI / 2) == (PI / 4 - PI / 2 + PI, -PI / 4 + above + PI)
 
     @pytest.mark.parametrize("rho,expected", [
         (1.0, PI),

@@ -778,6 +778,38 @@ class TestZetaLoopReuse:
             assert got == [e for e in expected for _ in range(repeat)]
 
 
+class TestZetaLoopDecides:
+    """_zeta_loop makes every refusal of the zeta loop, its ray bounds
+    included, before integrate_path runs, so auto takes the series wherever
+    the loop would refuse.  At both points a ray bound underflows to 0."""
+
+    # (params, z, relative error of auto's value to ml_reference); the first
+    # reads 1.4e-13, where log Gamma(mu + n) is about 1,500 in modulus, and
+    # mpmath's value at the second underflows to 0
+    POINTS = [(MLParams(1.0, 0.5 - 300j), PolarComplex(1.0, PI), 2e-13),
+              (MLParams(2.0, 200.0), PolarComplex(20.0, PI), 0.0)]
+
+    @pytest.mark.parametrize("params, z, rel", POINTS)
+    def test_auto_takes_the_series(self, params, z, rel):
+        assert ml_route(params, z) == "series"
+        ev = evaluate_ml(params, z, method="auto")
+        ref = ml_reference(params.rho, params.mu, z.to_complex())
+        assert ev.method == "series"
+        assert abs(ev.value - ref) <= rel * abs(ref)
+
+    @pytest.mark.parametrize("params, z", [point[:2] for point in POINTS])
+    def test_contour_refuses_before_integrating(self, params, z, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("integrate_path ran")
+
+        monkeypatch.setattr(mittag_leffler, "integrate_path", never)
+        mittag_leffler._zeta_loop.cache_clear()
+        with pytest.raises(PreconditionError, match="B underflows to 0") as refused:
+            ml_contour(params, z)
+        assert refused.traceback[-1].name == "with_power_growth"
+        assert any(entry.name == "_zeta_loop" for entry in refused.traceback)
+
+
 class TestInnerArc:
     """The zeta loop's arc at tau-plane radius 1, inside the pole zeta = 1:
     the default once (|z|(1.01))^rho would pass e^8.5, with both ray

@@ -16,7 +16,7 @@ from mlcontour import (
     ml_dzhrbashyan,
     recip_gamma_contour,
 )
-from mlcontour import quadrature
+from mlcontour import cli, quadrature
 from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
 from mlcontour.quadrature import (
     DecayModel,
@@ -783,6 +783,22 @@ class TestRoundMemo:
         assert len(quadrature._ROUNDS._rounds) == (column if fits else 0)
         round0 = sum(1 for jobs in layouts if jobs == 6)  # arc and two rays, levels 0 and 1
         assert round0 == (2 * column if fits else 3 * column)
+
+    @pytest.mark.parametrize("im_step, points, laid_out", [
+        ("2", 407, 154),  # 11 Im s values a column: 253 rounds reused
+        ("0.5", 1517, 1517),  # 41, past the window of keys: none reused
+    ])
+    def test_one_grid_call_reuses_within_the_window(self, capsys, monkeypatch, im_step,
+                                                    points, laid_out):
+        # one cold `mlc grid gamma` over Re s in [-6, 12]: the Re s >= 0
+        # columns repeat the paths of the column before only when a column
+        # fits the window
+        layouts = self.counting_layouts(monkeypatch)
+        code = cli.main(["grid", "gamma", "--re-min", "-6", "--re-max", "12", "--re-step",
+                         "0.5", "--im-min", "-10", "--im-max", "10", "--im-step", im_step])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert (code, len(rows)) == (0, points)
+        assert sum(1 for jobs in layouts if jobs == 6) == laid_out
 
     def test_bytes_stay_bounded(self):
         # column pairs share their Im s values, each pair new ones, so every
