@@ -270,7 +270,7 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
             cfg: QuadratureConfig) -> dict:
     z = PolarComplex(z_mod, z_arg)
     # Resolved here so that a failed row still names the route it was sent to.
-    route = ml_route(params, z) if method == "auto" else method
+    route = ml_route(params, z, cfg) if method == "auto" else method
     return _grid_row({"z_mod": z_mod, "z_arg": z_arg}, route,
                      lambda: _row_record(evaluate_ml(params, z, route, cfg)))
 
@@ -305,6 +305,8 @@ def cmd_grid(ns: argparse.Namespace) -> int:
 def cmd_invariance(ns: argparse.Namespace) -> int:
     if ns.points < 3:
         raise PreconditionError("--points must be >= 3")
+    if not 0 < ns.threshold < math.inf:
+        raise PreconditionError(f"--threshold must be positive and finite, not {ns.threshold}")
     cfg = quadrature_config(ns)
     values: list[complex] = []
     skipped: list[str] = []

@@ -15,7 +15,9 @@ loops their own contour parameters and then ``cfg``.  Each owns the defaults
 of its parameters and returns an ``Evaluation``.  The zeta loop's free
 parameters are ``epsilon_hat`` and ``deltas`` (rho, mu and arg z fix the
 rest).  ``evaluate_ml`` dispatches on a route name from ``ML_METHODS``, and
-``ml_route`` is the rule behind ``method="auto"``.
+``ml_route`` is the rule behind ``method="auto"``: the series where |z|^rho is
+small (``AUTO_SERIES_MODULUS``, set from a measured sweep), where its terms
+cannot cancel much; elsewhere the zeta loop where it runs, else the series.
 
 All power factors inside contour integrands are computed from accumulated
 (unwrapped) arguments; reducing them to the principal range would hop sheets
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .gamma import TWO_PI_I, log_gamma, recip_gamma_oracle
+from .gamma import TWO_PI_I, is_gamma_pole, log_gamma, recip_gamma_oracle
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
@@ -71,6 +73,27 @@ _ARC_GROWTH_CAP = 8.5
 
 #: The series' default term budget.
 SERIES_MAX_TERMS = 10000
+
+# The auto route's series region (``ml_route``), set from the sweep in
+# ``tests/auto_route_sweep.py``: rho in [0.51, 100], mu in {0.5, 1, 2,
+# 1+0.5i, -1.5+i, -3+2i}, arg z at 2% to 98% of the zeta loop's window, each
+# cell scored against an mpmath reference.  For |z|^rho <= 5 and rho <= 20
+# the series stays within 4.9e-11 (2.0e-11 for rho in [0.55, 4]); at rho = 1
+# it reaches 1.6e-10 at |z|^rho = 6 and 1.0e-8 at 8, as the largest term,
+# about e^(|z|^rho), cancels against an O(1) value.  At every |z|^rho the
+# loop raised or was off by more than 1e-8 at 9 to 178 of the 360 cells with
+# rho <= 20, and the series was within 1e-8 at all of them.  A real mu <= 0
+# at large rho, outside the sweep, makes |E| smaller and the series cancel
+# more: at rho = 20, mu = -3, |z|^rho = 5 it is off by 1.8e-9, unflagged,
+# while the loop raises there.
+#: ``method="auto"`` sums the series where |z|^rho is at most this.
+AUTO_SERIES_MODULUS = 5.0
+#: ... and rho is at most this: at rho = 50 and 100 the series needs up to
+#: 1,652 and 3,300 terms at |z|^rho = 5, so the loop keeps those.
+AUTO_SERIES_RHO_MAX = 20.0
+#: The worst relative series error in that region, rounded up: a
+#: ``rel_tol`` below it keeps the loop wherever the loop runs.
+AUTO_SERIES_ERROR = 5e-11
 
 #: The route names ``evaluate_ml`` takes.
 ML_METHODS = ("series", "contour", "bateman", "dzhrbashyan", "auto")
@@ -180,7 +203,8 @@ def ml_series(params: MLParams, z: PolarComplex,
     pole).  An underflowed 1/Gamma is not a pole, so once rescaling has
     started only the logarithm is read.
     Summation stops once three consecutive terms fall below
-    abs_tol + rel_tol*|partial sum| and the peak term has been passed.
+    abs_tol + rel_tol*|partial sum| and the peak term has been passed; a
+    pole's zero term neither counts toward the three nor breaks the run.
     Non-convergence within the term budget, and overflow of a term or of
     the sum, are reported in the diagnostics (not converged; overflow also
     sets infinite cancellation), not raised.  A term budget below 1 is
@@ -243,10 +267,12 @@ def ml_series(params: MLParams, z: PolarComplex,
             max_term = mod
             max_index = n
         if mod < cfg.abs_tol + cfg.rel_tol * total_mod:
-            small_streak += 1
-            if small_streak >= 3 and n > max_index:
-                converged = True
-                break
+            # a pole's exact zero says nothing of the tail
+            if mod or not is_gamma_pole(mu + n / params.rho):
+                small_streak += 1
+                if small_streak >= 3 and n > max_index:
+                    converged = True
+                    break
         else:
             small_streak = 0
         z_pow *= zc
@@ -358,9 +384,20 @@ def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
     return path, bounds
 
 
-def ml_route(params: MLParams, z: PolarComplex) -> str:
-    """The route ``method="auto"`` takes at z: "contour" where ``_zeta_loop``
-    refuses nothing for the default spec, ray bounds included, else "series"."""
+def ml_route(params: MLParams, z: PolarComplex,
+             cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> str:
+    """The route ``method="auto"`` takes at z.
+
+    "series" where |z|^rho <= ``AUTO_SERIES_MODULUS``, rho <=
+    ``AUTO_SERIES_RHO_MAX`` and ``cfg.rel_tol`` >= ``AUTO_SERIES_ERROR``:
+    there the largest term is about e^(|z|^rho), two digits above an O(1)
+    value, while a loop costs some thousand integrand evaluations.
+    Elsewhere "contour" where ``_zeta_loop`` refuses nothing for the default
+    spec, ray bounds included, else "series".  The three constants come
+    from the sweep in ``tests/auto_route_sweep.py``."""
+    if (params.rho <= AUTO_SERIES_RHO_MAX and cfg.rel_tol >= AUTO_SERIES_ERROR
+            and _float_power(z.modulus, params.rho) <= AUTO_SERIES_MODULUS):
+        return "series"
     try:
         _zeta_loop(params, z, None, None)
     except PreconditionError:
@@ -501,7 +538,10 @@ def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
                 theta: Optional[float] = None) -> Evaluation:
     """E(rho, mu; z) by ``method``, one of ``ML_METHODS``: "series",
     "contour", "bateman", "dzhrbashyan", or "auto" for the route
-    ``ml_route`` picks.
+    ``ml_route(params, z, cfg)`` picks: the series where |z|^rho <=
+    ``AUTO_SERIES_MODULUS`` and rho <= ``AUTO_SERIES_RHO_MAX``, unless
+    ``cfg.rel_tol`` is below the series' measured ``AUTO_SERIES_ERROR``;
+    elsewhere the zeta loop where it runs, else the series.
 
     Each option reaches only the route that reads it: ``max_terms`` the
     series; ``epsilon_hat`` and the ray half-angles ``delta1_rho``,
@@ -510,7 +550,7 @@ def evaluate_ml(params: MLParams, z: PolarComplex, method: str = "auto",
     Dzhrbashyan opening angle.  Unset, each route uses its own default.
     """
     if method == "auto":
-        method = ml_route(params, z)
+        method = ml_route(params, z, cfg)
     if method == "series":
         return ml_series(params, z, cfg, max_terms=max_terms)
     if method == "contour":

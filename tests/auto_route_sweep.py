@@ -1,0 +1,126 @@
+"""The sweeps behind the auto route's series region (``mittag_leffler.ml_route``).
+
+``threshold`` (the default) scores the series and the zeta loop at its
+default spec against ``ml_reference`` over rho in [0.51, 100], six mu, |z|^rho
+from 1e-30 to 8, and arg z at 2%, 25%, 50%, 75% and 98% of the loop's
+window.  It prints one JSON row per (rho, |z|^rho), over the 30 cells of the
+six mu and five arguments:
+
+* ``series_err``: the worst relative error of the series;
+* ``series_terms``: the most terms it summed;
+* ``series_flagged``: cells where it is flagged or did not converge;
+* ``loop_bad``: cells where the loop raises or is off by more than 1e-8;
+* ``loop_bad_series_ok``: those of them where the series is within 1e-8.
+
+``coverage`` scores ``evaluate_ml(method="auto")`` over the 2,205-cell box of
+ROADMAP direction 3 (cells where |E| passes 1e300 or E is 0 are not scored)
+and prints the count of each outcome, ok, flagged, raised and wrong (unflagged
+but off by more than 1e-8), by the route auto took.
+
+Run from the repository root (mpmath needed; the threshold sweep takes a few
+minutes, the coverage sweep under a minute):
+
+    PYTHONPATH=src:tests python tests/auto_route_sweep.py threshold
+    PYTHONPATH=src:tests python tests/auto_route_sweep.py coverage
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+from collections import Counter
+
+from ml_reference import ml_reference
+from mlcontour.errors import ConvergenceError, PreconditionError
+from mlcontour.geometry import PolarComplex, default_ml_deltas, ml_arg_window
+from mlcontour.mittag_leffler import MLParams, evaluate_ml, ml_contour, ml_route, ml_series
+
+WRONG = 1e-8
+RHOS = (0.51, 0.55, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0, 100.0)
+MUS = (0.5, 1.0, 2.0, 1 + 0.5j, -1.5 + 1j, -3 + 2j)
+Z_RHOS = (1e-30, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
+WINDOW_FRACTIONS = (0.02, 0.25, 0.5, 0.75, 0.98)
+
+
+def rel_err(value: complex, ref: complex) -> float:
+    return abs(value - ref) / max(abs(ref), 1e-300)
+
+
+def threshold_rows() -> list[dict]:
+    rows = []
+    for rho in RHOS:
+        lo, hi = ml_arg_window(rho, *default_ml_deltas(rho))
+        for z_rho in Z_RHOS:
+            row = {"rho": rho, "z_rho": z_rho, "series_err": 0.0, "series_terms": 0,
+                   "series_flagged": 0, "loop_bad": 0, "loop_bad_series_ok": 0}
+            for mu in MUS:
+                params = MLParams(rho, mu)
+                for frac in WINDOW_FRACTIONS:
+                    z = PolarComplex(z_rho ** (1.0 / rho), lo + frac * (hi - lo))
+                    ref = ml_reference(rho, mu, z.to_complex())
+                    series = ml_series(params, z)
+                    err = rel_err(series.value, ref)
+                    row["series_err"] = max(row["series_err"], err)
+                    row["series_terms"] = max(row["series_terms"],
+                                              series.diagnostics.terms_used)
+                    row["series_flagged"] += bool(series.diagnostics.flags)
+                    try:
+                        loop_ok = rel_err(ml_contour(params, z).value, ref) <= WRONG
+                    except (ConvergenceError, PreconditionError):
+                        loop_ok = False
+                    if not loop_ok:
+                        row["loop_bad"] += 1
+                        row["loop_bad_series_ok"] += err <= WRONG
+            rows.append(row)
+    return rows
+
+
+def coverage_counts() -> dict:
+    counts = Counter()
+    for rho in (0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0):
+        for mu in (0.5, 1.0, 2.0, 1 + 0.5j, -1.5 + 1j):
+            params = MLParams(rho, mu)
+            for zmod in (0.1, 1.0, 5.0, 30.0, 100.0, 1e3, 1e6):
+                for k in range(9):
+                    z = PolarComplex(zmod, k * math.pi / 8)
+                    try:
+                        ref = ml_reference(rho, mu, z.to_complex())
+                    except OverflowError:
+                        continue
+                    if not abs(ref) <= 1e300 or ref == 0:
+                        continue
+                    route = ml_route(params, z)
+                    try:
+                        ev = evaluate_ml(params, z)
+                    except (ConvergenceError, PreconditionError):
+                        counts["raised", route] += 1
+                        continue
+                    diag = ev.diagnostics
+                    flagged = getattr(diag, "flags", ()) or not diag.converged
+                    if flagged:
+                        counts["flagged", route] += 1
+                    elif rel_err(ev.value, ref) <= WRONG:
+                        counts["ok", route] += 1
+                    else:
+                        counts["wrong", route] += 1
+    by_outcome: dict = {}
+    for (outcome, route), n in sorted(counts.items()):
+        by_outcome.setdefault(outcome, {})[route] = n
+    return by_outcome
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sweep", nargs="?", default="threshold",
+                        choices=("threshold", "coverage"))
+    sweep = parser.parse_args().sweep
+    if sweep == "threshold":
+        for row in threshold_rows():
+            print(json.dumps(row))
+    else:
+        print(json.dumps(coverage_counts()))
+
+
+if __name__ == "__main__":
+    main()

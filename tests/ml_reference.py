@@ -26,7 +26,11 @@ ASYMPTOTIC_FROM = 100.0
 
 def ml_reference(rho: float, mu: complex, z: complex) -> complex:
     z = complex(z)
-    if z != 0 and rho > 0.5 and abs(z) ** rho >= ASYMPTOTIC_FROM:
+    if z == 0:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(DIGITS + 10):
+            return complex(mpmath.rgamma(mpmath.mpc(mu.real, mu.imag)))
+    if rho > 0.5 and abs(z) ** rho >= ASYMPTOTIC_FROM:
         return _asymptotic(rho, complex(mu), z)
     dps = DIGITS + 10
     while True:
@@ -37,7 +41,9 @@ def ml_reference(rho: float, mu: complex, z: complex) -> complex:
 
 
 def _series(rho: float, mu: complex, z: complex, dps: int) -> tuple[complex, float]:
-    """The series at ``dps`` digits, and the digits its largest term cancels."""
+    """The series at ``dps`` digits, and the digits its largest term cancels.
+    It stops after three terms in a row below 10^-dps of the largest; an
+    exact zero, from a pole of Gamma, neither counts nor breaks the run."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(dps):
         zm = mpmath.mpc(z.real, z.imag)
@@ -53,11 +59,9 @@ def _series(rho: float, mu: complex, z: complex, dps: int) -> tuple[complex, flo
             term = power * mpmath.rgamma(mum + n / rhom)
             total += term
             size = abs(term)
-            if size > largest:
-                largest = size
-                small = 0
-            elif size <= tiny * largest:
-                small += 1
+            largest = max(largest, size)
+            if term != 0:
+                small = small + 1 if size <= tiny * largest else 0
             power *= zm
             n += 1
         cancelled = float(mpmath.log10(largest / abs(total))) if total != 0 else math.inf

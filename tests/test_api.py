@@ -70,7 +70,7 @@ class TestOneResultType:
     def test_evaluate_ml(self, method):
         ev = evaluate_ml(P, Z, method)
         assert type(ev) is Evaluation
-        assert ev.method == ("contour" if method == "auto" else method)
+        assert ev.method == ("series" if method == "auto" else method)  # |z|^rho = 1
         kind = SeriesDiagnostics if ev.method == "series" else QuadratureResult
         assert type(ev.diagnostics) is kind
 

@@ -1,5 +1,6 @@
 """The CLI's exit-code contract and the routes `--method auto` picks."""
 
+import cmath
 import csv
 import io
 import json
@@ -17,6 +18,9 @@ PI = math.pi
 #: F2's point: arg z near the zeta loop's window edge, where one ray barely
 #: decays and the loop does not converge.
 F2_POINT = ("--rho", 0.75, "--mu-re", 1, "--z-mod", 0.5, "--z-arg", 2.095395102393195)
+#: F11's point: past the growth cap at rho = 1, where auto still takes the
+#: loop and it does not converge.
+F11_POINT = ("--rho", 1, "--mu-re", 1, "--z-mod", 9, "--z-arg-pi", 1)
 
 
 def run(capsys, *argv):
@@ -40,7 +44,7 @@ class TestExitCodes:
                         "--z-arg-pi", 1)
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
-        assert row["method"] == "contour"
+        assert row["method"] == "series"  # |z|^rho = 1
         assert float(row["value_re"]) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_grid_with_no_ok_row_is_threshold_failure(self, capsys):
@@ -72,8 +76,17 @@ class TestExitCodes:
         assert code == 2
 
     def test_zeta_loop_non_convergence(self, capsys):
-        code, _ = run(capsys, "eval", *F2_POINT)
+        code, _ = run(capsys, "eval", *F11_POINT)
         assert code == 3
+
+    def test_series_answers_near_the_window_edge(self, capsys):
+        # F2: auto took the loop here, which did not converge
+        code, out = run(capsys, "eval", *F2_POINT)
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (code, row["method"], row["flags"]) == (0, "series", "")
+        ref = ml_reference(0.75, 1.0, 0.5 * cmath.exp(2.095395102393195j))
+        assert abs(complex(float(row["value_re"]), float(row["value_im"])) - ref) \
+            <= 1e-13 * abs(ref)
 
     def test_former_zeta_loop_non_convergence_answers(self, capsys):
         # the default arc passes inside the pole, at tau-plane radius 1
@@ -391,7 +404,8 @@ class TestAutoRoute:
         (0.5, 3.0, 0.5 * PI, "series"),
         (1.0, 0.0, PI, "series"),
         (2.0, 0.0, PI, "series"),
-        (1.0, 1.0, PI, "contour"),
+        (1.0, 1.0, PI, "series"),  # |z|^rho at most AUTO_SERIES_MODULUS
+        (2.0, 3.0, PI, "contour"),
         (1.0, 1.0, 0.0, "series"),
         (1.0, 1.0, 0.5 * PI, "series"),  # the window edge
         (4.0, 5.0, PI, "contour"),
@@ -424,7 +438,7 @@ class TestAutoRoute:
         assert [(r["method"], r["status"]) for r in rows] == [("contour", "ok")]
 
     def test_failed_row_names_its_route(self, capsys):
-        code, rows = ml_rows(capsys, 0.75, 0.5, 2.095395102393195)  # F2's point
+        code, rows = ml_rows(capsys, 1.0, 9.0, PI)  # F11's point
         assert code == 1
         row = rows[0]
         assert (row["method"], row["flags"], row["status"]) == (
@@ -483,6 +497,16 @@ class TestInvariance:
     def test_ml_passes(self, capsys):
         code, _ = run(capsys, "invariance", "ml", *self.ML)
         assert code == 0
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("target", ["gamma", "ml"])
+    def test_threshold_must_be_positive_and_finite(self, capsys, target, threshold):
+        point = self.S if target == "gamma" else self.ML
+        code = main([str(a) for a in ("invariance", target, *point)]
+                    + ["--threshold", threshold])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "--threshold must be positive and finite" in err
 
     def test_ml_too_few_points(self, capsys):
         code, _ = run(capsys, "invariance", "ml", *self.ML, "--points", 2)
@@ -691,6 +715,7 @@ class TestOutputBytes:
     GRID_ML = ("grid", "ml", "--zmod-min", 1, "--zmod-max", 1, "--zmod-step", 1)
     CASES = {
         "eval": ("eval", "--rho", 1, "--mu-re", 1, "--z-mod", 1, "--z-arg-pi", 1),
+        "eval_contour": ("eval", "--rho", 2, "--mu-re", 1, "--z-mod", 3, "--z-arg-pi", 1),
         "eval_series_overflow": ("eval", "--rho", 1, "--mu-re", 1, "--z-mod", 800,
                                  "--z-arg", 0, "--method", "series"),
         "grid_gamma_contour": ("grid", "gamma", "--re-min", 0.5, "--re-max", 1.5,

@@ -14,6 +14,7 @@ from mlcontour import (
     SeriesDiagnostics,
     PolarComplex,
     PreconditionError,
+    QuadratureConfig,
     compare_methods,
     default_ml_deltas,
     evaluate_ml,
@@ -28,7 +29,7 @@ from mlcontour import (
 )
 from mlcontour.mittag_leffler import default_ml_spec
 from mlcontour import mittag_leffler
-from mlcontour.gamma import log_gamma
+from mlcontour.gamma import is_gamma_pole, log_gamma
 from mlcontour.geometry import MLContourSpec, ml_delta_range, validate_ml_contour
 
 PI = math.pi
@@ -104,6 +105,15 @@ class TestSeries:
         ev = ml_series(MLParams(1.0, -1.0), z)
         assert ev.diagnostics.converged
         assert ev.value == pytest.approx(zc * zc * cmath.exp(zc), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [PolarComplex(1.0, PI), PolarComplex(2.0, 3.0)])
+    def test_three_poles_in_a_row_do_not_end_the_sum(self, z):
+        # E(1, -5; z) = z^6 e^z: the n = 0..5 terms sit on poles, and their
+        # zeros used to end the sum at 0 after three terms
+        zc = z.to_complex()
+        ev = ml_series(MLParams(1.0, -5.0), z)
+        assert ev.diagnostics.converged
+        assert ev.value == pytest.approx(zc ** 6 * cmath.exp(zc), rel=1e-13)
 
     def test_cancellation_flagged(self):
         ev = ml_series(MLParams(2.0, 1.0), PolarComplex(5.0, PI))
@@ -197,10 +207,11 @@ def _reference_series(params, z, max_terms=mittag_leffler.SERIES_MAX_TERMS,
         if mod > max_term:
             max_term, max_index = mod, n
         if mod < cfg.abs_tol + cfg.rel_tol * total_mod:
-            small_streak += 1
-            if small_streak >= 3 and n > max_index:
-                converged = True
-                break
+            if mod or not is_gamma_pole(mu + n / params.rho):  # not a pole's zero
+                small_streak += 1
+                if small_streak >= 3 and n > max_index:
+                    converged = True
+                    break
         else:
             small_streak = 0
         z_pow *= zc
@@ -641,7 +652,7 @@ class TestRouteSelection:
     @pytest.mark.parametrize("rho,z,route", [
         (0.5, PolarComplex(1.0, PI), "series"),
         (1.0, PolarComplex(0.0, PI), "series"),
-        (1.0, PolarComplex(1.0, PI), "contour"),
+        (2.0, PolarComplex(3.0, PI), "contour"),
         (1.0, PolarComplex(1.0, PI / 2), "series"),
         (4.0, PolarComplex(5.0, PI), "contour"),
         (4.0, PolarComplex(5.2, PI), "contour"),  # the arc passes inside the pole
@@ -690,6 +701,66 @@ class TestRouteSelection:
             evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI), "trapezoid")
 
 
+class TestMLReference:
+    def test_poles_do_not_end_the_reference_sum(self):
+        # rho = 2, mu = -5.5: every odd term sits on a pole; three of them
+        # used to stop the sum after 6 terms, at 78.678
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            direct = sum((-1) ** n * mpmath.rgamma(mpmath.mpf(-5.5) + mpmath.mpf(n) / 2)
+                         for n in range(200))
+        ref = ml_reference(2.0, -5.5, -1.0)
+        assert abs(ref - complex(direct)) <= 1e-15 * abs(direct)
+        series = ml_series(MLParams(2.0, -5.5), PolarComplex(1.0, PI)).value
+        assert abs(series - ref) <= 1e-11 * abs(ref)
+
+
+class TestAutoSeriesThreshold:
+    """``ml_route`` takes the series up to |z|^rho = AUTO_SERIES_MODULUS,
+    where it is within AUTO_SERIES_ERROR of the reference, and the loop just
+    past it; a rel_tol below AUTO_SERIES_ERROR keeps the loop.  The box is
+    the edges of the sweep behind the constants (tests/auto_route_sweep.py)."""
+
+    T = mittag_leffler.AUTO_SERIES_MODULUS
+    BOUND = mittag_leffler.AUTO_SERIES_ERROR
+
+    @staticmethod
+    def modulus_at(rho, z_rho):
+        """The largest |z| with |z|^rho <= z_rho."""
+        m = z_rho ** (1.0 / rho)
+        while m ** rho > z_rho:
+            m = math.nextafter(m, 0.0)
+        return m
+
+    @pytest.mark.parametrize("rho", [0.51, mittag_leffler.AUTO_SERIES_RHO_MAX])
+    @pytest.mark.parametrize("mu", [1 + 0.5j, -3 + 2j])
+    @pytest.mark.parametrize("frac", [0.02, "pi", 0.98])
+    def test_threshold(self, rho, mu, frac):
+        lo, hi = ml_arg_window(rho, *default_ml_deltas(rho))
+        arg = PI if frac == "pi" else lo + frac * (hi - lo)
+        params = MLParams(rho, mu)
+        at = PolarComplex(self.modulus_at(rho, self.T), arg)
+        ev = evaluate_ml(params, at)
+        ref = ml_reference(rho, mu, at.to_complex())
+        assert (ev.method, ev.diagnostics.flags) == ("series", ())
+        assert abs(ev.value - ref) <= self.BOUND * abs(ref)
+        above = PolarComplex((self.T * (1 + 1e-9)) ** (1.0 / rho), arg)
+        assert ml_route(params, above) == "contour"
+        tight = QuadratureConfig(rel_tol=0.5 * self.BOUND)
+        assert ml_route(params, at, tight) == "contour"
+
+    def test_past_the_rho_bound_the_loop_keeps_small_modulus(self):
+        rho = mittag_leffler.AUTO_SERIES_RHO_MAX * (1 + 1e-9)
+        assert ml_route(MLParams(rho, 1.0), PolarComplex(1.0, PI)) == "contour"
+
+    def test_grid_rows_follow_the_tolerance(self):
+        from mlcontour import cli
+
+        for cfg, route in ((cli.DEFAULT_QUADRATURE, "series"),
+                           (QuadratureConfig(rel_tol=1e-12), "contour")):
+            assert cli._ml_row(1.0, PI, MLParams(1.0, 1.0), "auto", cfg)["method"] == route
+
+
 class TestAutoRouteDefects:
     """Points where the auto route picks a loop that fails, though E is
     known.  Each must answer within 1e-8 relative of the reference."""
@@ -707,12 +778,14 @@ class TestAutoRouteDefects:
     def test_past_the_growth_cap_at_rho_one(self):
         self.assert_auto_answers(1.0, 1.0, PolarComplex(9.0, PI))
 
-    # F12: at tiny |z| the auto route still picks the loop; E is about 1/Gamma(mu).
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="F12: the loop is picked at tiny |z|")
+    # F12: at tiny |z| the auto route took the loop; E is about 1/Gamma(mu).
     @pytest.mark.parametrize("zmod", [1e-30, 1e-200])
     def test_tiny_modulus(self, zmod):
         self.assert_auto_answers(1.0, 1.0, PolarComplex(zmod, PI))
+
+    # F2: near its window edge the auto route took the loop, which did not converge.
+    def test_near_the_window_edge(self):
+        self.assert_auto_answers(0.75, 1.0, PolarComplex(0.5, 2.095395102393195))
 
 
 class TestZetaLoopReuse:
@@ -735,19 +808,19 @@ class TestZetaLoopReuse:
 
     def test_auto_builds_the_loop_once(self, monkeypatch):
         specs = self.counting(monkeypatch)
-        assert evaluate_ml(MLParams(1.0, 1.0), PolarComplex(1.0, PI)).method == "contour"
+        assert evaluate_ml(MLParams(2.0, 1.0), PolarComplex(3.0, PI)).method == "contour"
         assert len(specs) == 1
 
     def test_grid_row_builds_the_loop_once(self, monkeypatch):
         from mlcontour import cli
 
         specs = self.counting(monkeypatch)
-        row = cli._ml_row(1.0, PI, MLParams(1.0, 1.0), "auto", cli.DEFAULT_QUADRATURE)
+        row = cli._ml_row(3.0, PI, MLParams(2.0, 1.0), "auto", cli.DEFAULT_QUADRATURE)
         assert (row["method"], row["status"], len(specs)) == ("contour", "ok", 1)
 
     def test_a_refused_loop_is_not_kept(self, monkeypatch):
         specs = self.counting(monkeypatch)
-        params, z = MLParams(1.0, 1.0), PolarComplex(1.0, PI / 2)  # outside the window
+        params, z = MLParams(1.0, 1.0), PolarComplex(6.0, PI / 2)  # outside the window
         for _ in range(2):
             assert ml_route(params, z) == "series"
             with pytest.raises(ContourValidityError):
