@@ -210,11 +210,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 # grid
 # --------------------------------------------------------------------------
 
-def _axis(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi, where a point at most 1e-9 steps past
-    hi (a rounding error) still counts as hi.  The points are counted
-    before they are made: stepping until a value passes hi would never end
-    once lo + step rounds to lo."""
+#: A grid command refuses to make more rows than this.
+GRID_MAX_ROWS = 10 ** 6
+
+
+def _axis_count(lo: float, hi: float, step: float) -> int:
+    """The number of points lo, lo + step, ... up to hi, where a point at
+    most 1e-9 steps past hi (a rounding error) still counts as hi.  The
+    points are counted before they are made: stepping until a value passes
+    hi would never end once lo + step rounds to lo."""
     if step <= 0:
         raise PreconditionError("grid step must be positive")
     if hi < lo:
@@ -222,8 +226,20 @@ def _axis(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step
     if not all(map(math.isfinite, (lo, hi, step, span))):
         raise PreconditionError("grid min, max, step and (max - min)/step must be finite")
-    count = math.floor(span + 1e-9) + 1
-    return [lo + k * step for k in range(count)]
+    return math.floor(span + 1e-9) + 1
+
+
+def _axis(lo: float, hi: float, step: float) -> list[float]:
+    return [lo + k * step for k in range(_axis_count(lo, hi, step))]
+
+
+def _grid_axes(a: tuple, b: tuple) -> tuple[list[float], list[float]]:
+    """The two axes of a grid, from (min, max, step) each.  A grid of more
+    than ``GRID_MAX_ROWS`` rows is refused before either axis is made."""
+    rows = _axis_count(*a) * _axis_count(*b)
+    if rows > GRID_MAX_ROWS:
+        raise PreconditionError(f"grid of {rows:.4g} rows exceeds {GRID_MAX_ROWS:,}")
+    return _axis(*a), _axis(*b)
 
 
 #: The status a grid row reports for each error its evaluation may raise; the
@@ -278,8 +294,9 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
 def cmd_grid(ns: argparse.Namespace) -> int:
     cfg = quadrature_config(ns)
     if ns.target == "gamma":
-        points = [(a, b) for a in _axis(ns.re_min, ns.re_max, ns.re_step)
-                  for b in _axis(ns.im_min, ns.im_max, ns.im_step)]
+        re_axis, im_axis = _grid_axes((ns.re_min, ns.re_max, ns.re_step),
+                                      (ns.im_min, ns.im_max, ns.im_step))
+        points = [(a, b) for a in re_axis for b in im_axis]
         if ns.method == "oracle":
             # The array call gives the same bits as one scalar call per point.
             values = recip_gamma_oracle([complex(a, b) for a, b in points]).tolist()
@@ -290,8 +307,8 @@ def cmd_grid(ns: argparse.Namespace) -> int:
                               complex(a, b), cfg) for a, b in points]
     else:
         params = resolve_params(ns)
-        mod_axis = _axis(ns.zmod_min, ns.zmod_max, ns.zmod_step)
-        arg_axis = _axis(ns.zarg_min, ns.zarg_max, ns.zarg_step)
+        mod_axis, arg_axis = _grid_axes((ns.zmod_min, ns.zmod_max, ns.zmod_step),
+                                        (ns.zarg_min, ns.zarg_max, ns.zarg_step))
         rows = [_ml_row(m, a, params, ns.method, cfg) for m in mod_axis for a in arg_axis]
 
     emit(ns, rows, rows)

@@ -18,18 +18,14 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import (
-    UNIT_LAMBDA,
-    GammaContourSpec,
-    PolarComplex,
-    RaySegment,
-    build_gamma_path,
-)
+from .geometry import UNIT_LAMBDA, GammaContourSpec, PolarComplex, build_gamma_path
 from .quadrature import (
     DEFAULT_QUADRATURE,
     DecayModel,
     Evaluation,
+    Integrand,
     QuadratureConfig,
+    _float_power,
     finish_loop,
     integrate_path,
 )
@@ -151,23 +147,39 @@ def recip_gamma_oracle(s) -> complex | np.ndarray:
 # Contour route
 # --------------------------------------------------------------------------
 
-def _loop_integrand(s: complex, lam: complex):
-    """exp(lam*t) * t^(-s) from t and its log with the unwrapped angle."""
-    s = complex(s)
-    lam = complex(lam)
-
-    def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        return np.exp(lam * t - s * log_t)
-
+def loop_integrand(mu: complex, lam: complex = 1.0, alpha: float = 1.0,
+                   z: complex = 0j) -> Integrand:
+    """The one loop kernel, e^(lam t) t^(-mu) t^alpha / (t^alpha - z): the gamma
+    loop's at z = 0, the Mittag-Leffler loops' in s = tau^rho at alpha = 1/rho."""
+    mu, lam = complex(mu), complex(lam)
+    if z == 0:
+        def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+            return np.exp(lam * t - mu * log_t)
+    else:
+        def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+            return np.exp(lam * t + (alpha - mu) * log_t) / (np.exp(alpha * log_t) - z)
     return f
 
 
-def _loop_ray_decay(s: complex, ray: RaySegment, lam: PolarComplex) -> DecayModel:
-    """Decay of |exp(lam t) t^(-s)| along a ray: the exponential rate is
-    |lam| |cos(arg lam + angle)| and the power prefactor is r^(-Re s)."""
+def pole_gap(ray, alpha: float, z: PolarComplex) -> float:
+    """The distance from 1 to the segment, from z r0^(-alpha) e^(-i alpha
+    angle) to 0, that z t^(-alpha) sweeps on ``ray``: 1/|1 - z t^(-alpha)| <= 1/gap."""
+    reach = 0.0 if z.modulus == 0.0 else z.modulus * _float_power(ray.start_radius, -alpha)
+    phase = z.argument - alpha * ray.angle
+    foot = min(max(math.cos(phase), 0.0), reach)  # the segment's nearest point to 1
+    return math.hypot(foot * math.cos(phase) - 1.0, foot * math.sin(phase))
+
+
+def loop_ray_bound(ray, mu: complex, lam: PolarComplex = UNIT_LAMBDA,
+                   alpha: float = 1.0, z: PolarComplex = PolarComplex(0.0, 0.0)) -> DecayModel:
+    """Decay of ``loop_integrand`` on an infinite ``ray``: rate |lam| |cos(arg lam +
+    angle)|, power r^(-Re mu), e^(Im mu angle) over the ``pole_gap``, which may not be 0."""
     rate = lam.modulus * abs(math.cos(lam.argument + ray.angle))
-    base = math.exp(min(s.imag * ray.angle, 700.0))
-    return DecayModel.with_power_growth(base, -s.real, rate, 1.0, ray.start_radius)
+    gap = 1.0 if z.modulus == 0.0 else pole_gap(ray, alpha, z)  # z = 0: the gamma loop
+    if gap == 0.0:
+        raise PreconditionError(f"the ray at angle {ray.angle:g} meets the pole t^alpha = z")
+    base = math.exp(min(mu.imag * ray.angle - math.log(gap), 700.0))
+    return DecayModel.with_power_growth(base, -mu.real, rate, 1.0, ray.start_radius)
 
 
 def recip_gamma_contour(s: complex,
@@ -193,8 +205,8 @@ def recip_gamma_contour(s: complex,
     except OverflowError:
         raise PreconditionError(f"lam^(1-s) overflows at s={s}, "
                                 f"lam=({lam.modulus}, {lam.argument})") from None
-    raw = integrate_path(_loop_integrand(s, lam.to_complex()), path,
-                         decay=lambda ray: _loop_ray_decay(s, ray, lam), cfg=cfg)
+    raw = integrate_path(loop_integrand(s, lam.to_complex()), path,
+                         decay=lambda ray: loop_ray_bound(ray, s, lam), cfg=cfg)
     return finish_loop(raw, factor, "contour",
                        lambda: f"gamma contour quadrature did not converge at s={s}")
 

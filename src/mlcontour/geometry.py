@@ -110,13 +110,14 @@ class GammaContourSpec:
 
 @dataclass(frozen=True)
 class MLContourSpec:
-    """Loop for the Mittag-Leffler integral in the zeta plane.
+    """Loop for the Mittag-Leffler integral, in zeta-plane terms.
 
     The arc radius is ``1 + epsilon_hat`` (the simple pole sits at 1); the
     loop is anchored to ``arg_z``, which must be supplied unwrapped.  The
     arc may pass inside the pole (-1 < epsilon_hat <= 0) when both ray
     half-angles are below pi: the sector the arc sweeps then never contains
     angle 0, so the pole stays outside the loop and no residue enters.
+    ``build_zeta_path`` maps the loop to s = (z zeta)^rho.
     """
 
     rho: float
@@ -382,12 +383,14 @@ def build_gamma_path(spec: GammaContourSpec,
                      -spec.delta1 + spec.psi, spec.delta2 + spec.psi)
 
 
-def build_zeta_path(spec: MLContourSpec) -> IntegrationPath:
-    """Zeta-plane loop: rays at -delta1_rho-pi and delta2_rho-pi, arc radius
-    1+epsilon_hat.  The simple pole at zeta=1 stays at distance >=
-    epsilon_hat when epsilon_hat > 0; for an arc inside the pole it lies
-    outside the swept sector, at the distance ``ray_distance`` gives to the
-    nearer ray."""
+def build_zeta_path(spec: MLContourSpec, z_modulus: float) -> IntegrationPath:
+    """The zeta loop of ``spec`` at |z| = ``z_modulus``, in s = (z zeta)^rho:
+    rays at rho (arg z - pi -+ delta_rho), arc radius (|z| (1 + epsilon_hat))^rho,
+    inf where it overflows; the pole zeta = 1 is at s^(1/rho) = z."""
     validate_ml_contour(spec)
-    return loop_path(1.0 + spec.epsilon_hat,
-                     -spec.delta1_rho - math.pi, spec.delta2_rho - math.pi)
+    try:
+        radius = (z_modulus * (1.0 + spec.epsilon_hat)) ** spec.rho
+    except OverflowError:
+        radius = math.inf
+    return loop_path(radius, spec.rho * (spec.arg_z - math.pi - spec.delta1_rho),
+                     spec.rho * (spec.arg_z - math.pi + spec.delta2_rho))

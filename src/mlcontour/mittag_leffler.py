@@ -4,9 +4,9 @@ The function here is E(rho, mu; z) = sum_n z^n / Gamma(mu + n/rho), rho > 0.
 Routes:
 
 * ``ml_series``      -- Taylor series with compensated summation (the oracle).
-* ``ml_contour``     -- loop integral in the zeta plane anchored to arg z,
-                        with the simple pole fixed at zeta = 1 (rho > 1/2).
-* ``ml_bateman``     -- classical loop with the pole factor t^(1/rho) - z.
+* ``ml_contour``     -- zeta loop anchored to arg z (rho > 1/2), in s = (z zeta)^rho.
+* ``ml_bateman``     -- classical loop along the cut, in s = tau^rho; both take
+                        the gamma loop's kernel and ray bound (``loop_integrand``).
 * ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z.
 
 All four take ``(params, z: PolarComplex)`` first; the series and the zeta
@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .gamma import TWO_PI_I, is_gamma_pole, log_gamma, recip_gamma_oracle
+from .gamma import TWO_PI_I, is_gamma_pole, log_gamma, loop_integrand, loop_ray_bound
+from .gamma import recip_gamma_oracle
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
@@ -328,59 +329,28 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
                          deltas[0], deltas[1])
 
 
-def _tau_integrand(params: MLParams, log_scale: complex, pole: complex):
-    """exp(w^rho) w^(rho(1-mu)) / (zeta - pole) from zeta and log zeta, with
-    log w = log_scale + log zeta, unwrapped.  The zeta loop takes
-    log_scale = log z and pole 1 (w = z zeta); the Dzhrbashyan loop takes
-    log_scale = 0 and pole z (w = zeta)."""
-    rho = params.rho
-    mu = complex(params.mu)
-
-    def f(zeta: np.ndarray, log_zeta: np.ndarray) -> np.ndarray:
-        log_w = log_scale + log_zeta
-        return np.exp(np.exp(rho * log_w) + rho * (1.0 - mu) * log_w) / (zeta - pole)
-
-    return f
-
-
 @functools.lru_cache(maxsize=1)
 def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
                deltas: Optional[tuple[float, float]]) -> tuple[IntegrationPath, dict]:
     """The one place that decides whether the zeta loop runs at z: every
-    check ``ml_contour`` makes, its loop, and each ray's decay bound, by ray.
+    check ``ml_contour`` makes, its loop in s, and each ray's decay bound.
     The last loop built is kept, so ``ml_route`` and then ``ml_contour`` at
     one point (method "auto") build and check it once; a refused loop raises
     on every call.  Arguments equal but for a zero's sign (mu = 1 +- 0j, arg
     z = +-0.0) share the entry: the loop ignores that sign, the bounds pass
-    it only through cos and exp, and the integrand, whose bits keep it, is
+    it only through cos, sin and exp, and the integrand, whose bits keep it, is
     built per call."""
     spec = default_ml_spec(params, z, epsilon_hat, deltas)
-    path = build_zeta_path(spec)
-    rho = params.rho
-    growth = _float_power(z.modulus * (1.0 + spec.epsilon_hat), rho)
+    path = build_zeta_path(spec, z.modulus)
+    growth = path.segments[1].radius  # (|z|(1+eps))^rho, the arc's radius in s
     if growth > OVERFLOW_EXPONENT_LIMIT:
         raise PreconditionError(
             f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
-    # The rays decay at rate |z|^rho, which can overflow where the arc
-    # passes inside the pole and the growth above is small.
-    z_rho = _float_power(z.modulus, rho)
-    if z_rho == math.inf:
-        raise PreconditionError(
-            "modulus too large for the loop route: |z|^rho overflows; use the series")
-    mu = complex(params.mu)
-    poly = rho * (1.0 - mu.real)
-    bounds = {}
-    for ray in path.segments[::2]:  # ray in and ray out, around the arc
-        rate = z_rho * abs(math.cos(rho * (z.argument + ray.angle)))
-        # 1/|zeta - 1| on the ray: at most 1/epsilon_hat when the ray starts
-        # past the pole, else 1/(the pole's distance to the ray)
-        pole_gap = spec.epsilon_hat if spec.epsilon_hat > 0 else ray_distance(ray, 1.0)
-        log_base = (poly * math.log(z.modulus)
-                    + rho * mu.imag * (z.argument + ray.angle)
-                    - math.log(pole_gap))
-        bounds[ray] = DecayModel.with_power_growth(
-            math.exp(min(log_base, 700.0)), poly, rate, rho, ray.start_radius)
+    bounds = {ray: loop_ray_bound(ray, params.mu, alpha=1.0 / params.rho, z=z)
+              for ray in path.segments[::2]}  # ray in and ray out, around the arc
+    if any(bound.amplitude == math.inf for bound in bounds.values()):  # no ray could be cut
+        raise PreconditionError("a ray bound overflows a double; use the series")
     return path, bounds
 
 
@@ -409,22 +379,21 @@ def ml_contour(params: MLParams, z: PolarComplex,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
                epsilon_hat: Optional[float] = None,
                deltas: Optional[tuple[float, float]] = None) -> Evaluation:
-    """Loop-integral evaluation anchored to arg z (requires rho > 1/2 and
-    arg z inside the admissibility window).  ``epsilon_hat`` and the ray
-    half-angles ``deltas`` = (delta1_rho, delta2_rho) override the defaults
-    of ``default_ml_spec``; the arc may pass inside the pole
-    (-1 < epsilon_hat <= 0) when both half-angles are below pi.
+    """The zeta loop anchored to arg z (requires rho > 1/2 and arg z inside
+    the admissibility window), integrated in s = (z zeta)^rho.  Its
+    zeta-plane ``epsilon_hat`` and ray half-angles ``deltas`` = (delta1_rho,
+    delta2_rho) override the defaults of ``default_ml_spec``; the arc may
+    pass inside the pole (-1 < epsilon_hat <= 0) when both are below pi.
 
     Raises PreconditionError, before integrating, for rho <= 1/2, at z = 0,
     for a spec ``validate_ml_contour`` refuses (ContourValidityError), when
-    exp((|z|(1+eps))^rho), |z|^rho or a ray bound leaves the double range,
-    and ConvergenceError when the quadrature stalls.
+    exp((|z|(1+eps))^rho) or a ray bound leaves the double range, and
+    ConvergenceError when the quadrature stalls.
     """
     path, bounds = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
-    log_z = complex(math.log(z.modulus), z.argument)
-    raw = integrate_path(_tau_integrand(params, log_z, 1.0), path,
-                         decay=bounds.__getitem__, cfg=cfg)
-    return finish_loop(raw, params.rho / TWO_PI_I, "contour",
+    raw = integrate_path(loop_integrand(params.mu, alpha=1.0 / params.rho, z=z.to_complex()),
+                         path, decay=bounds.__getitem__, cfg=cfg)
+    return finish_loop(raw, 1.0 / TWO_PI_I, "contour",
                        lambda: f"zeta-loop quadrature did not converge for rho={params.rho}, "
                                f"mu={params.mu}, z=({z.modulus}, {z.argument})")
 
@@ -435,8 +404,8 @@ def ml_contour(params: MLParams, z: PolarComplex,
 
 def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Evaluation:
-    """Classical loop route: rays along the cut, arc radius epsilon
-    (default 1.5|z|^rho + 0.5).
+    """Classical loop route in s = tau^rho: rays along the cut, arc radius
+    epsilon (default 1.5|z|^rho + 0.5), the zeta loop's kernel and bound.
 
     Valid for real mu > 0 and epsilon > |z|^rho (the arc must clear every
     zero of the pole factor t^(1/rho) - z).
@@ -449,7 +418,6 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
         raise PreconditionError("this route requires real mu > 0; "
                                 "complex mu is served by the other routes")
     alpha = 1.0 / params.rho
-    beta = mu.real
     pole_radius = _float_power(abs(zc), params.rho)
     if not epsilon > pole_radius:
         raise PreconditionError(
@@ -463,13 +431,9 @@ def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = Non
         raise PreconditionError(f"arc radius too small: {epsilon:g}^(1/rho) rounds to "
                                 f"{eps_alpha:g}, not above |z| = {abs(zc):g}")
 
-    def f(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        return np.exp(t + (alpha - beta) * log_t) / (np.exp(alpha * log_t) - zc)
-
     path = loop_path(epsilon, -math.pi, math.pi)
-    base = 1.0 / (eps_alpha - abs(zc))
-    decay = DecayModel.with_power_growth(base, alpha - beta, 1.0, 1.0, epsilon)
-    raw = integrate_path(f, path, decay=decay, cfg=cfg)
+    raw = integrate_path(loop_integrand(mu, alpha=alpha, z=zc), path,
+                         decay=lambda ray: loop_ray_bound(ray, mu, alpha=alpha, z=z), cfg=cfg)
     return finish_loop(raw, 1.0 / TWO_PI_I, "bateman",
                        lambda: f"classical-loop quadrature did not converge for "
                                f"rho={params.rho}, mu={params.mu}, z={zc}")
@@ -518,7 +482,10 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
         pole_gap = epsilon - abs(zc) if outside_arc else ray_distance(ray, zc)
         return DecayModel.with_power_growth(weight / pole_gap, poly, rate, rho, epsilon)
 
-    raw = integrate_path(_tau_integrand(params, 0j, zc), path, decay=decay, cfg=cfg)
+    def f(tau: np.ndarray, log_tau: np.ndarray) -> np.ndarray:
+        return np.exp(np.exp(rho * log_tau) + rho * (1.0 - mu) * log_tau) / (tau - zc)
+
+    raw = integrate_path(f, path, decay=decay, cfg=cfg)
     return finish_loop(raw, params.rho / TWO_PI_I, "dzhrbashyan",
                        lambda: f"theta-loop quadrature did not converge for "
                                f"rho={params.rho}, mu={params.mu}, z={zc}")

@@ -22,6 +22,7 @@ import pytest
 
 DIGITS = 30
 ASYMPTOTIC_FROM = 100.0
+ASYMPTOTIC_MAX_TERMS = 10 ** 6
 
 
 def ml_reference(rho: float, mu: complex, z: complex) -> complex:
@@ -30,7 +31,8 @@ def ml_reference(rho: float, mu: complex, z: complex) -> complex:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(DIGITS + 10):
             return complex(mpmath.rgamma(mpmath.mpc(mu.real, mu.imag)))
-    if rho > 0.5 and abs(z) ** rho >= ASYMPTOTIC_FROM:
+    # log |z|^rho: |z|^rho itself overflows a double at rho = 25, |z| = 1e15
+    if rho > 0.5 and rho * math.log(abs(z)) >= math.log(ASYMPTOTIC_FROM):
         return _asymptotic(rho, complex(mu), z)
     dps = DIGITS + 10
     while True:
@@ -77,8 +79,10 @@ def _asymptotic(rho: float, mu: complex, z: complex) -> complex:
         total = mpmath.mpc(0)
         tiny = mpmath.mpf(10) ** -(DIGITS + 10)
         small = 0
-        # the terms fall until k is near rho |z|^rho
-        for k in range(1, int(rho * abs(z) ** rho)):
+        # the terms fall until k is near rho |z|^rho; the three negligible
+        # terms end the sum long before a cap of ASYMPTOTIC_MAX_TERMS binds
+        log_last = math.log(rho) + rho * math.log(abs(z))
+        for k in range(1, int(math.exp(min(log_last, math.log(ASYMPTOTIC_MAX_TERMS))))):
             term = mpmath.power(zm, -k) * mpmath.rgamma(mum - k / rhom)
             total -= term
             small = small + 1 if abs(term) <= tiny * abs(total) else 0

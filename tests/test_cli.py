@@ -303,7 +303,6 @@ class TestRayBoundEdges:
     @pytest.mark.parametrize("argv, value", [
         (("--rho", 1, "--mu-re", 0.5, "--mu-im", -300, "--z-mod", 1, "--z-arg-pi", 1),
          -1.5358055453983208e+204 - 9.5528694998256745e+203j),
-        (("--rho", 2, "--mu-re", 200, "--z-mod", 20, "--z-arg-pi", 1), 0j),
     ])
     def test_eval_where_the_loop_is_refused(self, capsys, argv, value):
         code, out = run(capsys, "eval", *argv)
@@ -396,6 +395,24 @@ class TestAxis:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == "" and err.startswith("error: ") and "must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        # 1e300 + 1 rows: the axis alone would exhaust memory
+        (*GAMMA, "--re-min", 0, "--re-max", 1, "--re-step", 1e-300),
+        # 1,001 x 1,001 rows, each axis small
+        ("grid", "ml", "--rho", 1, "--mu-re", 1, "--zmod-min", 1, "--zmod-max", 2,
+         "--zmod-step", 1e-3, "--zarg-min", 0, "--zarg-max", 1, "--zarg-step", 1e-3),
+    ])
+    def test_grid_past_the_row_cap_is_refused_before_any_axis(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(cli, "_axis", never)
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.startswith("error: grid of ")
+        assert err.endswith(f"rows exceeds {cli.GRID_MAX_ROWS:,}\n")
 
 
 class TestAutoRoute:
@@ -513,12 +530,13 @@ class TestInvariance:
         assert code == 2
 
     def test_ml_skips_points_whose_ray_cannot_be_truncated(self, capsys):
-        # every sweep point raises IntegrandError, a ConvergenceError
-        code = main(["invariance", "ml", "--rho", "1", "--mu-re", "1",
+        # every sweep point is refused: the rays start at s = (|z|(1 + eps))^rho,
+        # about 1e-200, where the bound's r^(-Re mu) = r^(-2) overflows
+        code = main(["invariance", "ml", "--rho", "1", "--mu-re", "2",
                      "--z-mod", "1e-200", "--z-arg-pi", "1"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "sweep point skipped: decay too weak to truncate ray" in err
+        assert "sweep point skipped: a ray bound overflows a double" in err
         assert "fewer than 3 admissible sweep points" in err
 
     def test_ml_at_z_zero_is_precondition_error(self, capsys):

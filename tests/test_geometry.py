@@ -14,6 +14,7 @@ from mlcontour import (
     ml_arg_window,
     validate_gamma_contour,
 )
+from mlcontour.gamma import pole_gap
 from mlcontour.geometry import MLContourSpec, validate_ml_contour
 from mlcontour.geometry import (
     DEFAULT_BOUNDARY_MARGIN,
@@ -289,54 +290,72 @@ class TestPaths:
             assert arc.end_angle - arc.start_angle == pytest.approx(2.5 + 2.8)
 
     def test_zeta_path_rho_one(self):
-        path = build_zeta_path(ml_spec(1.0, 1.0, PI, PI, PI))
+        # s = z zeta at rho = 1: the zeta rays at -2 pi and 0 turn by arg z = pi
+        path = build_zeta_path(ml_spec(1.0, 1.0, PI, PI, PI), 1.0)
         ray_in, arc, ray_out = path.segments
-        assert ray_in.angle == pytest.approx(-2 * PI)
-        assert ray_out.angle == pytest.approx(0.0)
+        assert ray_in.angle == pytest.approx(-PI)
+        assert ray_out.angle == pytest.approx(PI)
         assert arc.radius == pytest.approx(2.0)
 
     def test_zeta_path_rho_two(self):
-        path = build_zeta_path(ml_spec(2.0, 0.5, PI, PI / 2, PI / 2))
+        # s = (z zeta)^2: angles rho (arg z - pi -+ delta), radius (|z|(1 + eps))^rho
+        path = build_zeta_path(ml_spec(2.0, 0.5, PI, PI / 2, PI / 2), 1.0)
         ray_in, arc, ray_out = path.segments
-        assert ray_in.angle == pytest.approx(-3 * PI / 2)
-        assert ray_out.angle == pytest.approx(-PI / 2)
-        assert arc.radius == pytest.approx(1.5)
+        assert ray_in.angle == pytest.approx(-PI)
+        assert ray_out.angle == pytest.approx(PI)
+        assert arc.radius == pytest.approx(2.25)
+
+    def test_zeta_path_arc_radius_underflow_refused(self):
+        with pytest.raises(PreconditionError, match="start_radius must be positive"):
+            build_zeta_path(ml_spec(2.0, 1.0, PI, PI / 2, PI / 2), 1e-200)
 
     def test_invalid_spec_raises_with_report(self):
         assert violations(build_gamma_path, GammaContourSpec(1.0, PI, PI, PI))
 
-    def test_pole_distance_equals_epsilon_hat(self):
-        # frozen: minimizing |zeta - 1| over the path: the junction at
-        # angle delta2_rho - pi = 0 realizes distance epsilon_hat
-        eps = 0.4
-        path = build_zeta_path(ml_spec(1.0, eps, PI, PI, PI))
-        best = math.inf
+    @staticmethod
+    def zeta_samples(path, rho, z):
+        """zeta = s^(1/rho) / z along the s-plane loop, s^(1/rho) from the
+        unwrapped angle, by segment: the arc, and each ray over six decades
+        of radius from its start."""
+        def zeta(r, ang):
+            return r ** (1.0 / rho) * complex(math.cos(ang / rho), math.sin(ang / rho)) / z
+
+        out = []
         for seg in path.segments:
             if isinstance(seg, ArcSegment):
-                for k in range(2001):
-                    ang = seg.start_angle + (seg.end_angle - seg.start_angle) * k / 2000
-                    zeta = seg.radius * complex(math.cos(ang), math.sin(ang))
-                    best = min(best, abs(zeta - 1.0))
+                out.append([zeta(seg.radius, seg.start_angle
+                                 + (seg.end_angle - seg.start_angle) * k / 2000)
+                            for k in range(2001)])
             else:
-                for k in range(2001):
-                    r = seg.start_radius + 50.0 * k / 2000
-                    zeta = r * complex(math.cos(seg.angle), math.sin(seg.angle))
-                    best = min(best, abs(zeta - 1.0))
+                out.append([zeta(seg.start_radius * 10.0 ** (6.0 * k / 60000), seg.angle)
+                            for k in range(60001)])
+        return out
+
+    def test_pole_distance_equals_epsilon_hat(self):
+        # frozen: minimizing |zeta - 1| over the loop mapped back to zeta: the
+        # junction at zeta angle delta2_rho - pi = 0 realizes distance epsilon_hat
+        eps = 0.4
+        z = PolarComplex(1.5, PI)
+        path = build_zeta_path(ml_spec(1.0, eps, PI, PI, PI), z.modulus)
+        samples = self.zeta_samples(path, 1.0, z.to_complex())
+        best = min(abs(zeta - 1.0) for seg in samples for zeta in seg)
         assert best == pytest.approx(eps, rel=1e-6)
 
     @pytest.mark.parametrize("rho, eps", [(1.5, -0.8), (2.0, -0.75), (4.0, -0.5), (2.0, 0.0)])
     def test_inner_arc_pole_distance_is_the_ray_distance(self, rho, eps):
-        # the pole's distance to each ray of a loop whose arc passes inside
-        # it is the minimum of |zeta - 1| sampled along that ray
+        # for a loop whose arc passes inside the pole, the pole gap of each
+        # ray, the distance from 1 to the segment z s^(-1/rho) sweeps, is the
+        # minimum of |1 - 1/zeta| sampled along that ray and at its far end,
+        # where 1/zeta = z s^(-1/rho) tends to 0
         d = default_ml_deltas(rho)
-        path = build_zeta_path(ml_spec(rho, eps, PI, *d))
-        rays = [seg for seg in path.segments if isinstance(seg, RaySegment)]
-        for ray in rays:
-            u = complex(math.cos(ray.angle), math.sin(ray.angle))
-            sampled = min(abs((ray.start_radius + 3.0 * k / 20000) * u - 1.0)
-                          for k in range(20001))
-            assert ray_distance(ray, 1.0) == pytest.approx(sampled, rel=1e-7)
-            assert ray_distance(ray, 1.0) > 0.0
+        z = PolarComplex(2.0, PI)
+        path = build_zeta_path(ml_spec(rho, eps, PI, *d), z.modulus)
+        samples = self.zeta_samples(path, rho, z.to_complex())
+        for ray, zetas in zip(path.segments[::2], samples[::2]):
+            sampled = min(1.0, *(abs(1.0 - 1.0 / zeta) for zeta in zetas))
+            gap = pole_gap(ray, 1.0 / rho, z)
+            assert gap == pytest.approx(sampled, rel=1e-7)
+            assert gap > 0.0
 
     def test_ray_distance_clamps_to_the_span(self):
         ray = RaySegment(PI / 4, 2.0, end_radius=3.0)
@@ -383,7 +402,7 @@ class TestPaths:
         lo, hi = ml_arg_window(rho, d, d)
         arg_z = lo + afrac * (hi - lo)
         try:
-            path = build_zeta_path(ml_spec(rho, eps, arg_z, d, d))
+            path = build_zeta_path(ml_spec(rho, eps, arg_z, d, d), 2.0)
         except ContourValidityError:
             return
         for gap_mod, gap_ang in path.continuity_gaps():

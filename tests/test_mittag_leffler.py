@@ -714,6 +714,13 @@ class TestMLReference:
         series = ml_series(MLParams(2.0, -5.5), PolarComplex(1.0, PI)).value
         assert abs(series - ref) <= 1e-11 * abs(ref)
 
+    def test_modulus_past_the_double_range_of_z_to_the_rho(self):
+        # |z|^rho = 1e375 overflows a double; E is about 1/(|z| Gamma(1 - 1/rho))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            direct = complex(1 / (mpmath.mpf(1e15) * mpmath.gamma(1 - mpmath.mpf(1) / 25)))
+        assert abs(ml_reference(25.0, 1.0, -1e15) - direct) <= 1e-14 * abs(direct)
+
 
 class TestAutoSeriesThreshold:
     """``ml_route`` takes the series up to |z|^rho = AUTO_SERIES_MODULUS,
@@ -798,9 +805,9 @@ class TestZetaLoopReuse:
         specs = []
         build = mittag_leffler.build_zeta_path
 
-        def counted(spec):
+        def counted(spec, z_modulus):
             specs.append(spec)
-            return build(spec)
+            return build(spec, z_modulus)
 
         monkeypatch.setattr(mittag_leffler, "build_zeta_path", counted)
         mittag_leffler._zeta_loop.cache_clear()
@@ -854,13 +861,12 @@ class TestZetaLoopReuse:
 class TestZetaLoopDecides:
     """_zeta_loop makes every refusal of the zeta loop, its ray bounds
     included, before integrate_path runs, so auto takes the series wherever
-    the loop would refuse.  At both points a ray bound underflows to 0."""
+    the loop would refuse.  At the point below a ray bound underflows to 0:
+    e^(Im mu angle) with Im mu = -300 at the ray angle pi."""
 
-    # (params, z, relative error of auto's value to ml_reference); the first
-    # reads 1.4e-13, where log Gamma(mu + n) is about 1,500 in modulus, and
-    # mpmath's value at the second underflows to 0
-    POINTS = [(MLParams(1.0, 0.5 - 300j), PolarComplex(1.0, PI), 2e-13),
-              (MLParams(2.0, 200.0), PolarComplex(20.0, PI), 0.0)]
+    # (params, z, relative error of auto's value to ml_reference); it reads
+    # 1.4e-13, where log Gamma(mu + n) is about 1,500 in modulus
+    POINTS = [(MLParams(1.0, 0.5 - 300j), PolarComplex(1.0, PI), 2e-13)]
 
     @pytest.mark.parametrize("params, z, rel", POINTS)
     def test_auto_takes_the_series(self, params, z, rel):
@@ -881,6 +887,16 @@ class TestZetaLoopDecides:
             ml_contour(params, z)
         assert refused.traceback[-1].name == "with_power_growth"
         assert any(entry.name == "_zeta_loop" for entry in refused.traceback)
+
+    def test_loop_answers_where_the_zeta_plane_bound_underflowed(self):
+        # The zeta-plane bound carried |z|^(rho(1 - mu)) = 20^(-398), which
+        # underflowed; in s = (z zeta)^rho the power r^(-mu) starts at the
+        # arc radius 1.  E is about 1/Gamma(200), 0 in doubles.
+        params, z = MLParams(2.0, 200.0), PolarComplex(20.0, PI)
+        assert ml_route(params, z) == "contour"
+        ev = ml_contour(params, z)
+        assert ml_reference(2.0, 200.0, -20.0) == 0
+        assert abs(ev.value) <= ev.diagnostics.error_estimate < 1e-14
 
 
 class TestInnerArc:
@@ -912,11 +928,11 @@ class TestInnerArc:
 
     @pytest.mark.xfail(strict=True, reason="the estimate has no rounding-floor term")
     def test_rounding_floor_above_estimate(self):
-        # mu = -1.5 + 1j lifts the ray integrand far above |E|; the rounding
-        # of its sum, 5.9e-13 |E|, passes the estimate, 4.1e-13 |E|, plus 1e-13 |E|
-        params, z = MLParams(3.0, -1.5 + 1j), PolarComplex(30.0, 3.612831551628262)
+        # mu = -3 + 2j lifts the ray integrand far above |E|; the rounding of
+        # its sum, 1.6e-10 |E|, passes the estimate, 4.1e-11 |E|, plus 1e-13 |E|
+        params, z = MLParams(1.02, -3 + 2j), PolarComplex(30.0, 4.527589412526467)
         ev = ml_contour(params, z)
-        ref = ml_reference(3.0, -1.5 + 1j, z.to_complex())
+        ref = ml_reference(1.02, -3 + 2j, z.to_complex())
         assert abs(ev.value - ref) <= ev.diagnostics.error_estimate + 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
@@ -954,6 +970,27 @@ class TestInnerArc:
         assert ev.method == "contour"
         ref = ml_reference(rho, 1.0, -z_mod)
         assert abs(ev.value - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("rho", [1.1, 2.0, 4.0])
+    @pytest.mark.parametrize("z_mod", [30.0, 1e3, 1e16])
+    def test_panels_do_not_grow_with_modulus(self, rho, z_mod):
+        # in s = (z zeta)^rho the inner arc has radius about 1 at every |z|,
+        # so the rays' truncation floor 1.5 r0 + 1 no longer grows with |z|
+        ev = ml_contour(MLParams(rho, 1.0), PolarComplex(z_mod, PI))
+        assert ev.diagnostics.panels_used == 48
+
+    @pytest.mark.parametrize("rho, mu, z_mod", [
+        (25.0, 1.0, 1e15), (50.0, 1.0, 1e8), (50.0, 2 + 0.5j, 1e8)])
+    def test_answers_where_z_to_the_rho_overflows(self, rho, mu, z_mod):
+        # |z|^rho passes the double range here, which the zeta-plane rays'
+        # decay rate |z|^rho used to refuse; at rho = 25, E is about
+        # 1/(|z| Gamma(0.96)), 9.77e-16
+        params, z = MLParams(rho, mu), PolarComplex(z_mod, PI)
+        assert ml_route(params, z) == "contour"
+        ev = ml_contour(params, z)
+        ref = ml_reference(rho, mu, z.to_complex())
+        assert abs(ev.value - ref) <= ev.diagnostics.error_estimate
+        assert abs(ev.value - ref) <= 1e-15 * abs(ref)
 
     def test_refused_specs(self):
         params, z = MLParams(2.0, 1.0), PolarComplex(4.0, PI)

@@ -1,0 +1,179 @@
+"""Every loop route's ray bounds dominate its integrand.
+
+A route truncates each infinite ray where its ``DecayModel`` puts the tail
+below the tolerance, so the model must bound |integrand| on the whole ray.
+Each route's integrand, path and bounds are taken from the call it makes to
+``integrate_path`` in its own module; the integrand is then sampled on each
+ray from its start to its truncation radius.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlcontour import (
+    MLParams,
+    MlcError,
+    PolarComplex,
+    PreconditionError,
+    QuadratureResult,
+    default_ml_deltas,
+    ml_arg_window,
+    ml_bateman,
+    ml_contour,
+    ml_dzhrbashyan,
+    recip_gamma_contour,
+)
+from mlcontour import gamma, mittag_leffler
+from mlcontour.gamma import loop_ray_bound, pole_gap
+from mlcontour.geometry import RaySegment
+from mlcontour.quadrature import truncation_radius
+
+PI = math.pi
+
+
+def handed_over(module, call):
+    """(integrand, path, decay) that ``call`` hands to ``module.integrate_path``,
+    or None where the route refuses before integrating."""
+    seen = []
+
+    def record(f, path, decay=None, cfg=None):
+        seen.append((f, path, decay))
+        return QuadratureResult(0j, 0.0, 0.0, 0, True)
+
+    mittag_leffler._zeta_loop.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_path", record)
+        try:
+            call()
+        except MlcError:
+            return None
+    return seen[0]
+
+
+def rays_checked(f, path, decay) -> int:
+    """Sample each infinite ray of ``path``, from its start to its
+    truncation radius, and compare |f| with the ray's bound.  Returns the
+    number of rays checked."""
+    checked = 0
+    for ray in path.segments:
+        if not (isinstance(ray, RaySegment) and ray.infinite):
+            continue
+        try:
+            model = decay(ray) if callable(decay) else decay
+            end = truncation_radius(model, ray.start_radius)
+        except MlcError:
+            continue
+        r0 = ray.start_radius
+        r = np.concatenate((r0 * (end / r0) ** np.linspace(0.0, 1.0, 200),
+                            np.linspace(r0, end, 200)))
+        t = r * complex(math.cos(ray.angle), math.sin(ray.angle))
+        log_t = np.log(r) + 1j * ray.angle
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            size = np.abs(f(t, log_t))
+            bound = model.amplitude * np.exp(-model.rate * r ** model.exponent)
+        # below 1e-300 both sides are underflow noise
+        worst = int(np.argmax(size - bound))
+        assert size[worst] <= bound[worst] + 1e-300, (ray, r[worst], size[worst], bound[worst])
+        checked += 1
+    return checked
+
+
+def in_window(rho, frac):
+    lo, hi = ml_arg_window(rho, *default_ml_deltas(rho))
+    return lo + frac * (hi - lo)
+
+
+fracs = st.floats(0.02, 0.98)
+mus = st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0)
+
+
+@st.composite
+def gamma_calls(draw):
+    s = complex(draw(st.floats(-6.0, 12.0)), draw(st.floats(-10.0, 10.0)))
+    lam = PolarComplex(draw(st.floats(0.25, 4.0)), draw(st.floats(-1.2, 1.2)))
+    return gamma, lambda: recip_gamma_contour(s, lam=lam)
+
+
+@st.composite
+def bateman_calls(draw):
+    params = MLParams(draw(st.floats(0.3, 4.0)), draw(st.floats(0.1, 5.0)))
+    z = PolarComplex(draw(st.floats(0.05, 5.0)), draw(st.floats(-PI, PI)))
+    return mittag_leffler, lambda: ml_bateman(params, z)
+
+
+@st.composite
+def contour_calls(draw):
+    # |z| up to 1e6: past about 8.5^(1/rho) the arc passes inside the pole
+    rho = draw(st.floats(0.55, 4.0))
+    params = MLParams(rho, draw(mus))
+    z = PolarComplex(10.0 ** draw(st.floats(-1.0, 6.0)), in_window(rho, draw(fracs)))
+    return mittag_leffler, lambda: ml_contour(params, z)
+
+
+@st.composite
+def dzhrbashyan_calls(draw):
+    rho = draw(st.floats(0.55, 4.0))
+    params = MLParams(rho, draw(mus))
+    z = PolarComplex(draw(st.floats(0.05, 5.0)), draw(st.floats(-PI, PI)))
+    return mittag_leffler, lambda: ml_dzhrbashyan(params, z)
+
+
+ROUTES = {"gamma": gamma_calls(), "bateman": bateman_calls(),
+          "contour": contour_calls(), "dzhrbashyan": dzhrbashyan_calls()}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ray_bounds_dominate_the_integrand(route, data):
+    handed = handed_over(*data.draw(ROUTES[route]))
+    if handed is not None:
+        rays_checked(*handed)
+
+
+# The edges the property test may not draw: inner arcs at large |z|, a pole
+# close to a ray, and z r0^(-1/rho) underflowing to 0.  Each names the least
+# pole gap of its two rays.
+EDGES = [
+    ("inner arc, |z| = 1e15", MLParams(2.0, 1 + 0.5j), PolarComplex(1e15, PI + 0.3), {}),
+    ("inner arc, rho = 25", MLParams(25.0, 1.0), PolarComplex(1e15, PI), {}),
+    # the zeta ray at delta - pi = -0.031 passes 0.031 from zeta = 1
+    ("pole near a ray", MLParams(1.01, 0.5), PolarComplex(3.0, PI),
+     {"epsilon_hat": -0.5, "deltas": (PI / 1.01, PI / 1.01)}),
+    # 1e-300 * 600**(-10) underflows to 0
+    ("underflowed pole", MLParams(0.1, 1.0), PolarComplex(1e-300, 2.0), {"epsilon": 600.0}),
+]
+LEAST_GAPS = {"inner arc, |z| = 1e15": (0.5, 1.0), "inner arc, rho = 25": (0.5, 1.0),
+              "pole near a ray": (0.02, 0.04), "underflowed pole": (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name, params, z, options", EDGES, ids=[e[0] for e in EDGES])
+def test_ray_bounds_at_the_edges(name, params, z, options):
+    route = ml_bateman if "epsilon" in options else ml_contour
+    f, path, decay = handed_over(mittag_leffler, lambda: route(params, z, **options))
+    assert rays_checked(f, path, decay) == 2
+    least = min(pole_gap(ray, 1.0 / params.rho, z) for ray in path.segments[::2])
+    lo, hi = LEAST_GAPS[name]
+    assert lo <= least <= hi
+
+
+class TestPoleGap:
+    RAY = RaySegment(0.5, 600.0)
+
+    def test_is_one_without_a_pole(self):
+        assert pole_gap(self.RAY, 1.0, PolarComplex(0.0, 0.0)) == 1.0
+
+    def test_is_one_where_the_pole_term_underflows(self):
+        # 1e-300 * 600**(-10) underflows to 0
+        assert pole_gap(self.RAY, 10.0, PolarComplex(1e-300, 5.0)) == 1.0
+
+    def test_ray_through_the_pole_is_refused(self):
+        # z t^(-1) sweeps (0, 2] along the positive axis, through 1
+        ray = RaySegment(0.0, 1.0)
+        assert pole_gap(ray, 1.0, PolarComplex(2.0, 0.0)) == 0.0
+        with pytest.raises(PreconditionError, match="meets the pole"):
+            loop_ray_bound(ray, 1.0, z=PolarComplex(2.0, 0.0))

@@ -200,11 +200,12 @@ class TestMLRoutes:
 
 
 class TestZetaLoopAtLargeRho:
-    """At rho = 50 and |z| = 1e8 the arc passes inside the pole, so the growth
-    check passes, while the rays' decay rate |z|^rho leaves the double range:
-    the zeta loop refuses, and the auto route takes the series."""
+    """At rho = 50 and |z| = 2e16 the inner arc's epsilon_hat = 1/|z| - 1
+    rounds to -1, so the arc stays outside the pole and (|z|(1+eps))^rho
+    leaves the double range: the zeta loop refuses, and the auto route takes
+    the series.  (At |z| = 1e8 the loop answers: ``TestInnerArc``.)"""
 
-    POINT = ["--rho", "50", "--mu-re", "1", "--z-mod", "1e8", "--z-arg-pi", "1"]
+    POINT = ["--rho", "50", "--mu-re", "1", "--z-mod", "2e16", "--z-arg-pi", "1"]
 
     def test_auto_eval_takes_the_series(self, capsys):
         assert main(["eval", *self.POINT]) == 3  # the series overflows there
@@ -214,18 +215,18 @@ class TestZetaLoopAtLargeRho:
 
     def test_contour_eval_is_refused(self, capsys):
         assert main(["eval", *self.POINT, "--method", "contour"]) == 2
-        assert "|z|^rho overflows" in capsys.readouterr().err
+        assert "(|z|(1+eps))^rho = inf exceeds 690" in capsys.readouterr().err
 
     def test_compare_skips_the_contour(self, capsys):
         args = ["compare", "--rho", "50", "--mu-re", "2", "--mu-im", "0.5",
-                "--z-mod", "1e8", "--z-arg-pi", "1"]
+                "--z-mod", "2e16", "--z-arg-pi", "1"]
         assert main(args) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert {r["method_a"]: r["status"] for r in rows}["contour"] == "skipped"
 
     def test_grid_writes_its_row(self, capsys):
         code = main(["grid", "ml", "--rho", "50", "--mu-re", "1",
-                     "--zmod-min", "1e8", "--zmod-max", "1e8", "--zmod-step", "1",
+                     "--zmod-min", "2e16", "--zmod-max", "2e16", "--zmod-step", "1",
                      "--zarg-min", repr(PI), "--zarg-max", repr(PI), "--zarg-step", "1"])
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert code == 1  # no row is ok
