@@ -25,6 +25,7 @@ from .quadrature import (
     Evaluation,
     Integrand,
     QuadratureConfig,
+    _float_exp,
     _float_power,
     finish_loop,
     integrate_path,
@@ -178,8 +179,8 @@ def loop_ray_bound(ray, mu: complex, lam: PolarComplex = UNIT_LAMBDA,
     gap = 1.0 if z.modulus == 0.0 else pole_gap(ray, alpha, z)  # z = 0: the gamma loop
     if gap == 0.0:
         raise PreconditionError(f"the ray at angle {ray.angle:g} meets the pole t^alpha = z")
-    base = math.exp(min(mu.imag * ray.angle - math.log(gap), 700.0))
-    return DecayModel.with_power_growth(base, -mu.real, rate, 1.0, ray.start_radius)
+    base = _float_exp(mu.imag * ray.angle - math.log(gap))
+    return DecayModel.with_power_growth(base, -mu.real, rate, ray.start_radius)
 
 
 def recip_gamma_contour(s: complex,

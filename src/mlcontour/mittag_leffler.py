@@ -54,6 +54,7 @@ from .quadrature import (
     DecayModel,
     Evaluation,
     QuadratureConfig,
+    _float_exp,
     _float_power,
     finish_loop,
     integrate_path,
@@ -349,8 +350,6 @@ def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
             f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
     bounds = {ray: loop_ray_bound(ray, params.mu, alpha=1.0 / params.rho, z=z)
               for ray in path.segments[::2]}  # ray in and ray out, around the arc
-    if any(bound.amplitude == math.inf for bound in bounds.values()):  # no ray could be cut
-        raise PreconditionError("a ray bound overflows a double; use the series")
     return path, bounds
 
 
@@ -468,19 +467,24 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
     if not (outside_arc or abs(math.remainder(z.argument, 2.0 * math.pi)) > theta):
         raise PreconditionError(f"arc radius {epsilon:g} must exceed |z| = {abs(zc):g} "
                                 f"when |arg z| <= theta = {theta:g}")
-    if _float_power(epsilon, params.rho) > OVERFLOW_EXPONENT_LIMIT:
-        raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     rho = params.rho
+    u0 = _float_power(epsilon, rho)
+    if u0 > OVERFLOW_EXPONENT_LIMIT:
+        raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
     path = loop_path(epsilon, -theta, theta)
     rate = abs(math.cos(rho * theta))
-    poly = rho * (1.0 - mu.real)
-    weight = math.exp(min(rho * abs(mu.imag) * theta, 700.0))
+    weight = _float_exp(rho * abs(mu.imag) * theta)
 
     def decay(ray: RaySegment) -> DecayModel:
-        # 1/|tau - z| on the ray: at most 1/(epsilon - |z|) when the arc
-        # encloses z, else 1/(z's distance to the ray)
-        pole_gap = epsilon - abs(zc) if outside_arc else ray_distance(ray, zc)
-        return DecayModel.with_power_growth(weight / pole_gap, poly, rate, rho, epsilon)
+        # In u = r^rho, from max(u0, 1) (a tail is cut only past r = 1.5
+        # epsilon + 1 > 1, and u0 may underflow to 0): |exp(tau^rho)| =
+        # e^(-rate u), |tau^(rho(1-mu))| <= weight u^(1 - Re mu), dr/du =
+        # u^(1/rho - 1)/rho, and 1/|tau - z| is at most 1/(epsilon - |z|)
+        # when the arc encloses z, else 1/(z's distance to the ray).
+        gap = epsilon - abs(zc) if outside_arc else ray_distance(ray, zc)
+        folded = DecayModel.with_power_growth(weight / (rho * gap), 1.0 / rho - mu.real,
+                                              rate, max(u0, 1.0))
+        return DecayModel(folded.amplitude, folded.rate, rho)
 
     def f(tau: np.ndarray, log_tau: np.ndarray) -> np.ndarray:
         return np.exp(np.exp(rho * log_tau) + rho * (1.0 - mu) * log_tau) / (tau - zc)

@@ -14,8 +14,10 @@ Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
 between the last two refinement levels; each segment is held to the
 tolerances on its own.  Infinite rays are cut where the caller's analytic
-decay bound puts the tail below abs_tol / 10, a radius ``truncation_radius``
-solves for directly, and the tail bound is folded into the error estimate.
+decay bound puts the tail below abs_tol / 10, and the tail bound is folded
+into the error estimate.  On every ray the bound is a plain exponential
+e^(-c u) in the ray's own variable u = r**p (``DecayModel``), so
+``truncation_radius`` is the closed form R**p = K / c.
 
 ``integrate_path`` refines all segments of a path together, in rounds.  All
 truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
@@ -103,10 +105,20 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _float_power(base: float, exponent: float) -> float:
-    """base**exponent for floats, inf where the power overflows a double
-    (Python raises OverflowError there), so a size check reads inf."""
+    """base**exponent for floats, inf where the power overflows a double or
+    0 is raised to a negative power (Python raises OverflowError and
+    ZeroDivisionError there), so a size check reads inf."""
     try:
         return base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _float_exp(x: float) -> float:
+    """math.exp(x), inf where it overflows a double (math.exp raises
+    OverflowError there), so a size check reads inf."""
+    try:
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -131,15 +143,18 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Asserts |f(r e^{i theta})| <= amplitude * exp(-rate * r**exponent).
+    """Asserts |f| dr/du <= amplitude * exp(-rate * u) on a ray, in the ray's
+    own variable u = r**exponent: u = r on the gamma, Bateman and zeta
+    loops, u = r**rho on Dzhrbashyan's tau-loop.
 
-    The bound licenses truncating an infinite ray at a radius R; ``tail_bound``
-    bounds what is cut off.
+    The bound licenses truncating an infinite ray at a radius R;
+    ``tail_bound`` bounds what is cut off.  It need hold only where a tail
+    can be cut: past R's floor 1.5 r0 + 1 (``truncation_radius``).
     """
 
     amplitude: float
     rate: float
-    exponent: float
+    exponent: float = 1.0
 
     def __post_init__(self):
         if not (self.rate > 0 and self.exponent > 0 and self.amplitude > 0):
@@ -147,57 +162,49 @@ class DecayModel:
 
     @classmethod
     def with_power_growth(cls, base_amplitude: float, poly_power: float,
-                          rate: float, exponent: float, start_radius: float) -> "DecayModel":
+                          rate: float, start: float) -> "DecayModel":
         """Fold a polynomially growing prefactor into a pure exponential bound.
 
-        Given |f| <= B * r**m * exp(-c * r**p) for r >= r0, returns a model
-        A * exp(-c_eff * r**p) that dominates it.  For m <= 0 the prefactor
-        is maximal at r0 and the rate is kept; for m > 0 the rate is halved
-        and the worst case of r**m * exp(-c/2 * r**p) absorbed into A.
-        Raises PreconditionError where that worst case leaves the double
-        range: B underflowed to 0, the radius overflows, or A underflows to 0.
+        Given B * u**m * exp(-c * u) for u >= u0 = ``start``, returns a
+        model A * exp(-c_eff * u), exponent 1, that dominates it.  For m <= 0
+        the prefactor is maximal at u0 and the rate is kept; for m > 0 the
+        rate is halved and the worst case of u**m * exp(-c/2 * u) absorbed
+        into A.  Raises PreconditionError where A leaves the double range: B
+        underflowed to 0, the peak m / c_eff overflows, or A under- or
+        overflows.
         """
         if base_amplitude == 0.0:
             raise PreconditionError("with_power_growth requires B > 0, but B underflows to 0")
-        if not (base_amplitude > 0 and rate > 0 and exponent > 0):
+        if not (base_amplitude > 0 and rate > 0):
             raise PreconditionError("with_power_growth requires positive bound parameters")
         c_eff = rate
         if poly_power <= 0:
-            amp = base_amplitude * _float_power(start_radius, poly_power)
+            amp = base_amplitude * _float_power(start, poly_power)
         else:
             c_eff = 0.5 * rate
-            # max over r > 0 of r**m * exp(-c_eff * r**p), attained at
-            # r* = (m / (c_eff p))**(1/p)
-            r_star = _float_power(poly_power / (c_eff * exponent), 1.0 / exponent)
-            if r_star == math.inf:
+            # max over u > 0 of u**m * exp(-c_eff * u), attained at u* = m / c_eff
+            u_star = poly_power / c_eff
+            if u_star == math.inf:
                 raise PreconditionError("DecayModel requires a finite peak radius, but "
-                                        "(m / (c_eff p))**(1/p) overflows a double")
-            r_star = max(r_star, start_radius)
-            log_peak = poly_power * math.log(r_star) - c_eff * _float_power(r_star, exponent)
-            amp = base_amplitude * math.exp(min(log_peak, 700.0))
+                                        "m / c_eff overflows a double")
+            u_star = max(u_star, start)
+            amp = base_amplitude * _float_exp(poly_power * math.log(u_star) - c_eff * u_star)
         if amp == 0.0:
             raise PreconditionError("DecayModel requires a positive amplitude, but "
-                                    "B * max r**m exp(-c_eff r**p) underflows to 0")
-        return cls(_POWER_GROWTH_SAFETY * amp, c_eff, exponent)
+                                    "B * max u**m exp(-c_eff u) underflows to 0")
+        amp = _POWER_GROWTH_SAFETY * amp
+        if not amp < math.inf:  # nan where an overflowed B met an underflowed power
+            raise PreconditionError("a ray bound overflows a double: "
+                                    "2 B * max u**m exp(-c_eff u) is past the double range")
+        return cls(amp, c_eff)
 
     def bound(self, r: float) -> float:
         return self.amplitude * math.exp(-self.rate * r ** self.exponent)
 
     def tail_bound(self, r: float) -> float:
-        """Bound on T, the integral of ``bound`` over [r, inf).
-
-        With c = rate and p = exponent, integrating by parts gives T =
-        bound(r) r**(1-p) / (c p) + (1-p)/(c p) * (integral of t**-p bound(t)).
-        For p >= 1 the second term is at most 0.  For p < 1 it is at most
-        q T with q = (1-p) / (c p r**p), so T <= (first term) / (1 - q)
-        while q < 1; nearer the origin this bound is infinite.
-        """
-        c, p = self.rate, self.exponent
-        first = self.bound(r) / (c * p * r ** (p - 1.0))
-        if p >= 1.0:
-            return first
-        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)
-        return first / shrink if shrink > 0.0 else math.inf
+        """Bound on the integral of |f| over [r, inf): the integral of
+        amplitude * exp(-rate * u) over u >= r**exponent."""
+        return self.bound(r) / self.rate
 
 
 @dataclass(frozen=True)
@@ -535,91 +542,19 @@ _ROUNDS = _RoundMemo()
 def truncation_radius(decay: DecayModel, start_radius: float,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Radius R, at least 1.5 r0 + 1, past which the tail bound stays below
-    abs_tol / 10.  With c = rate, p = exponent, r0 = ``start_radius`` and
-    u = ln R, R is where h(u) = c e**(p u) + (p - 1) u - K crosses 0, with
-    K = ln(amplitude / (c p abs_tol / 10)); for p < 1 h has the further term
-    ln(1 - (1-p) / (c p R**p)) of ``DecayModel.tail_bound``.
-
-    For p = 1, R = K / c.  For p > 1 h is convex: Newton's method, started
-    where h' > 0, lands right of the largest root within one step and then
-    decreases to it.  For p < 1 h increases from -inf, so its root is unique;
-    Newton's steps are kept inside a bracket of it, halving it when a step
-    would leave.
+    abs_tol / 10: with c = rate, p = exponent and r0 = ``start_radius``,
+    R**p = K / c, K = ln(amplitude / (c abs_tol / 10)).  Raises
+    IntegrandError past 2**199 times max(2 r0, r0 + 1), where the decay is
+    too weak to truncate the ray.
     """
-    c, p = decay.rate, decay.exponent
+    c = decay.rate
     floor = 1.5 * start_radius + 1.0
-    k = math.log(decay.amplitude) - math.log(c * p) - math.log(cfg.abs_tol / _TAIL_SAFETY)
-    # Past 2**199 times the first bracket, max(2 r0, r0 + 1), the decay is too weak.
+    k = math.log(decay.amplitude) - math.log(c) - math.log(cfg.abs_tol / _TAIL_SAFETY)
     r_max = max(2.0 * start_radius, start_radius + 1.0) * 2.0 ** 199
-    if p == 1.0:
-        r = k / c
-    elif p > 1.0:
-        # Start no lower than the floor and near the root (one fixed-point
-        # step from c R**p = K).
-        log_c = math.log(c)
-        u_k = (math.log(k) - log_c) / p if k > 0 else 0.0
-        x = k - (p - 1.0) * u_k
-        u = max(math.log(floor), (math.log(x) - log_c) / p if x > 0 else 0.0)
-        if u > math.log(r_max):
-            raise IntegrandError("decay too weak to truncate ray")
-        r = math.exp(u)
-        for _ in range(100):  # the cap only stops rounding noise cycling
-            w = c * r ** p
-            step = (w + (p - 1.0) * math.log(r) - k) / (p * w + p - 1.0)
-            r *= math.exp(-step)
-            # Newton's next step would be about p * step**2 / 2: rounding.
-            if r < floor or abs(step) <= 1e-9:
-                break
-    else:
-        r = _sublinear_radius(c, p, k, r_max)
+    r = _float_power(max(k, 0.0) / c, 1.0 / decay.exponent)
     if not r <= r_max:
         raise IntegrandError("decay too weak to truncate ray")
     return max(r, floor)
-
-
-def _sublinear_radius(c: float, p: float, k: float, r_max: float) -> float:
-    """``truncation_radius`` for p < 1, before the floor is applied.
-
-    h rises from -inf where w = c R**p reaches a = (1-p)/p, the radius at
-    which the tail bound blows up, so its root is unique.  Newton's method
-    runs in v = ln(w - a): with x = e**v, h = a + x - (a+1) ln(a + x) + v +
-    a ln c - K and h' = (x**2 + a) / (a + x), near-linear by the blow-up and
-    convex far from it.  Its steps stay inside a bracket of the root, which
-    they halve when a step would leave.  Below v = ln(a) - 36, w = a + x
-    rounds to a.
-    """
-    a = (1.0 - p) / p
-    shift = a * math.log(c) - k
-    w_max = c * r_max ** p
-    if not w_max > a:
-        raise IntegrandError("decay too weak to truncate ray")
-    lo, hi = math.log(a) - 36.0, math.log(w_max - a)
-    # Start one fixed-point step from w = K, and at w >= 2a.
-    u_k = (math.log(k) - math.log(c)) / p if k > 0 else 0.0
-    v = math.log(max(k - (p - 1.0) * u_k - a, a))
-    for _ in range(100):  # the cap stops a bracket that rounding has closed
-        x = math.exp(v)
-        value = a + x - (a + 1.0) * math.log(a + x) + v + shift
-        if value >= 0.0:
-            hi = v
-        else:
-            lo = v
-        step = value * (a + x) / (x * x + a)
-        v -= step
-        # Newton's next step would be about step**2 times h''/2h': rounding.
-        if abs(step) <= 1e-9:
-            break
-        if not lo < v < hi:
-            v = 0.5 * (lo + hi)
-    r = ((a + math.exp(v)) / c) ** (1.0 / p)
-    # Rounding may leave R a few units in the last place short of the root:
-    # step it out by 2**-52, 2**-51, ... of itself until the bound holds.
-    for i in range(52):
-        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)  # as in DecayModel.tail_bound
-        if shrink > 0.0 and c * r ** p + (p - 1.0) * math.log(r) + math.log(shrink) >= k:
-            return r
-        r *= 1.0 + 2.0 ** (i - 52)
-    raise IntegrandError("decay too weak to truncate ray")
 
 
 def integrate_path(f: Integrand, path: IntegrationPath,

@@ -270,11 +270,11 @@ class TestRayBoundEdges:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [(r["method"], r["status"]) for r in rows] == [("series", "non_convergence")]
 
-    def test_gamma_invariance_at_tiny_radius_is_non_convergence(self, capsys):
-        # r0**(-Re s) overflows at r0 = 1e-300
+    def test_gamma_invariance_at_tiny_radius_is_precondition_error(self, capsys):
+        # r0**(-Re s) overflows at r0 = 1e-300: the bound is refused, not the decay
         code = main(["invariance", "gamma", "--s-re", "2", "--epsilon", "1e-300"])
-        assert code == 3
-        assert "decay too weak to truncate ray" in capsys.readouterr().err
+        assert code == 2
+        assert "a ray bound overflows a double" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, cause", [
         # Dzhrbashyan's ray bound: its peak radius overflows
@@ -298,8 +298,9 @@ class TestRayBoundEdges:
         assert code == 2
         assert "B underflows to 0" in capsys.readouterr().err
 
-    # Where the zeta loop's ray bound underflows, auto answers with the series
-    # (TestZetaLoopDecides checks it against mpmath) and contour still refuses
+    # Where the zeta loop's ray bounds leave the double range, auto answers
+    # with the series (TestZetaLoopDecides checks it against mpmath) and
+    # contour still refuses
     @pytest.mark.parametrize("argv, value", [
         (("--rho", 1, "--mu-re", 0.5, "--mu-im", -300, "--z-mod", 1, "--z-arg-pi", 1),
          -1.5358055453983208e+204 - 9.5528694998256745e+203j),
@@ -311,7 +312,7 @@ class TestRayBoundEdges:
         assert complex(float(row["value_re"]), float(row["value_im"])) == value
         code = main([str(a) for a in ("eval", *argv, "--method", "contour")])
         assert code == 2
-        assert "B underflows to 0" in capsys.readouterr().err
+        assert "a ray bound overflows a double" in capsys.readouterr().err
 
     @pytest.mark.parametrize("s_re", ["nan", "inf"])
     def test_non_finite_s_is_precondition_error(self, capsys, s_re):

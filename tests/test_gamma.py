@@ -8,7 +8,6 @@ from mlcontour import (
     ContourValidityError,
     ConvergenceError,
     GammaContourSpec,
-    IntegrandError,
     PolarComplex,
     PreconditionError,
     gamma_psi_window,
@@ -186,6 +185,15 @@ class TestContour:
         with pytest.raises(PreconditionError, match="with_power_growth requires"):
             recip_gamma_contour(0.5 + 10000j)
 
+    def test_overflowed_ray_bound_is_precondition_error(self):
+        # the bound's peak u^300.5 e^(-u/2) at u = 601 is e^1622, past the
+        # double range: refused before any integrand is evaluated
+        with pytest.raises(PreconditionError, match="a ray bound overflows a double"):
+            recip_gamma_contour(-300.5)
+        # at -150.5 the peak, e^708.4, is a double and kept as it is
+        assert rel_err(recip_gamma_contour(-150.5).value,
+                       -2.2329165736257515592e+263) < 1e-14
+
     def test_underflowed_loop_radius_is_contour_validity_error(self):
         # epsilon/|lambda| = 1e-600 underflows to 0
         spec = GammaContourSpec(1e-300, 0.0, PI, PI)
@@ -231,9 +239,9 @@ class TestLambdaRoute:
         ev = recip_gamma_contour(s, lam=PolarComplex(2.5, 0.0))
         assert rel_err(ev.value, 0.5641895835477563) < 1e-9
 
-    def test_huge_modulus_is_integrand_error(self):
+    def test_huge_modulus_is_precondition_error(self):
         # the loop radius 1e-300 makes r0**(-Re s) overflow in the ray bound
-        with pytest.raises(IntegrandError, match="decay too weak"):
+        with pytest.raises(PreconditionError, match="a ray bound overflows a double"):
             recip_gamma_contour(2.0, lam=PolarComplex(1e300, 0.0))
 
     def test_tiny_modulus_bound_is_not_zero(self):

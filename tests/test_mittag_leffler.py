@@ -520,6 +520,14 @@ class TestDzhrbashyan:
         ref = ml_reference(2.0, 1.0, z.to_complex())
         assert abs(ev.value - ref) <= 1e-14 * abs(ref)
 
+    def test_tiny_arc(self):
+        # epsilon^rho underflows to 0, where the ray bound in u = r^rho is
+        # singular; it is folded from u = 1 instead
+        params, z = MLParams(4.0, 1.0), PolarComplex(1.0, PI)
+        ev = ml_dzhrbashyan(params, z, epsilon=1e-90)
+        ref = ml_reference(4.0, 1.0, z.to_complex())
+        assert abs(ev.value - ref) <= max(ev.diagnostics.error_estimate, 1e-14 * abs(ref))
+
 
 class TestClosedForm:
     def test_exponential(self):
@@ -861,8 +869,9 @@ class TestZetaLoopReuse:
 class TestZetaLoopDecides:
     """_zeta_loop makes every refusal of the zeta loop, its ray bounds
     included, before integrate_path runs, so auto takes the series wherever
-    the loop would refuse.  At the point below a ray bound underflows to 0:
-    e^(Im mu angle) with Im mu = -300 at the ray angle pi."""
+    the loop would refuse.  At the point below the ray bounds leave the
+    double range: e^(Im mu angle) with Im mu = -300 overflows at the ray
+    angle -pi, the first ray bounded, and underflows to 0 at pi."""
 
     # (params, z, relative error of auto's value to ml_reference); it reads
     # 1.4e-13, where log Gamma(mu + n) is about 1,500 in modulus
@@ -883,7 +892,7 @@ class TestZetaLoopDecides:
 
         monkeypatch.setattr(mittag_leffler, "integrate_path", never)
         mittag_leffler._zeta_loop.cache_clear()
-        with pytest.raises(PreconditionError, match="B underflows to 0") as refused:
+        with pytest.raises(PreconditionError, match="a ray bound overflows a double") as refused:
             ml_contour(params, z)
         assert refused.traceback[-1].name == "with_power_growth"
         assert any(entry.name == "_zeta_loop" for entry in refused.traceback)

@@ -1,9 +1,12 @@
 import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcontour import (
     IntegrandError,
@@ -141,54 +144,73 @@ class TestDecayModel:
         with pytest.raises(PreconditionError, match="DecayModel requires"):
             DecayModel(0.0, 1.0, 1.0)
         with pytest.raises(PreconditionError, match="with_power_growth requires"):
-            DecayModel.with_power_growth(0.0, -1.0, 1.0, 1.0, 1.0)
+            DecayModel.with_power_growth(0.0, -1.0, 1.0, 1.0)
 
-    def test_power_growth_overflow_reads_inf(self):
-        # r0**m overflows a double; the model then truncates nothing
-        model = DecayModel.with_power_growth(1.0, -2.0, 1.0, 1.0, 1e-300)
-        assert model.amplitude == math.inf
-        with pytest.raises(IntegrandError, match="decay too weak"):
-            truncation_radius(model, 1e-300)
+    def test_power_growth_overflow_is_named(self):
+        # u0**m at u0 = 1e-300 and at an underflowed u0 = 0, the peak e^1622
+        # of u**300.5 e**(-u/2), and B itself overflow a double: refused,
+        # never a clamped or an inf bound
+        for args in ((1.0, -2.0, 1.0, 1e-300), (1.0, -2.0, 1.0, 0.0), (1.0, 300.5, 1.0, 1.0),
+                     (math.inf, -1.0, 1.0, 1.0), (math.inf, -1e3, 1.0, 1e3)):
+            with pytest.raises(PreconditionError, match="a ray bound overflows a double"):
+                DecayModel.with_power_growth(*args)
 
     def test_power_growth_peak_overflow_is_named(self):
-        # r* = (m / (c_eff p))**(1/p) overflows: m log r* - c_eff (r*)**p was inf - inf
+        # u* = m / c_eff overflows: m log u* - c_eff u* would be inf - inf
         with pytest.raises(PreconditionError, match="peak radius, but .* overflows a double"):
-            DecayModel.with_power_growth(1.0, 1e300, 1.0, 0.5, 1.0)
+            DecayModel.with_power_growth(1.0, 1e300, 1e-10, 1.0)
 
-    @pytest.mark.parametrize("poly_power, start_radius", [(-100.0, 1e5), (1.0, 1e3)])
-    def test_power_growth_underflow_is_named(self, poly_power, start_radius):
-        # B r0**m, or B times the peak of r**m e**(-c_eff r**p), underflows to 0
+    @pytest.mark.parametrize("poly_power, start", [(-100.0, 1e5), (1.0, 1e3)])
+    def test_power_growth_underflow_is_named(self, poly_power, start):
+        # B u0**m, or B times the peak of u**m e**(-c_eff u), underflows to 0
         with pytest.raises(PreconditionError, match="amplitude, but .* underflows to 0"):
-            DecayModel.with_power_growth(1e-300, poly_power, 1.0, 1.0, start_radius)
+            DecayModel.with_power_growth(1e-300, poly_power, 1.0, start)
 
     def test_power_growth_fold_is_a_bound(self):
-        model = DecayModel.with_power_growth(2.0, 3.5, 1.0, 1.0, 0.5)
-        for r in np.linspace(0.5, 60.0, 200):
-            assert 2.0 * r**3.5 * math.exp(-r) <= model.bound(r) * (1 + 1e-12)
+        model = DecayModel.with_power_growth(2.0, 3.5, 1.0, 0.5)
+        for u in np.linspace(0.5, 60.0, 200):
+            assert 2.0 * u**3.5 * math.exp(-u) <= model.bound(u) * (1 + 1e-12)
+
+    @given(log_b=st.floats(-300.0, 300.0), m=st.floats(-60.0, 60.0),
+           log_c=st.floats(-3.0, 3.0), log_u0=st.floats(-8.0, 8.0))
+    @settings(max_examples=300, deadline=None)
+    def test_power_growth_amplitude_is_never_below_the_peak(self, log_b, m, log_c, log_u0):
+        # A e**(-c_eff u) >= B u**m e**(-c u) for u >= u0: in logs, ln A is at
+        # least ln B + max over u >= u0 of m ln u - (c - c_eff) u, which is
+        # m ln u0 for m <= 0 and at u* = max(m / c_eff, u0) for m > 0.  A
+        # fold that cannot keep that in a double is refused by name.
+        b, c, u0 = 10.0 ** log_b, 10.0 ** log_c, 10.0 ** log_u0
+        if m <= 0:
+            log_peak = m * math.log(u0)
+        else:
+            u_star = max(2.0 * m / c, u0)
+            log_peak = m * math.log(u_star) - 0.5 * c * u_star
+        least = math.log(b) + log_peak
+        try:
+            model = DecayModel.with_power_growth(b, m, c, u0)
+        except PreconditionError as refused:
+            assert re.search("overflows a double|underflows to 0", str(refused))
+            return
+        assert math.log(model.amplitude) >= least
 
     def test_power_decay_keeps_rate(self):
-        model = DecayModel.with_power_growth(1.0, -2.0, 1.5, 1.0, 2.0)
+        model = DecayModel.with_power_growth(1.0, -2.0, 1.5, 2.0)
         assert model.rate == 1.5
 
     @pytest.mark.parametrize("p", [0.6, 0.75, 1.0, 1.5])
     @pytest.mark.parametrize("amplitude, rate, r0", [(1.0, 1.0, 1.0), (3.0, 0.5, 2.0),
                                                      (1e3, 2.0, 0.1)])
     def test_tail_bound_covers_true_tail(self, p, amplitude, rate, r0):
-        # the integral of A e^(-c r^p) over [R, inf) is A Gamma(1/p, c R^p) / (p c^(1/p))
+        # the bound's tail in u = r**p, the integral of A e^(-c u) over
+        # [R**p, inf), is A e^(-c R**p) / c
         mpmath = pytest.importorskip("mpmath")
         decay = DecayModel(amplitude, rate, p)
         r = truncation_radius(decay, r0)
         with mpmath.workdps(30):
-            inv_p = 1 / mpmath.mpf(p)
-            tail = (amplitude / (p * mpmath.mpf(rate) ** inv_p)
-                    * mpmath.gammainc(inv_p, rate * mpmath.mpf(r) ** p))
-        # at p = 1 the bound is the tail itself, up to rounding
+            tail = amplitude / mpmath.mpf(rate) * mpmath.exp(-rate * mpmath.mpf(r) ** p)
+        # the bound is the tail itself, up to rounding
         assert decay.tail_bound(r) >= tail * (1 - 1e-13)
         assert decay.tail_bound(r) <= 1.02 * tail
-
-    def test_tail_bound_infinite_where_sublinear_bound_fails(self):
-        # c p R^p <= 1 - p: integration by parts bounds nothing there
-        assert DecayModel(1.0, 1.0, 0.5).tail_bound(0.9) == math.inf
 
 
 class TestTruncationRadius:
@@ -197,13 +219,7 @@ class TestTruncationRadius:
     def log_tail(self, decay, r):
         # log of DecayModel.tail_bound, which under- or overflows at the
         # amplitudes below
-        c, p = decay.rate, decay.exponent
-        log_first = (math.log(decay.amplitude) - c * r ** p - math.log(c * p)
-                     - (p - 1.0) * math.log(r))
-        if p >= 1.0:
-            return log_first
-        shrink = 1.0 - (1.0 - p) / (c * p * r ** p)
-        return log_first - math.log(shrink) if shrink > 0.0 else math.inf
+        return math.log(decay.amplitude) - decay.rate * r ** decay.exponent - math.log(decay.rate)
 
     @pytest.mark.parametrize("p", [1.0, 0.6, 0.75, 1.5, 2.0, 4.0])
     def test_bound_meets_target_at_smallest_radius(self, p):
@@ -605,9 +621,10 @@ class TestGolden:
          "QuadratureResult(value=(0.5403023058681399+0.8414709848078965j), "
          "error_estimate=4.636990942628303e-16, truncation_radius=34.538776394910684, "
          "panels_used=48, converged=True)"),
+        # re-recorded when its ray bound moved to u = r^rho; 7.4e-14 from mpmath
         (lambda: ml_dzhrbashyan(MLParams(2.0, 1 + 0.5j), PolarComplex(2.0, 1.0)).diagnostics,
          "QuadratureResult(value=(-1.6959993437340763+0.2586218348443783j), "
-         "error_estimate=1.1598492424249385e-13, truncation_radius=6.946959071825798, "
+         "error_estimate=1.1598483650870574e-13, truncation_radius=7.031908971294628, "
          "panels_used=48, converged=True)"),
     ]
 

@@ -1,10 +1,12 @@
 """Every loop route's ray bounds dominate its integrand.
 
 A route truncates each infinite ray where its ``DecayModel`` puts the tail
-below the tolerance, so the model must bound |integrand| on the whole ray.
-Each route's integrand, path and bounds are taken from the call it makes to
-``integrate_path`` in its own module; the integrand is then sampled on each
-ray from its start to its truncation radius.
+below the tolerance, so the model must bound |integrand| dr/du on the whole
+ray, in the ray's variable u = r**exponent: u = r on the loops in s, u =
+r**rho on Dzhrbashyan's tau-loop.  Each route's integrand, path and bounds
+are taken from the call it makes to ``integrate_path`` in its own module;
+the integrand is then sampled on each ray from its start to its truncation
+radius.
 """
 
 import math
@@ -56,8 +58,8 @@ def handed_over(module, call):
 
 def rays_checked(f, path, decay) -> int:
     """Sample each infinite ray of ``path``, from its start to its
-    truncation radius, and compare |f| with the ray's bound.  Returns the
-    number of rays checked."""
+    truncation radius, and compare |f| dr/du with the ray's bound at u =
+    r**p.  Returns the number of rays checked."""
     checked = 0
     for ray in path.segments:
         if not (isinstance(ray, RaySegment) and ray.infinite):
@@ -67,14 +69,19 @@ def rays_checked(f, path, decay) -> int:
             end = truncation_radius(model, ray.start_radius)
         except MlcError:
             continue
-        r0 = ray.start_radius
+        p = model.exponent
+        # Dzhrbashyan's bound is folded from u = max(r0**p, 1): a tail is
+        # cut only past 1.5 r0 + 1 > 1
+        r0 = ray.start_radius if p == 1.0 else max(ray.start_radius, 1.0)
         r = np.concatenate((r0 * (end / r0) ** np.linspace(0.0, 1.0, 200),
                             np.linspace(r0, end, 200)))
         t = r * complex(math.cos(ray.angle), math.sin(ray.angle))
         log_t = np.log(r) + 1j * ray.angle
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             size = np.abs(f(t, log_t))
-            bound = model.amplitude * np.exp(-model.rate * r ** model.exponent)
+            if p != 1.0:
+                size *= r ** (1.0 - p) / p  # dr/du
+            bound = model.amplitude * np.exp(-model.rate * r ** p)
         # below 1e-300 both sides are underflow noise
         worst = int(np.argmax(size - bound))
         assert size[worst] <= bound[worst] + 1e-300, (ray, r[worst], size[worst], bound[worst])
@@ -159,6 +166,23 @@ def test_ray_bounds_at_the_edges(name, params, z, options):
     least = min(pole_gap(ray, 1.0 / params.rho, z) for ray in path.segments[::2])
     lo, hi = LEAST_GAPS[name]
     assert lo <= least <= hi
+
+
+@pytest.mark.parametrize("mu", [1.5, 2.0 + 0.5j])
+def test_dzhrbashyan_bound_carries_dr_du(mu):
+    # at rho = 0.6, dr/du = u^(2/3) / 0.6 grows along the ray: a bound on |f|
+    # alone, B u^(1 - Re mu), falls below |f| dr/du here
+    f, path, decay = handed_over(mittag_leffler,
+                                 lambda: ml_dzhrbashyan(MLParams(0.6, mu), PolarComplex(2.5, 3.0)))
+    assert rays_checked(f, path, decay) == 2
+
+
+def test_dzhrbashyan_bound_at_a_tiny_arc():
+    # epsilon^rho = 1e-360 underflows to 0: the bound is folded from u = 1
+    f, path, decay = handed_over(mittag_leffler,
+                                 lambda: ml_dzhrbashyan(MLParams(4.0, 1.0), PolarComplex(1.0, PI),
+                                                        epsilon=1e-90))
+    assert rays_checked(f, path, decay) == 2
 
 
 class TestPoleGap:
