@@ -31,6 +31,10 @@ is elementwise, or sums within one panel or within one level, so given the
 integrand's values a level's sum has the bits of laying that level out
 alone.  The bits are fixed by these choices:
 
+- the 15 nodes and weights are a literal table, equal bit for bit to
+  numpy 2.4.6's ``np.polynomial.legendre.leggauss(15)``: the program then
+  imports no ``numpy.polynomial`` at run time, and the rule no longer
+  follows numpy's eigensolver from one version to the next;
 - level k of a segment splits each of its level-0 panels into 2**k equal
   parts, left + width * (j / 2**k); a panel's midpoint and half-width are
   0.5 * (right + left) and 0.5 * (right - left), and its nodes mid + half *
@@ -89,7 +93,22 @@ from .errors import ConvergenceError, IntegrandError, PreconditionError
 from .geometry import ArcSegment, IntegrationPath, RaySegment
 
 _GAUSS_ORDER = 15
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+# The 15-point Gauss-Legendre rule on [-1, 1]: numpy 2.4.6's leggauss(15),
+# each double written as its repr (the module docstring says why).
+_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 
 # First-level panels per arc (fewest per ray): resolve a smooth segment at once.
 _INITIAL_PANELS = 8

@@ -6,9 +6,13 @@ Two references, each computed apart from the program:
   by the digits its largest term cancels, so that ``DIGITS`` survive;
 * for |z|^rho >= ``ASYMPTOTIC_FROM`` and rho > 1/2, the asymptotic expansion
   -sum_{k>=1} z^-k / Gamma(mu - k/rho), plus rho z^(rho(1-mu)) e^(z^rho)
-  (principal powers) where rho |arg z| < pi (Podlubny 1999, Thms 1.3-1.4).
+  (principal powers) where rho |arg z| <= pi (Podlubny 1999, Thms 1.3-1.4).
   Its terms fall until k is near rho |z|^rho, where they reach about
-  e^(-|z|^rho); they are summed until three in a row are negligible.
+  e^(-|z|^rho); they are summed until three in a row are negligible.  On
+  the Stokes line rho |arg z| = pi the exponential term is of that size
+  too, below the sum's own error, except where every 1/Gamma(mu - k/rho)
+  is 0 (rho = 1 and an integer mu <= 1): there it is all of E, e^z at
+  mu = 1, so it is kept.
 
 mpmath is a test extra: without it, a test that asks for a reference skips.
 """
@@ -88,7 +92,7 @@ def _asymptotic(rho: float, mu: complex, z: complex) -> complex:
             small = small + 1 if abs(term) <= tiny * abs(total) else 0
             if small == 3:
                 break
-        if rho * abs(cmath.phase(z)) < math.pi:
+        if rho * abs(cmath.phase(z)) <= math.pi:
             w = mpmath.power(zm, rhom)
             total += rhom * mpmath.power(w, 1 - mum) * mpmath.exp(w)
         return complex(total)

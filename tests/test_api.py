@@ -8,6 +8,10 @@ route's prefactor.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +53,18 @@ PUBLIC = [
 def test_all_is_pinned_and_every_name_resolves():
     assert sorted(mlcontour.__all__) == sorted(PUBLIC)
     assert all(hasattr(mlcontour, name) for name in mlcontour.__all__)
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    # numpy.polynomial costs every process about 1.4 MB of memory; the
+    # 15-point rule is a literal table so that nothing needs it
+    src = str(pathlib.Path(mlcontour.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, mlcontour.cli; mlcontour.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "[]\n"
 
 
 P = MLParams(1.5, 1.0)

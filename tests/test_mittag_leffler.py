@@ -722,6 +722,17 @@ class TestMLReference:
         series = ml_series(MLParams(2.0, -5.5), PolarComplex(1.0, PI)).value
         assert abs(series - ref) <= 1e-11 * abs(ref)
 
+    @pytest.mark.parametrize("z", [-200.0, -150.0])
+    def test_stokes_line_keeps_the_exponential(self, z):
+        # rho = 1, mu = 1: every 1/Gamma(1 - k) is 0, so E = e^z is the
+        # exponential term alone; the sum cancels 2|z|/ln 10 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50 + int(2 * abs(z) / math.log(10))):
+            direct = complex(sum(mpmath.mpf(z) ** n * mpmath.rgamma(1 + n)
+                                 for n in range(int(5 * abs(z)))))
+        assert direct != 0
+        assert abs(ml_reference(1.0, 1.0, z) - direct) <= 1e-15 * abs(direct)
+
     def test_modulus_past_the_double_range_of_z_to_the_rho(self):
         # |z|^rho = 1e375 overflows a double; E is about 1/(|z| Gamma(1 - 1/rho))
         mpmath = pytest.importorskip("mpmath")

@@ -509,6 +509,15 @@ def _bits(values) -> list[tuple[str, str]]:
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
+class TestGaussRule:
+    def test_table_is_leggauss_bit_for_bit(self):
+        # the engine's literal table against numpy's own rule, signed zeros
+        # included (np.array_equal would let -0.0 pass for 0.0)
+        for table, ref in ((quadrature._NODES, _NODES), (quadrature._WEIGHTS, _WEIGHTS)):
+            assert table.dtype == ref.dtype and table.shape == ref.shape
+            assert table.tobytes() == ref.tobytes()
+
+
 class TestRoundReference:
     """_layout and _round_sums lay a round out and sum it with one set of
     array operations; its sums must have the bits of the per-job reference
