@@ -78,7 +78,7 @@ def is_gamma_pole(s):
 def _lanczos_log_gamma(s: np.ndarray) -> np.ndarray:
     """Lanczos log-gamma over a 1-D array with Re s >= 1/2: the 14-term sum
     is one (points x 14) array, reduced along its rows."""
-    acc = _LANCZOS_COEFFS[0] + np.sum(
+    acc = _LANCZOS_COEFFS[0] + np.add.reduce(
         _LANCZOS_COEFFS[1:] / ((s[:, None] - 1.0) + _LANCZOS_K), axis=1)
     t = s + (_LANCZOS_G - 0.5)
     return _LOG_SQRT_TWO_PI + (s - 0.5) * np.log(t) - t + np.log(acc)
@@ -104,13 +104,14 @@ def _log_gamma(s: np.ndarray) -> np.ndarray:
     """log Gamma over a 1-D array: Lanczos for Re s >= 1/2 and the
     reflection log(pi) - log sin(pi s) - log Gamma(1-s) left of it.  Poles
     come out with real part +inf but an arbitrary imaginary part."""
-    out = np.empty_like(s)
     right = s.real >= 0.5
+    if right.all():
+        return _lanczos_log_gamma(s)
+    out = np.empty_like(s)
     if right.any():
         out[right] = _lanczos_log_gamma(s[right])
-    if not right.all():
-        left = s[~right]
-        out[~right] = _LOG_PI - _log_sinpi(left) - _lanczos_log_gamma(1.0 - left)
+    left = s[~right]
+    out[~right] = _LOG_PI - _log_sinpi(left) - _lanczos_log_gamma(1.0 - left)
     return out
 
 
@@ -162,6 +163,17 @@ def loop_integrand(mu: complex, lam: complex = 1.0, alpha: float = 1.0,
     return f
 
 
+#: A loop is refused where its integrand peaks past e^this (doubles end near e^709.8).
+OVERFLOW_EXPONENT_LIMIT = 690.0
+
+
+def refuse_arc_growth(growth: float) -> None:
+    """The one growth refusal of every loop, whose integrand peaks at e^``growth``."""
+    if not growth <= OVERFLOW_EXPONENT_LIMIT:
+        raise PreconditionError(f"arc too large: the integrand peaks at e^{growth:.3g} "
+                                f"on it, past e^{OVERFLOW_EXPONENT_LIMIT:g}")
+
+
 def pole_gap(ray, alpha: float, z: PolarComplex) -> float:
     """The distance from 1 to the segment, from z r0^(-alpha) e^(-i alpha
     angle) to 0, that z t^(-alpha) sweeps on ``ray``: 1/|1 - z t^(-alpha)| <= 1/gap."""
@@ -183,6 +195,14 @@ def loop_ray_bound(ray, mu: complex, lam: PolarComplex = UNIT_LAMBDA,
     return DecayModel.with_power_growth(base, -mu.real, rate, ray.start_radius)
 
 
+def loop_bounds(path, mu: complex, lam: PolarComplex = UNIT_LAMBDA, alpha: float = 1.0,
+                z: PolarComplex = PolarComplex(0.0, 0.0)) -> dict:
+    """Each ray's ``loop_ray_bound`` on ``path`` (ray in, arc, ray out), by ray,
+    once the arc's peak |e^(lam t)| = e^(|lam| R) has passed ``refuse_arc_growth``."""
+    refuse_arc_growth(lam.modulus * path.segments[1].radius)
+    return {ray: loop_ray_bound(ray, mu, lam, alpha, z) for ray in path.segments[::2]}
+
+
 def recip_gamma_contour(s: complex,
                         spec: GammaContourSpec = DEFAULT_GAMMA_SPEC,
                         cfg: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -192,10 +212,10 @@ def recip_gamma_contour(s: complex,
 
     Substituting t -> lam t moves the loop to radius epsilon/|lam| and its
     psi window by -arg lam; the prefactor is taken from the stored argument
-    of ``lam``, the same value that shifts the window.  Raises
-    PreconditionError for a non-finite s or where lam^(1-s) leaves the
-    double range, ContourValidityError for an inadmissible (spec, lam) and
-    ConvergenceError when the quadrature cannot reach its tolerance.
+    of ``lam``, the same value that shifts the window.  Raises, before
+    integrating, PreconditionError for a non-finite s, where lam^(1-s) leaves
+    the double range or ``loop_bounds`` refuses, and ContourValidityError for
+    an inadmissible (spec, lam); ConvergenceError when the quadrature stalls.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -207,7 +227,7 @@ def recip_gamma_contour(s: complex,
         raise PreconditionError(f"lam^(1-s) overflows at s={s}, "
                                 f"lam=({lam.modulus}, {lam.argument})") from None
     raw = integrate_path(loop_integrand(s, lam.to_complex()), path,
-                         decay=lambda ray: loop_ray_bound(ray, s, lam), cfg=cfg)
+                         decay=loop_bounds(path, s, lam).__getitem__, cfg=cfg)
     return finish_loop(raw, factor, "contour",
                        lambda: f"gamma contour quadrature did not converge at s={s}")
 

@@ -5,9 +5,9 @@ Routes:
 
 * ``ml_series``      -- Taylor series with compensated summation (the oracle).
 * ``ml_contour``     -- zeta loop anchored to arg z (rho > 1/2), in s = (z zeta)^rho.
-* ``ml_bateman``     -- classical loop along the cut, in s = tau^rho; both take
-                        the gamma loop's kernel and ray bound (``loop_integrand``).
-* ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z.
+* ``ml_bateman``     -- classical loop along the cut, in s = tau^rho, any mu; both
+                        are the gamma loop's kernel and ``loop_bounds`` (``_s_loop``).
+* ``ml_dzhrbashyan`` -- loop at opening angle theta with pole factor tau - z, in tau.
 
 All four take ``(params, z: PolarComplex)`` first; the series and the zeta
 loop then take ``cfg`` and their own parameters, the Bateman and Dzhrbashyan
@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .gamma import TWO_PI_I, is_gamma_pole, log_gamma, loop_integrand, loop_ray_bound
-from .gamma import recip_gamma_oracle
+from .gamma import TWO_PI_I, is_gamma_pole, log_gamma, loop_bounds, loop_integrand
+from .gamma import recip_gamma_oracle, refuse_arc_growth
 from .geometry import (
     ArcSegment,  # unused here; kept for perfbench's tracer, which wraps it
     IntegrationPath,
@@ -63,9 +63,6 @@ from .quadrature import (
 #: A series result with more than this many digits lost to cancellation is
 #: flagged unreliable: doubles keep fewer than 7 trustworthy digits past it.
 CANCELLATION_DIGITS_LIMIT = 9.0
-
-#: The loop route refuses outright when exp((|z|(1+eps))^rho) would overflow.
-OVERFLOW_EXPONENT_LIMIT = 690.0
 
 #: Cap on (|z|(1+eps))^rho used when choosing the default arc radius.  The
 #: arc integrand peaks at exp of this value while the result stays O(1), so
@@ -334,23 +331,15 @@ def default_ml_spec(params: MLParams, z: PolarComplex,
 def _zeta_loop(params: MLParams, z: PolarComplex, epsilon_hat: Optional[float],
                deltas: Optional[tuple[float, float]]) -> tuple[IntegrationPath, dict]:
     """The one place that decides whether the zeta loop runs at z: every
-    check ``ml_contour`` makes, its loop in s, and each ray's decay bound.
-    The last loop built is kept, so ``ml_route`` and then ``ml_contour`` at
-    one point (method "auto") build and check it once; a refused loop raises
-    on every call.  Arguments equal but for a zero's sign (mu = 1 +- 0j, arg
-    z = +-0.0) share the entry: the loop ignores that sign, the bounds pass
-    it only through cos, sin and exp, and the integrand, whose bits keep it, is
+    check ``ml_contour`` makes, its loop in s and ``loop_bounds``.  The last
+    loop built is kept, so ``ml_route`` and then ``ml_contour`` at one point
+    (method "auto") build and check it once; a refused loop raises on every
+    call.  Arguments equal but for a zero's sign (mu = 1 +- 0j, arg z =
+    +-0.0) share the entry: the loop ignores that sign, the bounds pass it
+    only through cos, sin and exp, and the integrand, whose bits keep it, is
     built per call."""
-    spec = default_ml_spec(params, z, epsilon_hat, deltas)
-    path = build_zeta_path(spec, z.modulus)
-    growth = path.segments[1].radius  # (|z|(1+eps))^rho, the arc's radius in s
-    if growth > OVERFLOW_EXPONENT_LIMIT:
-        raise PreconditionError(
-            f"modulus too large for the loop route: (|z|(1+eps))^rho = {growth:.3g} "
-            f"exceeds {OVERFLOW_EXPONENT_LIMIT:g}; use the series")
-    bounds = {ray: loop_ray_bound(ray, params.mu, alpha=1.0 / params.rho, z=z)
-              for ray in path.segments[::2]}  # ray in and ray out, around the arc
-    return path, bounds
+    path = build_zeta_path(default_ml_spec(params, z, epsilon_hat, deltas), z.modulus)
+    return path, loop_bounds(path, params.mu, alpha=1.0 / params.rho, z=z)
 
 
 def ml_route(params: MLParams, z: PolarComplex,
@@ -385,16 +374,22 @@ def ml_contour(params: MLParams, z: PolarComplex,
     pass inside the pole (-1 < epsilon_hat <= 0) when both are below pi.
 
     Raises PreconditionError, before integrating, for rho <= 1/2, at z = 0,
-    for a spec ``validate_ml_contour`` refuses (ContourValidityError), when
-    exp((|z|(1+eps))^rho) or a ray bound leaves the double range, and
-    ConvergenceError when the quadrature stalls.
+    for a spec ``validate_ml_contour`` refuses (ContourValidityError), an arc
+    peak e^((|z|(1+eps))^rho) past e^690 or a ray bound outside the double
+    range (``loop_bounds``); ConvergenceError when the quadrature stalls.
     """
     path, bounds = _zeta_loop(params, z, epsilon_hat, None if deltas is None else tuple(deltas))
+    return _s_loop(params, z, path, bounds, cfg, "contour",
+                   lambda: f"zeta-loop quadrature did not converge for rho={params.rho}, "
+                           f"mu={params.mu}, z=({z.modulus}, {z.argument})")
+
+
+def _s_loop(params: MLParams, z: PolarComplex, path: IntegrationPath, bounds: dict,
+            cfg: QuadratureConfig, method: str, failure) -> Evaluation:
+    """E(rho, mu; z) as 1/(2 pi i) times the kernel at alpha = 1/rho on a loop in s = tau^rho."""
     raw = integrate_path(loop_integrand(params.mu, alpha=1.0 / params.rho, z=z.to_complex()),
                          path, decay=bounds.__getitem__, cfg=cfg)
-    return finish_loop(raw, 1.0 / TWO_PI_I, "contour",
-                       lambda: f"zeta-loop quadrature did not converge for rho={params.rho}, "
-                               f"mu={params.mu}, z=({z.modulus}, {z.argument})")
+    return finish_loop(raw, 1.0 / TWO_PI_I, method, failure)
 
 
 # --------------------------------------------------------------------------
@@ -403,39 +398,27 @@ def ml_contour(params: MLParams, z: PolarComplex,
 
 def ml_bateman(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Evaluation:
-    """Classical loop route in s = tau^rho: rays along the cut, arc radius
-    epsilon (default 1.5|z|^rho + 0.5), the zeta loop's kernel and bound.
-
-    Valid for real mu > 0 and epsilon > |z|^rho (the arc must clear every
-    zero of the pole factor t^(1/rho) - z).
-    """
+    """Classical loop route in s = tau^rho at any mu: rays along the cut, arc
+    radius epsilon (default 1.5|z|^rho + 0.5), the zeta loop's kernel and
+    ``loop_bounds``.  epsilon must exceed |z|^rho, also once epsilon^(1/rho)
+    is rounded: the arc must clear every zero of the pole factor t^(1/rho) - z."""
     if epsilon is None:
         epsilon = 1.5 * _float_power(z.modulus, params.rho) + 0.5
     zc = z.to_complex()
-    mu = complex(params.mu)
-    if mu.imag != 0.0 or mu.real <= 0.0:
-        raise PreconditionError("this route requires real mu > 0; "
-                                "complex mu is served by the other routes")
-    alpha = 1.0 / params.rho
     pole_radius = _float_power(abs(zc), params.rho)
     if not epsilon > pole_radius:
         raise PreconditionError(
             f"arc radius {epsilon:g} must exceed |z|^rho = {pole_radius:g}")
-    if epsilon > OVERFLOW_EXPONENT_LIMIT:
-        raise PreconditionError("arc radius too large: e^t overflows on the arc")
-    eps_alpha = _float_power(epsilon, alpha)
+    eps_alpha = _float_power(epsilon, 1.0 / params.rho)
     if math.isinf(eps_alpha):
         raise PreconditionError(f"arc radius too large: {epsilon:g}^(1/rho) overflows")
     if not eps_alpha > abs(zc):
         raise PreconditionError(f"arc radius too small: {epsilon:g}^(1/rho) rounds to "
                                 f"{eps_alpha:g}, not above |z| = {abs(zc):g}")
-
     path = loop_path(epsilon, -math.pi, math.pi)
-    raw = integrate_path(loop_integrand(mu, alpha=alpha, z=zc), path,
-                         decay=lambda ray: loop_ray_bound(ray, mu, alpha=alpha, z=z), cfg=cfg)
-    return finish_loop(raw, 1.0 / TWO_PI_I, "bateman",
-                       lambda: f"classical-loop quadrature did not converge for "
-                               f"rho={params.rho}, mu={params.mu}, z={zc}")
+    return _s_loop(params, z, path, loop_bounds(path, params.mu, alpha=1.0 / params.rho, z=z),
+                   cfg, "bateman", lambda: f"classical-loop quadrature did not converge for "
+                                           f"rho={params.rho}, mu={complex(params.mu)}, z={zc}")
 
 
 def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] = None,
@@ -469,8 +452,7 @@ def ml_dzhrbashyan(params: MLParams, z: PolarComplex, epsilon: Optional[float] =
                                 f"when |arg z| <= theta = {theta:g}")
     rho = params.rho
     u0 = _float_power(epsilon, rho)
-    if u0 > OVERFLOW_EXPONENT_LIMIT:
-        raise PreconditionError("arc radius too large: exp(tau^rho) overflows on the arc")
+    refuse_arc_growth(u0)  # |exp(tau^rho)| peaks at e^(epsilon^rho) on the arc
     path = loop_path(epsilon, -theta, theta)
     rate = abs(math.cos(rho * theta))
     weight = _float_exp(rho * abs(mu.imag) * theta)

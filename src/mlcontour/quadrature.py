@@ -26,10 +26,11 @@ whose doubling rule has not stopped.  A round makes one integrand call over
 the nodes of all its levels, whatever their number.  ``_layout`` lays those
 nodes out, and ``_round_sums`` weights the integrand's values, with one
 fixed set of array operations whatever the number of its (segment, level)
-jobs; only each level's final sum is taken level by level.  Every operation
-is elementwise, or sums within one panel or within one level, so given the
-integrand's values a level's sum has the bits of laying that level out
-alone.  The bits are fixed by these choices:
+jobs, planned once per shape of jobs (``_round_plan``); the final sums are
+taken once per panel count.  Every operation is elementwise, or sums
+within one panel or within one level, so given the integrand's values a
+level's sum has the bits of laying that level out alone.  The bits are
+fixed by these choices:
 
 - the 15 nodes and weights are a literal table, equal bit for bit to
   numpy 2.4.6's ``np.polynomial.legendre.leggauss(15)``: the program then
@@ -49,10 +50,11 @@ alone.  The bits are fixed by these choices:
   product differently with its operands swapped);
 - the weighted sums over each panel's 15 nodes are taken row by row and
   scaled by the panels' half-widths, and each level's sum is
-  ``np.add.reduce`` of its contiguous slice of those, which numpy adds
-  pairwise (``ndarray.sum`` is the same reduction).  ``np.add.reduceat``
-  (which adds sequentially) and ``rows @ weights`` (which goes through BLAS)
-  would round differently.
+  ``np.add.reduce`` of its panels' sums as one row of an array, the levels
+  of equal panel count its rows, which numpy adds pairwise row by row, as
+  it would a 1-D slice (``ndarray.sum`` is the same reduction).
+  ``np.add.reduceat`` (which adds sequentially) and ``rows @ weights``
+  (which goes through BLAS) would round differently.
 
 Round 0 of a path geometry that recurs soon in the same process is reused.
 Paths repeat: over the default loop, 1/Gamma(s) integrates over one path at
@@ -80,7 +82,7 @@ arrays are read-only.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import struct
 import threading
@@ -264,8 +266,6 @@ def finish_loop(raw: QuadratureResult, factor: complex, method: str,
 # Panel machinery
 # --------------------------------------------------------------------------
 
-# A level's fractions of a level-0 panel, by level k: j / 2**k for j = 1..2**k.
-_STEPS: dict[int, np.ndarray] = {}
 # An arc's level-0 boundaries are start + j * (span / _INITIAL_PANELS).
 _ARC_STEPS = np.arange(_INITIAL_PANELS + 1.0)
 # _graded_boundaries' expm1(j ln 2), j = 0..n, by panel count n.
@@ -335,7 +335,6 @@ class _Segment:
         # each node's phase e^{i phi}.
         self.jacobian = complex(math.cos(fixed), math.sin(fixed)) if radial else 1j * fixed
         self._base: np.ndarray | None = None
-        self._parts: tuple[np.ndarray, np.ndarray] | None = None
         self.level = 0
         self.prev = 0j
         self.best_diff = math.inf
@@ -350,21 +349,6 @@ class _Segment:
             self._base = (_graded_boundaries(self.start, self.end) if self.radial
                           else _arc_boundaries(self.start, self.end))
         return self._base
-
-    def rights(self, k: int) -> np.ndarray:
-        """The right ends of level k's panels, every level-0 panel split into
-        2**k equal parts; each panel's left end is the right end before it,
-        the first panel's ``base[0]``."""
-        base = self.base
-        if k == 0:
-            return base[1:]
-        if self._parts is None:  # each level-0 panel's left end and width
-            self._parts = base[:-1, None], (base[1:] - base[:-1])[:, None]
-        left, width = self._parts
-        steps = _STEPS.get(k)
-        if steps is None:
-            steps = _STEPS[k] = np.linspace(0.0, 1.0, 2 ** k + 1)[1:]
-        return (left + width * steps).ravel()
 
     def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
         """Take the value of level k, the level after the last one taken."""
@@ -391,32 +375,67 @@ class _Segment:
             self.result = (cur, err, panels, False)
 
 
-#: A laid-out round: each job's range of panels, the panels' half-widths,
-#: and node by node t, log t and dt per unit of the panel coordinate.
-_Round = tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: A laid-out round: jobs by panel count, half-widths, t, log t, dt (``_layout``).
+_Round = tuple[tuple, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A round of at most this many panels keeps its plan (under 40 KB); round 0
+# of a loop of 8 level-0 panels a segment has 72.
+_PLAN_PANELS = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _round_plan(shape: tuple[tuple[bool, int, int], ...]) -> tuple:
+    """What a round's jobs' ``shape``, ((radial, level-0 panels n, level k),
+    ...), fixes of its layout, rays laid ahead of arcs: the laid order, the
+    first arc node, each laid job's first panel, each panel's lower level-0
+    boundary in the laid jobs' boundaries end to end, its fraction j / 2**k
+    of that panel and whether it is at level 0, each node's laid job, and
+    the jobs of each panel count with the rows of their panels (read-only)."""
+    order = sorted(range(len(shape)), key=lambda j: not shape[j][0])
+    n, k = np.array([shape[j][1:] for j in order]).T
+    counts = n << k
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    job = np.repeat(np.arange(len(order)), counts)
+    local = np.arange(starts[-1]) - starts[job]
+    below = (np.cumsum(n + 1) - n - 1)[job] + (local >> k[job])
+    step = ((local & ((1 << k) - 1)[job]) + 1) / (1 << k)[job]
+    groups: dict[int, list] = {}
+    for j, count, start in sorted(zip(order, counts.tolist(), starts.tolist())):
+        groups.setdefault(count, []).append((j, start + np.arange(count)))
+    sums = tuple((tuple(j for j, _ in g), np.array([r for _, r in g])) for g in groups.values())
+    arrays = (starts[:-1], below, step, k[job] == 0, job.repeat(_GAUSS_ORDER),
+              *(rows for _, rows in sums))
+    for a in arrays:
+        a.flags.writeable = False
+    split = _GAUSS_ORDER * int(starts[sum(r for r, _, _ in shape)])  # the first arc node
+    return (order, split, *arrays[:5], sums)
 
 
 def _layout(jobs: list[tuple[_Segment, int]]) -> _Round:
-    """A round's Gauss-Legendre nodes, laid out once for all its jobs, the
-    rays' jobs ahead of the arcs'.
+    """A round's Gauss-Legendre nodes, laid out once for all its jobs.
 
-    The right ends of every job's panels go into one array, and shifted by
-    one panel into another for the left ends, which give all the midpoints
-    and half-widths at once.  Returns each job's range of panels, in the
-    order of ``jobs``; the half-width of each panel; and node by node t,
-    log t (ln |t| + i times the unwrapped angle), both read-only, and dt
-    per unit of the panel coordinate.
+    A panel's right end is its level-0 panel's left end plus its fraction of
+    that panel's width, or at level 0 the level-0 right end; shifted by one
+    panel the right ends give the left ends, and both all the midpoints and
+    half-widths at once.  Returns the jobs by panel count with the rows of
+    their panels; the half-width of each panel; and node by node t, log t
+    (ln |t| + i times the unwrapped angle), both read-only, and dt per unit
+    of the panel coordinate.
     """
-    order = [j for j, (seg, _) in enumerate(jobs) if seg.radial]
-    rays = len(order)
-    order += [j for j, (seg, _) in enumerate(jobs) if not seg.radial]
+    shape = tuple((seg.radial, seg.panels, k) for seg, k in jobs)
+    small = sum(n << k for _, n, k in shape) <= _PLAN_PANELS
+    plan = (_round_plan if small else _round_plan.__wrapped__)(shape)
+    order, split, firsts, below, step, level0, node_job, sums = plan
     laid = [jobs[j] for j in order]
-    counts = [seg.panels << k for seg, k in laid]
-    starts = list(itertools.accumulate(counts, initial=0))
-    rights = np.concatenate([seg.rights(k) for seg, k in laid])
+    bases = np.concatenate([seg.base for seg, _ in laid])
+    left = bases[below]
+    rights = bases[below + 1]
+    level_k = np.subtract(rights, left)  # left + width * j / 2**k
+    level_k *= step
+    level_k += left
+    rights = np.where(level0, rights, level_k)
     lefts = np.empty_like(rights)
     lefts[1:] = rights[:-1]
-    lefts[starts[:-1]] = [seg.base[0] for seg, _ in laid]
+    lefts[firsts] = left[firsts]
     mid = np.add(rights, lefts)
     mid *= 0.5
     half = np.subtract(rights, lefts)
@@ -427,17 +446,15 @@ def _layout(jobs: list[tuple[_Segment, int]]) -> _Round:
     nodes = half[:, None] * _NODES
     nodes += mid[:, None]
     nodes = nodes.ravel()
-    reps = _GAUSS_ORDER * np.array(counts)
-    split = _GAUSS_ORDER * starts[rays]  # the first arc node
-    fixed = np.array([seg.fixed for seg, _ in laid])
-    angs = np.concatenate((fixed[:rays].repeat(reps[:rays]), nodes[split:]))
+    fixed = np.array([seg.fixed for seg, _ in laid])[node_job]
+    angs = np.concatenate((fixed[:split], nodes[split:]))
     mods = nodes  # angs holds its own copy of the arcs' nodes
-    mods[split:] = fixed[rays:].repeat(reps[rays:])
+    mods[split:] = fixed[split:]
 
     # e^{i angle}: each ray's constant, and on the arcs cos + i sin of the
     # node angles, the parts of np.exp(1j * angle) bit for bit.
     factors = np.array([seg.jacobian for seg, _ in laid], dtype=complex)
-    phase = factors.repeat(reps)
+    phase = factors[node_job]
     np.cos(angs[split:], out=phase.real[split:])
     np.sin(angs[split:], out=phase.imag[split:])
     t = mods * phase
@@ -448,28 +465,24 @@ def _layout(jobs: list[tuple[_Segment, int]]) -> _Round:
     # it, i R the left operand (numpy rounds a complex product differently
     # with its operands swapped).
     jac = phase
-    np.multiply(factors[rays:].repeat(reps[rays:]), jac[split:], out=jac[split:])
+    np.multiply(factors[node_job[split:]], jac[split:], out=jac[split:])
     t.flags.writeable = log_t.flags.writeable = False
-
-    spans = [None] * len(jobs)
-    for j, span in zip(order, itertools.pairwise(starts)):
-        spans[j] = span
-    return tuple(spans), half, t, log_t, jac
+    return sums, half, t, log_t, jac
 
 
 def _round_sums(f: Integrand, laid: _Round) -> list[complex]:
     """The composite Gauss-Legendre sum of each job of the round ``laid``,
     from one integrand call over all its nodes, in job order.
 
-    The values are weighted once for the round; only each job's final sum is
-    taken job by job.  Given the integrand's values, every job's sum has the
-    bits of laying that job out alone, because of the operations that fix
-    them: nodes mid + half * node; the output scaled in place by the
+    The values are weighted once for the round; only the final sums are
+    taken once per panel count.  Given the integrand's values, every job's
+    sum has the bits of laying that job out alone, because of the operations
+    that fix them: nodes mid + half * node; the output scaled in place by the
     Jacobian, the output the left operand; each panel's weighted row sum
-    scaled by its half-width; and each job's ``np.add.reduce`` over its
-    contiguous slice of those, pairwise.
+    scaled by its half-width; and each job's ``np.add.reduce`` over its row
+    of those, pairwise.
     """
-    spans, half, t, log_t, jac = laid
+    sums, half, t, log_t, jac = laid
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f(t, log_t), dtype=complex)
         if not vals.flags.writeable:
@@ -479,7 +492,9 @@ def _round_sums(f: Integrand, laid: _Round) -> list[complex]:
         raise IntegrandError("integrand not finite")
     weighted = np.add.reduce(vals.reshape(-1, _GAUSS_ORDER) * _WEIGHTS, axis=1)
     weighted *= half
-    return [complex(np.add.reduce(weighted[start:stop])) for start, stop in spans]
+    found = [p for jobs, rows in sums
+             for p in zip(jobs, np.add.reduce(weighted[rows], axis=1).tolist())]
+    return [value for _, value in sorted(found)]
 
 
 # Bytes of arrays the round-0 memo may hold: about 40 rounds of a gamma

@@ -563,6 +563,24 @@ class TestRoundReference:
         self.assert_same([(arc, 8), (ray, 5), (self.segment(rng), 3)])
         self.assert_same([(ray, 0), (arc, 11)])
 
+    def test_small_rounds_share_one_read_only_plan(self):
+        # rounds of one shape of jobs share a plan, which no round may write;
+        # a round past _PLAN_PANELS panels builds its own and keeps none
+        quadrature._round_plan.cache_clear()
+        arc = quadrature._Segment(False, 1.3, 2.5, -3.0, 0.0)
+        ray = quadrature._Segment(True, 2.5, 1.3, 60.0, 0.0)
+        for _ in range(2):
+            self.assert_same([(arc, 0), (ray, 0), (arc, 1), (ray, 1)])
+        info = quadrature._round_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        plan = quadrature._round_plan(((False, 8, 0), (True, ray.panels, 0),
+                                       (False, 8, 1), (True, ray.panels, 1)))
+        arrays = [a for a in plan if isinstance(a, np.ndarray)]
+        arrays += [rows for _, rows in plan[-1]]
+        assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
+        self.assert_same([(arc, 6), (ray, 1)])  # 8 << 6 = 512 arc panels
+        assert quadrature._round_plan.cache_info().currsize == 1
+
     def test_arc_boundaries_are_linspace(self):
         rng = np.random.default_rng(11)
         spans = [(0.0, 0.0), (-math.pi, math.pi), (2.0, -1.0), (1e-300, 3e-300)]

@@ -107,7 +107,8 @@ def gamma_calls(draw):
 
 @st.composite
 def bateman_calls(draw):
-    params = MLParams(draw(st.floats(0.3, 4.0)), draw(st.floats(0.1, 5.0)))
+    # any mu: complex, and Re mu <= 0, where r^(-Re mu) grows along the ray
+    params = MLParams(draw(st.floats(0.3, 4.0)), draw(mus))
     z = PolarComplex(draw(st.floats(0.05, 5.0)), draw(st.floats(-PI, PI)))
     return mittag_leffler, lambda: ml_bateman(params, z)
 

@@ -35,6 +35,7 @@ from mlcontour import (
     recip_gamma_contour,
     validate_gamma_contour,
 )
+from mlcontour import gamma, mittag_leffler
 from mlcontour.mittag_leffler import default_ml_spec
 from mlcontour.cli import main
 from mlcontour.geometry import MLContourSpec, ml_delta_range, validate_ml_contour
@@ -215,7 +216,8 @@ class TestZetaLoopAtLargeRho:
 
     def test_contour_eval_is_refused(self, capsys):
         assert main(["eval", *self.POINT, "--method", "contour"]) == 2
-        assert "(|z|(1+eps))^rho = inf exceeds 690" in capsys.readouterr().err
+        assert "arc too large: the integrand peaks at e^inf on it, past e^690" in \
+            capsys.readouterr().err
 
     def test_compare_skips_the_contour(self, capsys):
         args = ["compare", "--rho", "50", "--mu-re", "2", "--mu-im", "0.5",
@@ -231,6 +233,37 @@ class TestZetaLoopAtLargeRho:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert code == 1  # no row is ok
         assert [(r["method"], r["status"]) for r in rows] == [("series", "non_convergence")]
+
+
+class TestGrowthRefusal:
+    """Each loop refuses an arc whose integrand peaks past e^690, with one
+    message, before anything is integrated: each module's integrate_path
+    fails the test if it is called."""
+
+    ROUTES = {
+        "gamma": lambda: recip_gamma_contour(2.0, GammaContourSpec(700.0, 0.0, PI, PI)),
+        # TestZetaLoopAtLargeRho's point: (|z|(1+eps))^rho overflows to inf
+        "contour": lambda: ml_contour(MLParams(50.0, 1.0), PolarComplex(2e16, PI)),
+        "bateman": lambda: ml_bateman(MLParams(1.0, 1.0), PolarComplex(1.0, PI), 700.0),
+        # epsilon^rho = 700
+        "dzhrbashyan": lambda: ml_dzhrbashyan(MLParams(2.0, 1.0), PolarComplex(1.0, PI),
+                                              math.sqrt(700.0)),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_refused_before_integrating(self, monkeypatch, route):
+        def never(*args, **kwargs):
+            raise AssertionError("integrate_path ran")
+
+        for module in (gamma, mittag_leffler):
+            monkeypatch.setattr(module, "integrate_path", never)
+        mittag_leffler._zeta_loop.cache_clear()
+        with pytest.raises(PreconditionError, match=r"^arc too large: the integrand peaks at e\^"):
+            self.ROUTES[route]()
+
+    def test_gamma_invariance_exits_with_the_refusal(self, capsys):
+        assert main(["invariance", "gamma", "--s-re", "2", "--epsilon", "700"]) == 2
+        assert "peaks at e^700 on it, past e^690" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["contour", "bateman", "dzhrbashyan"])
