@@ -12,8 +12,11 @@ useful (arg z = pi).
 Which Mittag-Leffler route runs, and with which contour parameters, is the
 library's decision (``mittag_leffler.evaluate_ml`` and ``ml_route``); the
 commands here parse flags, call it and read what comes back, gamma and
-Mittag-Leffler results alike, through ``evaluation_record``.  Grid rows are
-computed one after another, in order.
+Mittag-Leffler results alike, through ``evaluation_record``.  A gamma grid
+hands all its points to one batch call (``gamma.recip_gamma_points``), which
+integrates them together on fixed nodes; each row still gets its own value,
+estimate and status.  Mittag-Leffler grid rows are computed one after
+another, in order.
 
 Exit codes: 0 success, 1 threshold/criterion failure, 2 a refusal
 (``PreconditionError``) or an unreadable file, 3 a numerical failure
@@ -31,11 +34,12 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import ContourValidityError, ConvergenceError, PreconditionError
+from .errors import ContourValidityError, ConvergenceError, MlcError, PreconditionError
 from .gamma import (
     DEFAULT_GAMMA_SPEC,
     recip_gamma_contour,
     recip_gamma_oracle,
+    recip_gamma_points,
 )
 from .geometry import (
     GammaContourSpec,
@@ -272,8 +276,12 @@ def _row_record(ev) -> dict:
             "status": "ok" if ev.diagnostics.converged else "non_convergence"}
 
 
-def _gamma_record(s: complex, cfg: QuadratureConfig) -> dict:
-    return _row_record(recip_gamma_contour(s, DEFAULT_GAMMA_SPEC, cfg))
+def _gamma_record(result: Evaluation | MlcError) -> dict:
+    """The record of one of ``recip_gamma_points``' results: its
+    ``Evaluation``, or the error that point raises, raised here."""
+    if isinstance(result, MlcError):
+        raise result
+    return _row_record(result)
 
 
 def _oracle_record(value: complex) -> dict:
@@ -303,8 +311,9 @@ def cmd_grid(ns: argparse.Namespace) -> int:
             rows = [_grid_row({"s_re": a, "s_im": b}, "oracle", _oracle_record, v)
                     for (a, b), v in zip(points, values)]
         else:
-            rows = [_grid_row({"s_re": a, "s_im": b}, "contour", _gamma_record,
-                              complex(a, b), cfg) for a, b in points]
+            results = recip_gamma_points([complex(a, b) for a, b in points], cfg)
+            rows = [_grid_row({"s_re": a, "s_im": b}, "contour", _gamma_record, result)
+                    for (a, b), result in zip(points, results)]
     else:
         params = resolve_params(ns)
         mod_axis, arg_axis = _grid_axes((ns.zmod_min, ns.zmod_max, ns.zmod_step),

@@ -376,8 +376,9 @@ def build_gamma_path(spec: GammaContourSpec,
     arc of radius epsilon/|lam| swept counterclockwise, ray out at
     delta2+psi.
 
-    Cached: both arguments and the path are frozen, and a grid asks for the
-    same loop at every point.  A rejected spec raises on every call."""
+    Cached: both arguments and the path are frozen, and a sweep of one
+    spec over many s asks for the same loop at every point.  A rejected
+    spec raises on every call."""
     validate_gamma_contour(spec, lam=lam)
     return loop_path(spec.epsilon / lam.modulus,
                      -spec.delta1 + spec.psi, spec.delta2 + spec.psi)

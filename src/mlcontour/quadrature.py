@@ -57,10 +57,12 @@ fixed by these choices:
   (which goes through BLAS) would round differently.
 
 Round 0 of a path geometry that recurs soon in the same process is reused.
-Paths repeat: over the default loop, 1/Gamma(s) integrates over one path at
-every s of a line of constant Im s with Re s >= 0, where the rays'
+Paths repeat: over the unit loop (an explicit spec; the default gamma loop
+is integrated by ``fixed_rule.fixed_loops``), 1/Gamma(s) integrates over one
+path at every s of a line of constant Im s with Re s >= 0, where the rays'
 truncation radii depend on Im s alone, so in a grid of Re s columns each
-such column repeats the paths of the one before.  ``integrate_path`` keys
+such column repeats the paths of the one before; the Mittag-Leffler loops
+repeat theirs across calls at one (rho, |z|).  ``integrate_path`` keys
 round 0 by the bits of each segment's geometry: whether it is radial, its
 fixed coordinate, and the two floats its boundaries come from (start and
 end angle on an arc, start radius and truncated end on a ray); values that
@@ -70,14 +72,19 @@ elementwise per job, so a reused round has the bits of one laid out afresh.
 The memo remembers the keys of the last ``_SEEN_KEYS`` (32) geometries seen
 once, and keeps a round only when its geometry is seen a second time while
 its key is still among them.  A sweep whose every path is new keeps no
-arrays (rounds kept for nothing slowed the calls that miss).  So a grid
-reuses every Re s >= 0 column after the first when a column has at most 32
-Im s values, and none when it has more: each first sighting then pushes out
-the key the next column needs first, and every call pays only for its key
-and the memo's bookkeeping.  At most ``_MEMO_BYTES`` (2 MB, about 40 gamma
-rounds) of arrays are kept, the round kept longest dropped first.  Later
-rounds, which grow to tens of thousands of nodes, are never kept.  Kept
-arrays are read-only.
+arrays (rounds kept for nothing slowed the calls that miss).  So a sweep of
+the unit loop reuses every Re s >= 0 column after the first when a column
+has at most 32 Im s values, and none when it has more: each first sighting
+then pushes out the key the next column needs first, and every call pays
+only for its key and the memo's bookkeeping.  A grid of the default gamma
+loop has no such cliff: it never reaches the memo.  At most ``_MEMO_BYTES``
+(2 MB, about 40 gamma rounds) of arrays are kept, the round kept longest
+dropped first.  Later rounds, which grow to tens of thousands of nodes, are
+never kept.  Kept arrays are read-only.
+
+The default gamma loop goes to the second engine instead, the fixed-node
+rule of ``fixed_rule``; the two stay side by side until every loop moves to
+fixed nodes.
 """
 
 from __future__ import annotations
@@ -146,10 +153,12 @@ def _float_exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances, applied per segment: a segment converges when its error
-    estimate is at most max(abs_tol, rel_tol * |segment value|).  A path is
-    ``converged`` when all its segments are; the summed error is not yet
-    checked against the summed value (defect D1 in ROADMAP.md)."""
+    """Tolerances.  In ``integrate_path`` they apply per segment: a segment
+    converges when its error estimate is at most max(abs_tol, rel_tol *
+    |segment value|), and a path is ``converged`` when all its segments
+    are; that engine does not check the summed error against the summed
+    value (defect D1 in ROADMAP.md).  ``fixed_rule.fixed_loops`` checks
+    each loop's summed estimate against its summed value."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -648,3 +657,6 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         panels += seg_panels
         converged = converged and seg_converged
     return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)
+
+
+

@@ -17,11 +17,21 @@ ROADMAP direction 3 (cells where |E| passes 1e300 or E is 0 are not scored)
 and prints the count of each outcome, ok, flagged, raised and wrong (unflagged
 but off by more than 1e-8), by the route auto took.
 
+``gamma`` scores the default gamma loop, ``recip_gamma_contour(s)``, against
+``mpmath.rgamma`` over two boxes: the gamma-grid box, Re s in [-6, 12] step
+0.5 by Im s in [-10, 10] step 2 (407 points), and the 1,625-point box, Re s
+in [-12, 20] step 0.5 by Im s in [-30, 30] step 2.5.  A value is judged as
+the benchmark judges it: within 1e-8 relative, or 1e-9 absolute where
+|1/Gamma| < 1e-3.  It prints, per box, the count of each outcome (ok,
+raised, wrong), of answers whose error is above their estimate, and of those
+the fixed-node rule gave (the others come from the adaptive fallback).
+
 Run from the repository root (mpmath needed; the threshold sweep takes a few
-minutes, the coverage sweep under a minute):
+minutes, the coverage and gamma sweeps under a minute):
 
     PYTHONPATH=src:tests python tests/auto_route_sweep.py threshold
     PYTHONPATH=src:tests python tests/auto_route_sweep.py coverage
+    PYTHONPATH=src:tests python tests/auto_route_sweep.py gamma
 """
 
 from __future__ import annotations
@@ -31,8 +41,10 @@ import json
 import math
 from collections import Counter
 
+import mpmath
 from ml_reference import ml_reference
-from mlcontour.errors import ConvergenceError, PreconditionError
+from mlcontour import gamma
+from mlcontour.errors import ConvergenceError, MlcError, PreconditionError
 from mlcontour.geometry import PolarComplex, default_ml_deltas, ml_arg_window
 from mlcontour.mittag_leffler import MLParams, evaluate_ml, ml_contour, ml_route, ml_series
 
@@ -110,16 +122,60 @@ def coverage_counts() -> dict:
     return by_outcome
 
 
+GAMMA_BOXES = {
+    # name: (Re s min, step, count), (Im s min, step, count)
+    "gamma-grid": ((-6.0, 0.5, 37), (-10.0, 2.0, 11)),
+    "box-1625": ((-12.0, 0.5, 65), (-30.0, 2.5, 25)),
+}
+
+
+def gamma_counts() -> dict:
+    fell_back = set()
+    adaptive = gamma._adaptive
+
+    def noted(loop, cfg):
+        fell_back.add(loop.s)
+        return adaptive(loop, cfg)
+
+    gamma._adaptive = noted
+    out = {}
+    try:
+        for name, ((re_lo, re_step, n_re), (im_lo, im_step, n_im)) in GAMMA_BOXES.items():
+            counts = Counter(ok=0, raised=0, wrong=0, above_estimate=0, above_estimate_fixed=0)
+            for k in range(n_re):
+                for j in range(n_im):
+                    s = complex(re_lo + k * re_step, im_lo + j * im_step)
+                    with mpmath.workdps(30):
+                        ref = complex(mpmath.rgamma(mpmath.mpc(s.real, s.imag)))
+                    try:
+                        ev = gamma.recip_gamma_contour(s)
+                    except MlcError:
+                        counts["raised"] += 1
+                        continue
+                    err = abs(ev.value - ref)
+                    right = err <= 1e-9 if abs(ref) < 1e-3 else err <= WRONG * abs(ref)
+                    counts["ok" if right else "wrong"] += 1
+                    if err > ev.diagnostics.error_estimate:
+                        counts["above_estimate"] += 1
+                        counts["above_estimate_fixed"] += s not in fell_back
+            out[name] = dict(counts)
+    finally:
+        gamma._adaptive = adaptive
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sweep", nargs="?", default="threshold",
-                        choices=("threshold", "coverage"))
+                        choices=("threshold", "coverage", "gamma"))
     sweep = parser.parse_args().sweep
     if sweep == "threshold":
         for row in threshold_rows():
             print(json.dumps(row))
-    else:
+    elif sweep == "coverage":
         print(json.dumps(coverage_counts()))
+    else:
+        print(json.dumps(gamma_counts()))
 
 
 if __name__ == "__main__":

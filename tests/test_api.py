@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -57,11 +58,22 @@ def test_all_is_pinned_and_every_name_resolves():
 
 def test_cli_import_leaves_numpy_polynomial_out():
     # numpy.polynomial costs every process about 1.4 MB of memory; the
-    # 15-point rule is a literal table so that nothing needs it
+    # 15-point rule is a literal table, and the fixed rule's Gauss-Legendre
+    # tables are built by Newton's method, so that nothing needs it, not
+    # even a gamma grid
     src = str(pathlib.Path(mlcontour.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import sys, mlcontour.cli; mlcontour.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import mlcontour.cli
+        mlcontour.cli.build_parser()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = mlcontour.cli.main(["grid", "gamma", "--re-min", "-1.5", "--re-max", "12",
+                                       "--re-step", "0.5", "--im-min", "-10", "--im-max", "10",
+                                       "--im-step", "5"])
+        assert code == 0 and out.getvalue().count(",ok\\n") == 140
+        print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+    """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out == "[]\n"

@@ -1,10 +1,14 @@
 import cmath
+import csv
+import io
 import math
+import random
 
 import numpy as np
 import pytest
 
 from mlcontour import (
+    DEFAULT_GAMMA_SPEC,
     ContourValidityError,
     ConvergenceError,
     GammaContourSpec,
@@ -17,6 +21,10 @@ from mlcontour import (
     recip_gamma_oracle,
     reflection_residual,
 )
+from mlcontour import cli, fixed_rule, gamma
+from mlcontour.gamma import loop_bounds
+from mlcontour.geometry import build_gamma_path
+from mlcontour.quadrature import QuadratureResult
 
 PI = math.pi
 RECIP_GAMMA_2_PLUS_I = 1.2001760188136033 - 0.6305683777769214j  # 1/Gamma(2+i)
@@ -181,8 +189,12 @@ class TestContour:
             recip_gamma_contour(s)
 
     def test_underflowed_ray_bound_is_precondition_error(self):
-        # the inbound ray's bound e^(-pi Im s) underflows to 0
+        # on the unit loop the inbound ray's bound e^(-pi Im s) underflows
+        # to 0; the default loop's arc, at the saddle radius |s| = 10000,
+        # is refused before any bound is made
         with pytest.raises(PreconditionError, match="with_power_growth requires"):
+            recip_gamma_contour(0.5 + 10000j, DEFAULT_GAMMA_SPEC)
+        with pytest.raises(PreconditionError, match="arc too large"):
             recip_gamma_contour(0.5 + 10000j)
 
     def test_overflowed_ray_bound_is_precondition_error(self):
@@ -275,3 +287,121 @@ class TestReflectionResidual:
     ])
     def test_small_residual(self, s, tol):
         assert reflection_residual(s) < tol
+
+
+def mp_rgamma(s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.rgamma(mpmath.mpc(s.real, s.imag)))
+
+
+class TestDefaultRoute:
+    """The default loop: the classical loop with its arc through the saddle,
+    integrated on fixed nodes for a batch of points at once."""
+
+    @pytest.mark.parametrize("s, radius", [
+        (0.5, 1.0), (3 + 4j, 5.0), (-3 + 4j, 5.0), (-4 + 3j, 1.0), (-4 - 4j, 1.0),
+        (-0.5 - 0.6j, 1.0), (20.0, 20.0),
+    ])
+    def test_saddle_radius(self, s, radius):
+        assert gamma.saddle_radius(complex(s)) == radius
+
+    def test_same_bits_alone_in_a_grid_call_and_across_chunks(self, capsys):
+        # 5 columns of 15: more points than one array call takes
+        grid = [complex(a, b) for a in (-5.5, -1.0, 0.5, 4.0, 9.5) for b in range(-14, 16, 2)]
+        assert len(grid) > 64 > gamma._CHUNK
+        alone = [recip_gamma_contour(s) for s in grid]
+        assert [repr(r) for r in gamma.recip_gamma_points(grid)] == [repr(r) for r in alone]
+        assert cli.main(["grid", "gamma", "--re-min", "-5.5", "--re-max", "9.5",
+                         "--re-step", "0.5", "--im-min", "-14", "--im-max", "14",
+                         "--im-step", "2"]) == 0
+        rows = {(float(r["s_re"]), float(r["s_im"])): r
+                for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+        for s, ev in zip(grid, alone):
+            row = rows[s.real, s.imag]
+            assert complex(float(row["value_re"]), float(row["value_im"])) == ev.value
+            assert float(row["err_estimate"]) == ev.diagnostics.error_estimate
+
+    def test_refused_neighbour_leaves_the_bits(self):
+        grid = [2 + 3j, 0.5 + 10000j, -3.5 - 2j, complex("nan"), 7.0]
+        results = gamma.recip_gamma_points(grid)
+        assert isinstance(results[1], PreconditionError)
+        assert "arc too large" in str(results[1])
+        assert isinstance(results[3], PreconditionError)
+        for k in (0, 2, 4):
+            assert repr(results[k]) == repr(recip_gamma_contour(grid[k]))
+
+    @pytest.mark.parametrize("s", [10 + 10j, 20.0])
+    def test_d1_d2_reproducers_are_right(self, s):
+        # labelled converged but off by 3.0 and 4.6 relative on the unit loop
+        ev = recip_gamma_contour(s)
+        ref = mp_rgamma(complex(s))
+        assert rel_err(ev.value, ref) <= 1e-14
+        assert abs(ev.value - ref) <= ev.diagnostics.error_estimate
+
+    @pytest.mark.parametrize("s", [-11.0, -12.0, 0.0, -1.0])
+    def test_poles_are_exact_zeros(self, s):
+        ev = recip_gamma_contour(s)
+        assert ev.value == 0 and ev.diagnostics.error_estimate == 0.0
+        assert ev.diagnostics.converged
+
+    @pytest.mark.parametrize("s", [0.5 + 30j, 0.5 - 30j])
+    def test_large_imaginary_part_raises(self, s):
+        # the arc through the saddle peaks near e^64 while |1/Gamma| is near
+        # e^46: the rounding floor refuses what the unit loop labelled good
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            recip_gamma_contour(s)
+
+    @pytest.mark.parametrize("s", [-10.5 + 20j, -10.5 - 20j])
+    def test_f1_still_raises(self, s):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            recip_gamma_contour(s)
+
+    def test_failed_fixed_rule_falls_back_to_the_adaptive_engine(self):
+        # the fixed rule's floor misses the tolerance here; the adaptive
+        # engine on the same loop meets it on the summed value
+        ev = recip_gamma_contour(-12 + 5j)
+        assert ev.diagnostics.panels_used > 3
+        assert rel_err(ev.value, mp_rgamma(-12 + 5j)) <= 1e-14
+
+    def test_fallback_refuses_a_summed_estimate_past_the_tolerance(self, monkeypatch):
+        # on the unit loop at s = 10 + 10i every segment converges, but the
+        # summed estimate is far above rel_tol times the summed value (D1)
+        def fails(exponent, radius, *args):
+            return [QuadratureResult(0j, 1.0, 30.0, 3, False)] * len(radius)
+
+        def unit_loop(s, cfg):
+            path = build_gamma_path(DEFAULT_GAMMA_SPEC)
+            return gamma._Loop(s, path, loop_bounds(path, s), [30.0, 30.0], 0.0)
+
+        monkeypatch.setattr(fixed_rule, "fixed_loops", fails)
+        monkeypatch.setattr(gamma, "_default_loop", unit_loop)
+        assert rel_err(recip_gamma_contour(2.0).value, 1.0) <= 1e-14
+        assert recip_gamma_contour(10 + 10j, DEFAULT_GAMMA_SPEC).diagnostics.converged
+        with pytest.raises(ConvergenceError, match=r"did not converge at s=\(10\+10j\)"):
+            recip_gamma_contour(10 + 10j)
+
+    def test_summed_nodes_per_point_on_the_gamma_grid(self, monkeypatch):
+        # the points of the benchmark's gamma-grid workload at seed 1 (its
+        # three blocks, the lattice of the left one placed by the seed):
+        # 450 nodes a point at level 0, 512 more for each point at level 1,
+        # none at the 7 poles, and no point falls back
+        rng = random.Random(1)
+        re_lo, im_lo = -6.0 + 0.5 * rng.random(), -10.0 + 2.0 * rng.random()
+        grid = [complex(1.5 + 0.5 * k, -10.0 + 2.0 * j) for k in range(22) for j in range(11)]
+        grid += [complex(-6.0 + 0.5 * k, 0.0) for k in range(15)]
+        grid += [complex(re_lo + 0.5 * k, im_lo + 2.0 * j) for k in range(14) for j in range(10)]
+        nodes = []
+        fixed_loops = fixed_rule.fixed_loops
+
+        def counted(exponent, *args):
+            def count(rows, t, log_t):
+                nodes.append(t.size)
+                return exponent(rows, t, log_t)
+            return fixed_loops(count, *args)
+
+        monkeypatch.setattr(fixed_rule, "fixed_loops", counted)
+        results = gamma.recip_gamma_points(grid)
+        assert all(r.diagnostics.panels_used in (0, 3) for r in results)
+        assert len(grid) == 397
+        assert sum(nodes) / len(grid) == pytest.approx(625.198992443325, rel=1e-12)

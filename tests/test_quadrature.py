@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcontour import (
+    DEFAULT_GAMMA_SPEC,
     IntegrandError,
     MLParams,
     PolarComplex,
@@ -29,6 +30,12 @@ from mlcontour.quadrature import (
 
 PI = math.pi
 SQRT_PI_HALF = 0.8862269254527580  # sqrt(pi)/2, Gaussian integral
+
+
+def adaptive_gamma(s):
+    """1/Gamma(s) by the adaptive engine on the unit loop: an explicit spec,
+    since the default loop is integrated on fixed nodes."""
+    return recip_gamma_contour(s, DEFAULT_GAMMA_SPEC)
 
 
 class TestArc:
@@ -602,31 +609,33 @@ class TestRoundReference:
 
 
 class TestGolden:
-    """Results of the four loop routes, recorded before integrate_path
-    evaluated whole paths per call (the two at s = 2 +- 10i before a round
-    was laid out at once, the zeta and Bateman loops as noted); they must
-    not move by one bit."""
+    """Results of the four loop routes on the adaptive engine, recorded
+    before integrate_path evaluated whole paths per call (the two at s = 2
+    +- 10i before a round was laid out at once, the zeta and Bateman loops
+    as noted); they must not move by one bit.  The gamma cases pass the
+    unit loop's spec, since the default loop is now integrated on fixed
+    nodes (``TestGoldenFixedRule``)."""
 
     CASES = [
-        (lambda: recip_gamma_contour(3.0).diagnostics,
+        (lambda: adaptive_gamma(3.0).diagnostics,
          "QuadratureResult(value=(0.4999999999999999-4.417437057588218e-18j), "
          "error_estimate=4.391057408867938e-16, truncation_radius=35.23192357547063, "
          "panels_used=48, converged=True)"),
-        (lambda: recip_gamma_contour(-4.5 + 2j).diagnostics,
+        (lambda: adaptive_gamma(-4.5 + 2j).diagnostics,
          "QuadratureResult(value=(2997.9442295517097-395.2814040096516j), "
          "error_estimate=5.923715163973065e-13, truncation_radius=95.1915333224463, "
          "panels_used=48, converged=True)"),
-        (lambda: recip_gamma_contour(0.5 + 5j).diagnostics,
+        (lambda: adaptive_gamma(0.5 + 5j).diagnostics,
          "QuadratureResult(value=(-1023.8611659975194-88.32141731490782j), "
          "error_estimate=3.3025092661634144e-11, truncation_radius=50.93988684341959, "
          "panels_used=48, converged=True)"),
         # the D1/D2 knife edge: against mpmath, 2 + 10i has a relative error of
         # 1.023e-8 and counts as failed in the benchmark, 2 - 10i 9.78e-9 and passes
-        (lambda: recip_gamma_contour(2 + 10j).diagnostics,
+        (lambda: adaptive_gamma(2 + 10j).diagnostics,
          "QuadratureResult(value=(-75577.63882466381-35020.96138259768j), "
          "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
          "panels_used=48, converged=True)"),
-        (lambda: recip_gamma_contour(2 - 10j).diagnostics,
+        (lambda: adaptive_gamma(2 - 10j).diagnostics,
          "QuadratureResult(value=(-75577.63886352+35020.96138259768j), "
          "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
          "panels_used=48, converged=True)"),
@@ -677,7 +686,7 @@ class TestLargeRound:
     which read 2,336 panels here."""
 
     def test_exact_repr(self):
-        assert repr(recip_gamma_contour(-11 + 20j).diagnostics) == (
+        assert repr(adaptive_gamma(-11 + 20j).diagnostics) == (
             "QuadratureResult(value=(2.839591908408663e+28+4.0627064423475915e+27j), "
             "error_estimate=2.72318932301511e+18, truncation_radius=243.51678162953584, "
             "panels_used=1184, converged=True)")
@@ -745,12 +754,12 @@ class TestRoundMemo:
         # Re s >= 0: the rays' radii depend on Im s alone, so each column
         # reuses the rounds of the one before it
         points = [complex(a, b) for a in (0.0, 0.5, 1.5, 3.0) for b in range(-8, 9, 2)]
-        warm = [repr(recip_gamma_contour(s)) for s in points]
+        warm = [repr(adaptive_gamma(s)) for s in points]
         assert len(quadrature._ROUNDS._rounds) == 9
         cold = []
         for s in points:
             quadrature._ROUNDS.clear()
-            cold.append(repr(recip_gamma_contour(s)))
+            cold.append(repr(adaptive_gamma(s)))
         assert warm == cold
 
     def test_signed_zero_angles_never_share_a_round(self):
@@ -815,7 +824,7 @@ class TestRoundMemo:
 
     def test_a_geometry_seen_once_keeps_nothing(self):
         for k in range(3 * quadrature._SEEN_KEYS):
-            recip_gamma_contour(complex(0.5, 0.1 * k))
+            adaptive_gamma(complex(0.5, 0.1 * k))
         assert len(quadrature._ROUNDS._rounds) == 0
         assert quadrature._ROUNDS.nbytes == 0
 
@@ -827,7 +836,7 @@ class TestRoundMemo:
         layouts = self.counting_layouts(monkeypatch)
         for a in (0.0, 1.0, 2.0):
             for b in range(column):
-                recip_gamma_contour(complex(a, 0.25 * b))
+                adaptive_gamma(complex(a, 0.25 * b))
         fits = column <= quadrature._SEEN_KEYS
         assert len(quadrature._ROUNDS._rounds) == (column if fits else 0)
         round0 = sum(1 for jobs in layouts if jobs == 6)  # arc and two rays, levels 0 and 1
@@ -837,16 +846,18 @@ class TestRoundMemo:
         ("2", 407, 154),  # 11 Im s values a column: 253 rounds reused
         ("0.5", 1517, 1517),  # 41, past the window of keys: none reused
     ])
-    def test_one_grid_call_reuses_within_the_window(self, capsys, monkeypatch, im_step,
-                                                    points, laid_out):
-        # one cold `mlc grid gamma` over Re s in [-6, 12]: the Re s >= 0
-        # columns repeat the paths of the column before only when a column
-        # fits the window
+    def test_one_grid_call_reuses_within_the_window(self, monkeypatch, im_step, points,
+                                                    laid_out):
+        # the adaptive engine, cold, over the points of one `mlc grid gamma`
+        # over Re s in [-6, 12], in the grid's order: the Re s >= 0 columns
+        # repeat the paths of the column before only when a column fits the
+        # window (the grid command itself integrates on fixed nodes)
         layouts = self.counting_layouts(monkeypatch)
-        code = cli.main(["grid", "gamma", "--re-min", "-6", "--re-max", "12", "--re-step",
-                         "0.5", "--im-min", "-10", "--im-max", "10", "--im-step", im_step])
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert (code, len(rows)) == (0, points)
+        re_axis, im_axis = cli._grid_axes((-6.0, 12.0, 0.5), (-10.0, 10.0, float(im_step)))
+        grid = [complex(a, b) for a in re_axis for b in im_axis]
+        assert len(grid) == points
+        for s in grid:
+            adaptive_gamma(s)
         assert sum(1 for jobs in layouts if jobs == 6) == laid_out
 
     def test_bytes_stay_bounded(self):
@@ -858,12 +869,12 @@ class TestRoundMemo:
         for pair in range(50):
             for a in (0.0, 0.5):
                 for b in range(20):
-                    recip_gamma_contour(complex(a, pair + 0.05 * b))
+                    adaptive_gamma(complex(a, pair + 0.05 * b))
                     assert memo.nbytes == sum(x.nbytes for x in self.kept_arrays())
                     assert memo.nbytes <= quadrature._MEMO_BYTES
                     largest = max(largest, memo.nbytes)
             for _ in range(3):
-                assert repr(recip_gamma_contour(-11 + 20j).diagnostics) == (
+                assert repr(adaptive_gamma(-11 + 20j).diagnostics) == (
                     "QuadratureResult(value=(2.839591908408663e+28+4.0627064423475915e+27j), "
                     "error_estimate=2.72318932301511e+18, truncation_radius=243.51678162953584, "
                     "panels_used=1184, converged=True)")
@@ -874,14 +885,14 @@ class TestRoundMemo:
     def test_threads_get_the_bits_of_cold_calls(self):
         # more threads than cores, switching often, over one shared grid
         points = [complex(a, b) for a in (0.0, 1.0, 2.0) for b in range(-6, 7, 2)]
-        expected = [repr(recip_gamma_contour(s)) for s in points]
+        expected = [repr(adaptive_gamma(s)) for s in points]
         quadrature._ROUNDS.clear()
         mismatches, errors = [], []
 
         def worker(order):
             try:
                 for k in order:
-                    if repr(recip_gamma_contour(points[k])) != expected[k]:
+                    if repr(adaptive_gamma(points[k])) != expected[k]:
                         mismatches.append(points[k])
             except Exception as exc:  # reported below, with the thread's failure
                 errors.append(exc)
