@@ -297,8 +297,10 @@ def strict_boundary_rejection() -> tuple[bool, str]:
 def grid_output_determinism() -> tuple[bool, str]:
     """Two identical grid runs emit byte-identical CSV.
 
-    The grid command computes its rows one after another in one thread, so
-    there is no thread count to set; the runs are separate processes.
+    A gamma grid is one batch call on fixed nodes
+    (``gamma.recip_gamma_points``), and Mittag-Leffler rows are computed one
+    after another; the grid command runs in one thread, so there is no
+    thread count to set.  The runs are separate processes.
     """
     args = [sys.executable, "-m", "mlcontour", "grid", "gamma",
             "--re-min", "-3.5", "--re-max", "4.5", "--re-step", "1",

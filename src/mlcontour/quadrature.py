@@ -5,10 +5,10 @@ holds the nodes as complex points and log_t their logarithms, ln |t| + i
 times the angle the path carries, unwrapped; both are 1-D complex arrays of
 equal shape.  The logarithm is passed with t deliberately: branch-sensitive
 powers must be computed from the unwrapped angle, which t alone cannot
-encode.  f must not write into t or log t: both are read-only on every
-round, so a write raises numpy's ValueError at the first call, and a round
-can be reused (below).  The engine scales the array f returns in place; one
-that numpy may not write, such as t itself, it copies first.
+encode.  f must not write into t or log t: both are read-only, so a write
+raises numpy's ValueError at the first call, as it does in ``fixed_rule``.
+The engine scales the array f returns in place; one that numpy may not
+write, such as t itself, it copies first.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
@@ -56,32 +56,6 @@ fixed by these choices:
   ``np.add.reduceat`` (which adds sequentially) and ``rows @ weights``
   (which goes through BLAS) would round differently.
 
-Round 0 of a path geometry that recurs soon in the same process is reused.
-Paths repeat: over the unit loop (an explicit spec; the default gamma loop
-is integrated by ``fixed_rule.fixed_loops``), 1/Gamma(s) integrates over one
-path at every s of a line of constant Im s with Re s >= 0, where the rays'
-truncation radii depend on Im s alone, so in a grid of Re s columns each
-such column repeats the paths of the one before; the Mittag-Leffler loops
-repeat theirs across calls at one (rho, |z|).  ``integrate_path`` keys
-round 0 by the bits of each segment's geometry: whether it is radial, its
-fixed coordinate, and the two floats its boundaries come from (start and
-end angle on an arc, start radius and truncated end on a ray); values that
-compare equal with other bits, such as 0.0 and -0.0, key different rounds.
-A layout is a function of those floats alone, and every operation in it is
-elementwise per job, so a reused round has the bits of one laid out afresh.
-The memo remembers the keys of the last ``_SEEN_KEYS`` (32) geometries seen
-once, and keeps a round only when its geometry is seen a second time while
-its key is still among them.  A sweep whose every path is new keeps no
-arrays (rounds kept for nothing slowed the calls that miss).  So a sweep of
-the unit loop reuses every Re s >= 0 column after the first when a column
-has at most 32 Im s values, and none when it has more: each first sighting
-then pushes out the key the next column needs first, and every call pays
-only for its key and the memo's bookkeeping.  A grid of the default gamma
-loop has no such cliff: it never reaches the memo.  At most ``_MEMO_BYTES``
-(2 MB, about 40 gamma rounds) of arrays are kept, the round kept longest
-dropped first.  Later rounds, which grow to tens of thousands of nodes, are
-never kept.  Kept arrays are read-only.
-
 The default gamma loop goes to the second engine instead, the fixed-node
 rule of ``fixed_rule``; the two stay side by side until every loop moves to
 fixed nodes.
@@ -91,8 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -320,9 +292,8 @@ class _Segment:
 
     A ray runs over radius from ``start`` to ``end`` at angle ``fixed``, an
     arc over angle from ``start`` to ``end`` at radius ``fixed``; an arc of
-    no span has converged to 0 on no panels.  Level k splits each of the
-    level-0 panels ``base`` into 2**k; ``base`` is built when a level is
-    first laid out, which a reused round 0 never does.  The rule stops at
+    no span has converged to 0 on no panels and needs no ``base``.  Level k
+    splits each of the level-0 panels ``base`` into 2**k.  The rule stops at
     the first level k >= 1 where the change from level k - 1 plus the ray
     tail bound meets the tolerance (converged; the tail is charged against
     the tolerance so that the whole estimate stays within it), or once the
@@ -335,29 +306,23 @@ class _Segment:
     def __init__(self, radial: bool, fixed: float, start: float, end: float, tail: float):
         self.radial = radial
         self.fixed = fixed
-        self.start = start
-        self.end = end
         self.tail = tail
         self.panels = _ray_panels(start, end) if radial else _INITIAL_PANELS
         # dt per unit of the panel coordinate: on a ray e^{i angle}, the
         # phase of all its nodes; on an arc i R, which _layout multiplies by
         # each node's phase e^{i phi}.
         self.jacobian = complex(math.cos(fixed), math.sin(fixed)) if radial else 1j * fixed
-        self._base: np.ndarray | None = None
         self.level = 0
         self.prev = 0j
         self.best_diff = math.inf
         self.stale = 0
         self.result: tuple[complex, float, int, bool] | None = None
-        if not radial and start == end:
+        if radial:
+            self.base = _graded_boundaries(start, end)
+        elif start != end:
+            self.base = _arc_boundaries(start, end)
+        else:
             self.result = (0j, 0.0, 0, True)
-
-    @property
-    def base(self) -> np.ndarray:
-        if self._base is None:
-            self._base = (_graded_boundaries(self.start, self.end) if self.radial
-                          else _arc_boundaries(self.start, self.end))
-        return self._base
 
     def accept(self, k: int, cur: complex, cfg: QuadratureConfig) -> None:
         """Take the value of level k, the level after the last one taken."""
@@ -506,78 +471,6 @@ def _round_sums(f: Integrand, laid: _Round) -> list[complex]:
     return [value for _, value in sorted(found)]
 
 
-# Bytes of arrays the round-0 memo may hold: about 40 rounds of a gamma
-# loop (1,080 nodes, 52 KB each).
-_MEMO_BYTES = 2 << 20
-# Keys of geometries seen once that the memo remembers: a geometry seen again
-# among them is kept.  Fewer than the gamma rounds _MEMO_BYTES holds, so the
-# rounds of one window's recurring geometries all fit.
-_SEEN_KEYS = 32
-
-
-class _RoundMemo:
-    """Round 0 of the path geometries seen lately; see the module docstring.
-
-    One lock guards every change to the dictionaries, so concurrent calls
-    neither lose nor double an entry and eviction cannot raise; a lookup
-    reads one dictionary entry, which needs no lock.  Layouts are made
-    outside the lock, and two threads may lay out the same round, which has
-    the same bits either way.
-    """
-
-    def __init__(self):
-        self.nbytes = 0
-        self._lock = threading.Lock()
-        self._rounds: dict[bytes, _Round] = {}  # oldest first
-        self._seen: dict[bytes, None] = {}  # oldest first
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rounds.clear()
-            self._seen.clear()
-            self.nbytes = 0
-
-    def round0(self, key: bytes, jobs: list[tuple[_Segment, int]]) -> _Round:
-        """Round 0, whose jobs are ``jobs``, of the path geometry ``key``:
-        the round kept for it, or a fresh layout, kept when the geometry was
-        seen lately."""
-        laid = self._rounds.get(key)
-        if laid is not None:
-            return laid
-        with self._lock:
-            seen = key in self._seen
-            if seen:
-                del self._seen[key]
-            else:
-                self._seen[key] = None
-                if len(self._seen) > _SEEN_KEYS:
-                    del self._seen[next(iter(self._seen))]
-        laid = _layout(jobs)
-        if seen:
-            self._keep(key, laid)
-        return laid
-
-    def _keep(self, key: bytes, laid: _Round) -> None:
-        """Keep ``laid``, read-only, dropping the rounds kept longest until
-        it fits; a round larger than the whole memo is not kept."""
-        size = sum(a.nbytes for a in laid[1:])
-        if size > _MEMO_BYTES:
-            return
-        for a in laid[1:]:
-            a.flags.writeable = False
-        with self._lock:
-            if key in self._rounds:
-                return
-            while self.nbytes + size > _MEMO_BYTES:
-                old = self._rounds.pop(next(iter(self._rounds)))
-                self.nbytes -= sum(a.nbytes for a in old[1:])
-            self._rounds[key] = laid
-            self.nbytes += size
-
-
-_ROUNDS = _RoundMemo()
-
-
 # --------------------------------------------------------------------------
 # Public operations
 # --------------------------------------------------------------------------
@@ -610,13 +503,10 @@ def integrate_path(f: Integrand, path: IntegrationPath,
     An infinite ray requires one; it is truncated at ``truncation_radius``,
     where the tail bound stays below abs_tol / 10, and the bound is added to
     the ray's error estimate.  Finite rays integrate the stated span exactly
-    and never ask for a model.  Round 0 is reused, with the same bits, from
-    an earlier call in this process over the same geometry when that
-    geometry recurs soon (see the module docstring).
+    and never ask for a model.
     """
     segments = []
     trunc = []
-    shape = []  # each segment's radial flag, fixed coordinate, start and end
     for seg in path.segments:
         r_end = tail = 0.0
         if isinstance(seg, ArcSegment):
@@ -631,18 +521,13 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         else:
             where = (True, seg.angle, seg.start_radius, seg.end_radius)
         segments.append(_Segment(*where, tail))
-        shape += where
         trunc.append(r_end)
 
     jobs = [(seg, k) for seg in segments if seg.result is None for k in (0, 1)]
-    if jobs:
-        sums = _round_sums(f, _ROUNDS.round0(struct.pack(f"{len(shape)}d", *shape), jobs))
     while jobs:
-        for (seg, k), value in zip(jobs, sums):
+        for (seg, k), value in zip(jobs, _round_sums(f, _layout(jobs))):
             seg.accept(k, value, cfg)
         jobs = [(seg, seg.level + 1) for seg in segments if seg.result is None]
-        if jobs:
-            sums = _round_sums(f, _layout(jobs))
 
     total = 0j
     err = 0.0
@@ -657,6 +542,3 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         panels += seg_panels
         converged = converged and seg_converged
     return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)
-
-
-

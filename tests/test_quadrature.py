@@ -20,7 +20,7 @@ from mlcontour import (
     ml_dzhrbashyan,
     recip_gamma_contour,
 )
-from mlcontour import cli, quadrature
+from mlcontour import quadrature
 from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
 from mlcontour.quadrature import (
     DecayModel,
@@ -669,6 +669,16 @@ class TestGolden:
         compute, expected = self.CASES[case]
         assert repr(compute()) == expected
 
+    def test_exact_repr_in_any_order(self):
+        # no result depends on the calls made before it in the process
+        order = list(range(len(self.CASES)))
+        rng = np.random.default_rng(27)
+        for _ in range(2):
+            rng.shuffle(order)
+            for case in order:
+                compute, expected = self.CASES[case]
+                assert repr(compute()) == expected, case
+
     def test_inner_arc_case(self):
         # E(2, 1; -4) = e^16 erfc(4)
         mpmath = pytest.importorskip("mpmath")
@@ -712,73 +722,24 @@ class TestPhase:
         assert _bits(complex(math.cos(a), math.sin(a)) for a in angles.tolist()) == expected
 
 
-class TestRoundMemo:
-    """integrate_path reuses round 0 of a path geometry seen twice lately;
-    a reused round must give every result the bits of a fresh layout."""
+class TestIntegrandContract:
+    """What integrate_path promises an integrand: an output it may return as
+    t itself, and results that depend on no earlier call, in one thread or
+    many. TestRoundMemo checks that t and log t are read-only."""
 
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        quadrature._ROUNDS.clear()
-        yield
-        quadrature._ROUNDS.clear()
-
-    @staticmethod
-    def counting_layouts(monkeypatch):
-        calls = []
-        layout = quadrature._layout
-
-        def counted(jobs):
-            calls.append(len(jobs))
-            return layout(jobs)
-
-        monkeypatch.setattr(quadrature, "_layout", counted)
-        return calls
-
-    @staticmethod
-    def kept_arrays():
-        return [a for laid in quadrature._ROUNDS._rounds.values() for a in laid[1:]]
-
-    @pytest.mark.parametrize("case", range(len(TestGolden.CASES)))
-    def test_golden_cold_seen_and_kept(self, case, monkeypatch):
-        compute, expected = TestGolden.CASES[case]
-        layouts = self.counting_layouts(monkeypatch)
-        assert repr(compute()) == expected  # cold: nothing kept
-        cold = len(layouts)
-        assert len(quadrature._ROUNDS._rounds) == 0
-        assert repr(compute()) == expected  # seen again: kept
-        assert len(quadrature._ROUNDS._rounds) == 1
-        assert repr(compute()) == expected  # round 0 reused
-        assert len(layouts) == 3 * cold - 1
-
-    def test_gamma_grid_by_columns_is_cold_bit_for_bit(self):
-        # Re s >= 0: the rays' radii depend on Im s alone, so each column
-        # reuses the rounds of the one before it
-        points = [complex(a, b) for a in (0.0, 0.5, 1.5, 3.0) for b in range(-8, 9, 2)]
-        warm = [repr(adaptive_gamma(s)) for s in points]
-        assert len(quadrature._ROUNDS._rounds) == 9
-        cold = []
-        for s in points:
-            quadrature._ROUNDS.clear()
-            cold.append(repr(adaptive_gamma(s)))
-        assert warm == cold
-
-    def test_signed_zero_angles_never_share_a_round(self):
+    def test_signed_zero_angles_give_different_values(self):
         # the sign of the zero angle reaches the integrand through log t
         def f(t, log_t):
             return np.exp(-t) * (2.0 + np.copysign(1.0, log_t.imag))
 
         paths = [IntegrationPath((RaySegment(angle, 1.0, "outbound", 3.0),)) for angle in (0.0, -0.0)]
-        cold = []
-        for path in paths:
-            cold.append(integrate_path(f, path))
-            quadrature._ROUNDS.clear()
-        assert cold[0].value != cold[1].value
+        first = [integrate_path(f, path) for path in paths]
+        assert first[0].value != first[1].value
         for _ in range(3):
-            for path, expected in zip(paths, cold):
+            for path, expected in zip(paths, first):
                 assert integrate_path(f, path) == expected
-        assert len(quadrature._ROUNDS._rounds) == 2
 
-    def test_integrand_returning_t_leaves_the_round_intact(self):
+    def test_an_integrand_returning_t_is_copied(self):
         path = IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),
                                 RaySegment(PI / 2, 1.0, "inbound", end_radius=2.0)))
 
@@ -787,106 +748,14 @@ class TestRoundMemo:
 
         expected = integrate_path(lambda t, log_t: t, path)
         expected_g = integrate_path(g, path)
-        quadrature._ROUNDS.clear()
         for _ in range(3):
             assert integrate_path(lambda t, log_t: t, path) == expected
-        assert len(quadrature._ROUNDS._rounds) == 1
         assert integrate_path(g, path) == expected_g
 
-    def test_kept_arrays_are_read_only(self):
-        path = IntegrationPath((ArcSegment(1.0, -PI, PI),))
-        for _ in range(2):
-            integrate_path(lambda t, log_t: 1.0 / t, path)
-        arrays = self.kept_arrays()
-        assert len(arrays) == 4
-        assert not any(a.flags.writeable for a in arrays)
-
-        def writes_t(t, log_t):
-            t *= 2.0
-            return 1.0 / t
-
-        with pytest.raises(ValueError, match="read-only"):
-            integrate_path(writes_t, path)
-
-    def test_a_write_into_t_fails_at_the_first_call(self):
-        # t and log t are read-only on every round, so whether a write fails
-        # never depends on the geometries seen before
-        path = IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),
-                                RaySegment(PI / 2, 1.0, "inbound", end_radius=2.0)))
-
-        def writes_log_t(t, log_t):
-            log_t *= 2.0
-            return np.exp(log_t)
-
-        for _ in range(3):
-            with pytest.raises(ValueError, match="read-only"):
-                integrate_path(writes_log_t, path)
-
-    def test_a_geometry_seen_once_keeps_nothing(self):
-        for k in range(3 * quadrature._SEEN_KEYS):
-            adaptive_gamma(complex(0.5, 0.1 * k))
-        assert len(quadrature._ROUNDS._rounds) == 0
-        assert quadrature._ROUNDS.nbytes == 0
-
-    @pytest.mark.parametrize("column", [quadrature._SEEN_KEYS, quadrature._SEEN_KEYS + 1])
-    def test_columns_reuse_only_within_the_window(self, column, monkeypatch):
-        # three columns of Re s >= 0: the second keeps the first's rounds
-        # and the third reuses them when a column fits the window of keys,
-        # and none is kept when a column is one longer
-        layouts = self.counting_layouts(monkeypatch)
-        for a in (0.0, 1.0, 2.0):
-            for b in range(column):
-                adaptive_gamma(complex(a, 0.25 * b))
-        fits = column <= quadrature._SEEN_KEYS
-        assert len(quadrature._ROUNDS._rounds) == (column if fits else 0)
-        round0 = sum(1 for jobs in layouts if jobs == 6)  # arc and two rays, levels 0 and 1
-        assert round0 == (2 * column if fits else 3 * column)
-
-    @pytest.mark.parametrize("im_step, points, laid_out", [
-        ("2", 407, 154),  # 11 Im s values a column: 253 rounds reused
-        ("0.5", 1517, 1517),  # 41, past the window of keys: none reused
-    ])
-    def test_one_grid_call_reuses_within_the_window(self, monkeypatch, im_step, points,
-                                                    laid_out):
-        # the adaptive engine, cold, over the points of one `mlc grid gamma`
-        # over Re s in [-6, 12], in the grid's order: the Re s >= 0 columns
-        # repeat the paths of the column before only when a column fits the
-        # window (the grid command itself integrates on fixed nodes)
-        layouts = self.counting_layouts(monkeypatch)
-        re_axis, im_axis = cli._grid_axes((-6.0, 12.0, 0.5), (-10.0, 10.0, float(im_step)))
-        grid = [complex(a, b) for a in re_axis for b in im_axis]
-        assert len(grid) == points
-        for s in grid:
-            adaptive_gamma(s)
-        assert sum(1 for jobs in layouts if jobs == 6) == laid_out
-
-    def test_bytes_stay_bounded(self):
-        # column pairs share their Im s values, each pair new ones, so every
-        # second column keeps its rounds and older rounds must be dropped;
-        # s = -11 + 20i refines through a round of 17,280 nodes
-        memo = quadrature._ROUNDS
-        largest = 0
-        for pair in range(50):
-            for a in (0.0, 0.5):
-                for b in range(20):
-                    adaptive_gamma(complex(a, pair + 0.05 * b))
-                    assert memo.nbytes == sum(x.nbytes for x in self.kept_arrays())
-                    assert memo.nbytes <= quadrature._MEMO_BYTES
-                    largest = max(largest, memo.nbytes)
-            for _ in range(3):
-                assert repr(adaptive_gamma(-11 + 20j).diagnostics) == (
-                    "QuadratureResult(value=(2.839591908408663e+28+4.0627064423475915e+27j), "
-                    "error_estimate=2.72318932301511e+18, truncation_radius=243.51678162953584, "
-                    "panels_used=1184, converged=True)")
-        assert largest > quadrature._MEMO_BYTES - 60_000  # the bound was reached
-        # only round 0 is kept, never the later round of 17,280 nodes
-        assert max(len(laid[2]) for laid in memo._rounds.values()) < 17_280
-
-    def test_threads_get_the_bits_of_cold_calls(self):
+    def test_threads_get_the_bits_of_serial_calls(self):
         # more threads than cores, switching often, over one shared grid
         points = [complex(a, b) for a in (0.0, 1.0, 2.0) for b in range(-6, 7, 2)]
         expected = [repr(adaptive_gamma(s)) for s in points]
-        quadrature._ROUNDS.clear()
         mismatches, errors = [], []
 
         def worker(order):
@@ -912,4 +781,50 @@ class TestRoundMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert mismatches == []
-        assert quadrature._ROUNDS.nbytes <= quadrature._MEMO_BYTES
+
+
+class TestRoundMemo:
+    """integrate_path once reused round 0 of a path geometry seen twice, and
+    kept its arrays read-only. The memo is gone; what it promised an integrand
+    still holds: every t and log t it is handed is read-only from the first
+    call, so a write fails whatever geometries came before."""
+
+    def test_kept_arrays_are_read_only(self):
+        path = IntegrationPath((ArcSegment(1.0, -PI, PI),))
+        seen = []
+
+        def records(t, log_t):
+            seen.extend((t, log_t))
+            return 1.0 / t
+
+        integrate_path(records, path)
+        assert seen
+        assert not any(a.flags.writeable for a in seen)
+
+        def writes_t(t, log_t):
+            t *= 2.0
+            return 1.0 / t
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_path(writes_t, path)
+
+    def test_a_write_into_t_fails_at_the_first_call(self):
+        # t and log t are read-only on every round, so a write fails at every
+        # call, on a lone arc and on an arc and a ray alike
+        paths = [IntegrationPath((ArcSegment(1.0, -PI, PI),)),
+                 IntegrationPath((ArcSegment(2.0, 0.0, PI / 2),
+                                  RaySegment(PI / 2, 1.0, "inbound", end_radius=2.0)))]
+
+        def writes_t(t, log_t):
+            t *= 2.0
+            return 1.0 / t
+
+        def writes_log_t(t, log_t):
+            log_t *= 2.0
+            return np.exp(log_t)
+
+        for path in paths:
+            for f in (writes_t, writes_log_t):
+                for _ in range(3):
+                    with pytest.raises(ValueError, match="read-only"):
+                        integrate_path(f, path)
