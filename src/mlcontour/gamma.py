@@ -5,12 +5,13 @@ where t^(-s) is always computed from the unwrapped path angle.  By default
 the loop is the classical one, rays along the cut, with its arc through the
 saddle of the integrand (``saddle_radius``), and a batch of points is
 integrated at once on fixed nodes (``recip_gamma_points``, which the grid
-command calls; one point is a batch of one).  An explicit loop spec, or an
-optional complex scaling lambda, goes to the adaptive engine instead: it
-integrates e^(lambda t) t^(-s), times lambda^(1-s), over the loop of radius
-epsilon/|lambda|, where psi is the rotation within the window shifted by
--arg lambda.  The oracle is
-a fixed-coefficient Lanczos approximation with reflection for Re s < 1/2; it
+command calls; one point is a batch of one).  There the two rays, whose
+integrands differ by the factor e^(-2 pi i s), are integrated as one.  An
+explicit loop spec, or an optional complex scaling lambda, goes to the
+adaptive engine instead: it integrates e^(lambda t) t^(-s), times
+lambda^(1-s), over the loop of radius epsilon/|lambda|, where psi is the
+rotation within the window shifted by -arg lambda.  The oracle is a
+fixed-coefficient Lanczos approximation with reflection for Re s < 1/2; it
 shares no code with the contour machinery and anchors all cross-checks.  One
 array kernel computes log Gamma, and ``log_gamma`` and ``recip_gamma_oracle``
 are thin wrappers over it that take a scalar or an array.
@@ -29,8 +30,8 @@ from .errors import MlcError, PreconditionError
 from .geometry import (
     UNIT_LAMBDA,
     GammaContourSpec,
-    IntegrationPath,
     PolarComplex,
+    RaySegment,
     build_gamma_path,
     loop_path,
 )
@@ -230,13 +231,12 @@ _UNIT_FACTOR = 1.0 / TWO_PI_I
 
 
 class _Loop(NamedTuple):
-    """The default loop at s, ready to integrate: its path, its rays'
-    bounds, their truncation radii (in, out) and the sum of their tails."""
+    """The default loop at s, ready for the fixed rule: its arc radius, its
+    rays' common truncation radius and the sum of their tails there."""
 
     s: complex
-    path: IntegrationPath
-    bounds: dict
-    ends: list
+    radius: float
+    end: float
     tail: float
 
 
@@ -253,24 +253,25 @@ def _failure(s: complex) -> str:
 
 
 def _default_loop(s: complex, cfg: QuadratureConfig) -> _Loop:
-    """The default loop at s; raises for a non-finite s, and raises
+    """The default loop at s: both rays are cut at the larger of their
+    ``truncation_radius``; raises for a non-finite s, and raises
     ``loop_bounds``' and ``truncation_radius``'s refusals."""
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise PreconditionError("s must be finite")
-    path = loop_path(saddle_radius(s), -_CUT_ANGLE, _CUT_ANGLE)
-    bounds = loop_bounds(path, s)
+    radius = saddle_radius(s)
+    refuse_arc_growth(radius)
+    models = [loop_ray_bound(RaySegment(a, radius), s) for a in (-_CUT_ANGLE, _CUT_ANGLE)]
     # quadrature's own name, so that a wrapper set on it sees these calls
-    ends = [quadrature.truncation_radius(model, ray.start_radius, cfg)
-            for ray, model in bounds.items()]
-    tail = sum(model.tail_bound(end) for model, end in zip(bounds.values(), ends))
-    return _Loop(s, path, bounds, ends, tail)
+    end = max([quadrature.truncation_radius(model, radius, cfg) for model in models])
+    return _Loop(s, radius, end, sum(model.tail_bound(end) for model in models))
 
 
 def _adaptive(loop: _Loop, cfg: QuadratureConfig) -> Evaluation:
     """The adaptive engine on the default loop, kept only where its summed
     estimate meets the tolerance on its summed value."""
-    raw = integrate_path(loop_integrand(loop.s), loop.path, decay=loop.bounds.__getitem__,
-                         cfg=cfg)
+    path = loop_path(loop.radius, -_CUT_ANGLE, _CUT_ANGLE)
+    raw = integrate_path(loop_integrand(loop.s), path,
+                         decay=loop_bounds(path, loop.s).__getitem__, cfg=cfg)
     if not raw.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(raw.value)):
         raw = dataclasses.replace(raw, converged=False)
     return finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))
@@ -282,13 +283,18 @@ def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> li
 
     The loop is the classical one, rays along the cut at -pi and pi, with
     its arc through the saddle (``saddle_radius``); a pole gives an exact 0.
-    Each point first passes ``loop_bounds``' refusals and has its rays cut
-    at ``truncation_radius``; the points left go to
+    Each point first passes ``loop_bounds``' refusals, and its rays are cut
+    at the larger of their two ``truncation_radius``; the points left go to
     ``fixed_rule.fixed_loops``, ``_CHUNK`` to a call, each call one array
-    evaluation per level.  A point that fails there falls back to the
-    adaptive engine on the same loop, which answers only where its summed
-    estimate meets the tolerance, and raises ConvergenceError otherwise.  A
-    point gets the bits it gets alone, whatever its neighbours.
+    evaluation per level.  It integrates the two rays as one, on one set of
+    nodes: e^t t^(-s) on the upper side of the cut is the lower side's times
+    e^(-2 pi i s), whose exponent is taken from Re s less its nearest
+    integer, so that at an integer s the rays cancel exactly.  A point that
+    fails there falls back to the adaptive engine on the same loop (its
+    path and bounds are built only then), which answers only where its
+    summed estimate meets the tolerance, and raises ConvergenceError
+    otherwise.  A point gets the bits it gets alone, whatever its
+    neighbours.
     """
     points = [complex(s) for s in points]
     out: list = [None] * len(points)
@@ -310,10 +316,11 @@ def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> li
             w += t
             return w
 
+        # w on the upper side of the cut is w - 2 pi i s, or, for the same
+        # e^w, w - 2 pi i (s - round(Re s))
         raws = fixed_rule.fixed_loops(
-            exponent, [loop.path.segments[1].radius for _, loop in chunk],
-            -_CUT_ANGLE, _CUT_ANGLE, [loop.ends for _, loop in chunk],
-            [loop.tail for _, loop in chunk], cfg)
+            exponent, [loop.radius for _, loop in chunk], TWO_PI_I * (np.round(mu.real) - mu),
+            [loop.end for _, loop in chunk], [loop.tail for _, loop in chunk], cfg)
         for (i, loop), raw in zip(chunk, raws):
             try:
                 out[i] = (finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))

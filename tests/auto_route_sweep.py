@@ -24,7 +24,9 @@ in [-12, 20] step 0.5 by Im s in [-30, 30] step 2.5.  A value is judged as
 the benchmark judges it: within 1e-8 relative, or 1e-9 absolute where
 |1/Gamma| < 1e-3.  It prints, per box, the count of each outcome (ok,
 raised, wrong), of answers whose error is above their estimate, and of those
-the fixed-node rule gave (the others come from the adaptive fallback).
+the fixed-node rule gave (the others come from the adaptive fallback); and
+the fixed rule's work: its nodes per point of the box, the loops that took
+its level 1, and the points that fell back to the adaptive engine.
 
 Run from the repository root (mpmath needed; the threshold sweep takes a few
 minutes, the coverage and gamma sweeps under a minute):
@@ -43,7 +45,7 @@ from collections import Counter
 
 import mpmath
 from ml_reference import ml_reference
-from mlcontour import gamma
+from mlcontour import fixed_rule, gamma
 from mlcontour.errors import ConvergenceError, MlcError, PreconditionError
 from mlcontour.geometry import PolarComplex, default_ml_deltas, ml_arg_window
 from mlcontour.mittag_leffler import MLParams, evaluate_ml, ml_contour, ml_route, ml_series
@@ -130,18 +132,32 @@ GAMMA_BOXES = {
 
 
 def gamma_counts() -> dict:
-    fell_back = set()
-    adaptive = gamma._adaptive
+    fell_back, work = set(), Counter()
+    adaptive, fixed_loops = gamma._adaptive, fixed_rule.fixed_loops
 
     def noted(loop, cfg):
         fell_back.add(loop.s)
         return adaptive(loop, cfg)
 
-    gamma._adaptive = noted
+    def counted(exponent, *args):
+        levels = []
+
+        def count(rows, t, log_t):
+            levels.append(rows.size)
+            work["nodes"] += t.size
+            return exponent(rows, t, log_t)
+
+        results = fixed_loops(count, *args)
+        work["level_1"] += sum(levels[1:])
+        return results
+
+    gamma._adaptive, fixed_rule.fixed_loops = noted, counted
     out = {}
     try:
         for name, ((re_lo, re_step, n_re), (im_lo, im_step, n_im)) in GAMMA_BOXES.items():
             counts = Counter(ok=0, raised=0, wrong=0, above_estimate=0, above_estimate_fixed=0)
+            fell_back.clear()
+            work.clear()
             for k in range(n_re):
                 for j in range(n_im):
                     s = complex(re_lo + k * re_step, im_lo + j * im_step)
@@ -158,9 +174,10 @@ def gamma_counts() -> dict:
                     if err > ev.diagnostics.error_estimate:
                         counts["above_estimate"] += 1
                         counts["above_estimate_fixed"] += s not in fell_back
-            out[name] = dict(counts)
+            out[name] = {**counts, "nodes_per_point": work["nodes"] / (n_re * n_im),
+                         "level_1": work["level_1"], "fell_back": len(fell_back)}
     finally:
-        gamma._adaptive = adaptive
+        gamma._adaptive, fixed_rule.fixed_loops = adaptive, fixed_loops
     return out
 
 

@@ -29,9 +29,9 @@ from mlcontour import (
     ml_dzhrbashyan,
     recip_gamma_contour,
 )
-from mlcontour import gamma, mittag_leffler
+from mlcontour import gamma, mittag_leffler, quadrature
 from mlcontour.gamma import loop_ray_bound, pole_gap
-from mlcontour.geometry import UNIT_LAMBDA, RaySegment
+from mlcontour.geometry import UNIT_LAMBDA, RaySegment, loop_path
 from mlcontour.quadrature import truncation_radius
 
 PI = math.pi
@@ -40,9 +40,10 @@ PI = math.pi
 def handed_over(module, call):
     """(integrand, path, decay) that ``call`` hands to ``module.integrate_path``,
     or None where the route refuses before integrating.  1/Gamma's default
-    route integrates its ``_default_loop`` on fixed nodes, cut where that
-    loop's bounds say; the loop is then taken from there, and a pole, which
-    it answers with an exact 0 unintegrated, gives None."""
+    route integrates its ``_default_loop`` on fixed nodes, cut where the two
+    ray models that loop hands ``truncation_radius`` say; its loop is then
+    the classical loop of that arc radius with those models on its rays,
+    and a pole, which it answers with an exact 0 unintegrated, gives None."""
     seen = []
 
     def record(f, path, decay=None, cfg=None):
@@ -53,13 +54,20 @@ def handed_over(module, call):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "integrate_path", record)
         if module is gamma:
-            default_loop = gamma._default_loop
+            default_loop, cut, models = gamma._default_loop, quadrature.truncation_radius, []
+
+            def record_cut(model, start_radius, cfg):
+                models.append(model)
+                return cut(model, start_radius, cfg)
 
             def record_loop(s, cfg):
                 loop = default_loop(s, cfg)
-                seen.append((gamma.loop_integrand(loop.s), loop.path, loop.bounds.__getitem__))
+                path = loop_path(loop.radius, -PI, PI)
+                seen.append((gamma.loop_integrand(loop.s), path,
+                             dict(zip(path.segments[::2], models)).__getitem__))
                 return loop
 
+            mp.setattr(quadrature, "truncation_radius", record_cut)
             mp.setattr(gamma, "_default_loop", record_loop)
         try:
             result = call()
