@@ -253,20 +253,18 @@ _ROW_STATUS = {ContourValidityError: "window_violation",
                ConvergenceError: "non_convergence"}
 
 
-def _grid_row(coords: dict, method: str, record, *args) -> dict:
-    """One grid row: ``coords``, the route's name, and the value, error
-    estimate, flags and status of ``record(*args)``, or the status of the
-    error it raises."""
+def _grid_row(coords: dict, method: str, outcome: dict | MlcError) -> dict:
+    """One grid row: ``coords``, the route's name, and the point's
+    ``outcome``: the value, error estimate, flags and status of its record,
+    or the status of the error it raised."""
     row = {**coords, "value_re": None, "value_im": None, "err_estimate": None,
            "method": method, "flags": "", "status": "ok"}
-    try:
-        rec = record(*args)
-    except tuple(_ROW_STATUS) as exc:
+    if isinstance(outcome, MlcError):
         row["status"] = next(status for cls, status in _ROW_STATUS.items()
-                             if isinstance(exc, cls))
+                             if isinstance(outcome, cls))
         return row
     for key in ("value_re", "value_im", "err_estimate", "flags", "status"):
-        row[key] = rec[key]
+        row[key] = outcome[key]
     return row
 
 
@@ -274,14 +272,6 @@ def _row_record(ev) -> dict:
     """``evaluation_record`` and the row's status: a series out of terms failed."""
     return {**evaluation_record(ev),
             "status": "ok" if ev.diagnostics.converged else "non_convergence"}
-
-
-def _gamma_record(result: Evaluation | MlcError) -> dict:
-    """The record of one of ``recip_gamma_points``' results: its
-    ``Evaluation``, or the error that point raises, raised here."""
-    if isinstance(result, MlcError):
-        raise result
-    return _row_record(result)
 
 
 def _oracle_record(value: complex) -> dict:
@@ -295,8 +285,11 @@ def _ml_row(z_mod: float, z_arg: float, params: MLParams, method: str,
     z = PolarComplex(z_mod, z_arg)
     # Resolved here so that a failed row still names the route it was sent to.
     route = ml_route(params, z, cfg) if method == "auto" else method
-    return _grid_row({"z_mod": z_mod, "z_arg": z_arg}, route,
-                     lambda: _row_record(evaluate_ml(params, z, route, cfg)))
+    try:
+        outcome = _row_record(evaluate_ml(params, z, route, cfg))
+    except tuple(_ROW_STATUS) as exc:
+        outcome = exc
+    return _grid_row({"z_mod": z_mod, "z_arg": z_arg}, route, outcome)
 
 
 def cmd_grid(ns: argparse.Namespace) -> int:
@@ -308,11 +301,12 @@ def cmd_grid(ns: argparse.Namespace) -> int:
         if ns.method == "oracle":
             # The array call gives the same bits as one scalar call per point.
             values = recip_gamma_oracle([complex(a, b) for a, b in points]).tolist()
-            rows = [_grid_row({"s_re": a, "s_im": b}, "oracle", _oracle_record, v)
+            rows = [_grid_row({"s_re": a, "s_im": b}, "oracle", _oracle_record(v))
                     for (a, b), v in zip(points, values)]
         else:
             results = recip_gamma_points([complex(a, b) for a, b in points], cfg)
-            rows = [_grid_row({"s_re": a, "s_im": b}, "contour", _gamma_record, result)
+            rows = [_grid_row({"s_re": a, "s_im": b}, "contour",
+                              result if isinstance(result, MlcError) else _row_record(result))
                     for (a, b), result in zip(points, results)]
     else:
         params = resolve_params(ns)

@@ -6,20 +6,21 @@ the loop is the classical one, rays along the cut, with its arc through the
 saddle of the integrand (``saddle_radius``), and a batch of points is
 integrated at once on fixed nodes (``recip_gamma_points``, which the grid
 command calls; one point is a batch of one).  There the two rays, whose
-integrands differ by the factor e^(-2 pi i s), are integrated as one.  An
-explicit loop spec, or an optional complex scaling lambda, goes to the
-adaptive engine instead: it integrates e^(lambda t) t^(-s), times
-lambda^(1-s), over the loop of radius epsilon/|lambda|, where psi is the
-rotation within the window shifted by -arg lambda.  The oracle is a
-fixed-coefficient Lanczos approximation with reflection for Re s < 1/2; it
-shares no code with the contour machinery and anchors all cross-checks.  One
-array kernel computes log Gamma, and ``log_gamma`` and ``recip_gamma_oracle``
-are thin wrappers over it that take a scalar or an array.
+integrands differ by the factor e^(-2 pi i s), are integrated as one; a
+point the fixed rule misses falls back to the explicit spec of the same
+loop.  An explicit loop spec, or an optional complex scaling lambda, goes to
+the adaptive engine (``quadrature.integrate_path``) instead: it integrates
+e^(lambda t) t^(-s), times lambda^(1-s), over the loop of radius
+epsilon/|lambda|, where psi is the rotation within the window shifted by
+-arg lambda.  The oracle is a fixed-coefficient Lanczos approximation with
+reflection for Re s < 1/2; it shares no code with the contour machinery and
+anchors all cross-checks.  One array kernel computes log Gamma, and
+``log_gamma`` and ``recip_gamma_oracle`` are thin wrappers over it that take
+a scalar or an array.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -27,14 +28,7 @@ import numpy as np
 
 from . import fixed_rule, quadrature
 from .errors import MlcError, PreconditionError
-from .geometry import (
-    UNIT_LAMBDA,
-    GammaContourSpec,
-    PolarComplex,
-    RaySegment,
-    build_gamma_path,
-    loop_path,
-)
+from .geometry import UNIT_LAMBDA, GammaContourSpec, PolarComplex, build_gamma_path
 from .quadrature import (
     DEFAULT_QUADRATURE,
     DecayModel,
@@ -193,25 +187,29 @@ def refuse_arc_growth(growth: float) -> None:
                                 f"on it, past e^{OVERFLOW_EXPONENT_LIMIT:g}")
 
 
-def pole_gap(ray, alpha: float, z: PolarComplex) -> float:
+def pole_gap(angle: float, start_radius: float, alpha: float, z: PolarComplex) -> float:
     """The distance from 1 to the segment, from z r0^(-alpha) e^(-i alpha
-    angle) to 0, that z t^(-alpha) sweeps on ``ray``: 1/|1 - z t^(-alpha)| <= 1/gap."""
-    reach = 0.0 if z.modulus == 0.0 else z.modulus * _float_power(ray.start_radius, -alpha)
-    phase = z.argument - alpha * ray.angle
+    angle) to 0, that z t^(-alpha) sweeps on the infinite ray at ``angle``
+    from r0 = ``start_radius``: 1/|1 - z t^(-alpha)| <= 1/gap."""
+    reach = 0.0 if z.modulus == 0.0 else z.modulus * _float_power(start_radius, -alpha)
+    phase = z.argument - alpha * angle
     foot = min(max(math.cos(phase), 0.0), reach)  # the segment's nearest point to 1
     return math.hypot(foot * math.cos(phase) - 1.0, foot * math.sin(phase))
 
 
-def loop_ray_bound(ray, mu: complex, lam: PolarComplex = UNIT_LAMBDA,
-                   alpha: float = 1.0, z: PolarComplex = PolarComplex(0.0, 0.0)) -> DecayModel:
-    """Decay of ``loop_integrand`` on an infinite ``ray``: rate |lam| |cos(arg lam +
-    angle)|, power r^(-Re mu), e^(Im mu angle) over the ``pole_gap``, which may not be 0."""
-    rate = lam.modulus * abs(math.cos(lam.argument + ray.angle))
-    gap = 1.0 if z.modulus == 0.0 else pole_gap(ray, alpha, z)  # z = 0: the gamma loop
+def loop_ray_bound(angle: float, start_radius: float, mu: complex,
+                   lam: PolarComplex = UNIT_LAMBDA, alpha: float = 1.0,
+                   z: PolarComplex = PolarComplex(0.0, 0.0)) -> DecayModel:
+    """Decay of ``loop_integrand`` on the infinite ray at ``angle`` from
+    ``start_radius``: rate |lam| |cos(arg lam + angle)|, power r^(-Re mu),
+    e^(Im mu angle) over the ``pole_gap``, which may not be 0."""
+    rate = lam.modulus * abs(math.cos(lam.argument + angle))
+    # z = 0: the gamma loop
+    gap = 1.0 if z.modulus == 0.0 else pole_gap(angle, start_radius, alpha, z)
     if gap == 0.0:
-        raise PreconditionError(f"the ray at angle {ray.angle:g} meets the pole t^alpha = z")
-    base = _float_exp(mu.imag * ray.angle - math.log(gap))
-    return DecayModel.with_power_growth(base, -mu.real, rate, ray.start_radius)
+        raise PreconditionError(f"the ray at angle {angle:g} meets the pole t^alpha = z")
+    base = _float_exp(mu.imag * angle - math.log(gap))
+    return DecayModel.with_power_growth(base, -mu.real, rate, start_radius)
 
 
 def loop_bounds(path, mu: complex, lam: PolarComplex = UNIT_LAMBDA, alpha: float = 1.0,
@@ -219,7 +217,8 @@ def loop_bounds(path, mu: complex, lam: PolarComplex = UNIT_LAMBDA, alpha: float
     """Each ray's ``loop_ray_bound`` on ``path`` (ray in, arc, ray out), by ray,
     once the arc's peak |e^(lam t)| = e^(|lam| R) has passed ``refuse_arc_growth``."""
     refuse_arc_growth(lam.modulus * path.segments[1].radius)
-    return {ray: loop_ray_bound(ray, mu, lam, alpha, z) for ray in path.segments[::2]}
+    return {ray: loop_ray_bound(ray.angle, ray.start_radius, mu, lam, alpha, z)
+            for ray in path.segments[::2]}
 
 
 #: The rays of the default loop lie along the cut.
@@ -260,21 +259,10 @@ def _default_loop(s: complex, cfg: QuadratureConfig) -> _Loop:
         raise PreconditionError("s must be finite")
     radius = saddle_radius(s)
     refuse_arc_growth(radius)
-    models = [loop_ray_bound(RaySegment(a, radius), s) for a in (-_CUT_ANGLE, _CUT_ANGLE)]
+    models = [loop_ray_bound(angle, radius, s) for angle in (-_CUT_ANGLE, _CUT_ANGLE)]
     # quadrature's own name, so that a wrapper set on it sees these calls
     end = max([quadrature.truncation_radius(model, radius, cfg) for model in models])
     return _Loop(s, radius, end, sum(model.tail_bound(end) for model in models))
-
-
-def _adaptive(loop: _Loop, cfg: QuadratureConfig) -> Evaluation:
-    """The adaptive engine on the default loop, kept only where its summed
-    estimate meets the tolerance on its summed value."""
-    path = loop_path(loop.radius, -_CUT_ANGLE, _CUT_ANGLE)
-    raw = integrate_path(loop_integrand(loop.s), path,
-                         decay=loop_bounds(path, loop.s).__getitem__, cfg=cfg)
-    if not raw.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(raw.value)):
-        raw = dataclasses.replace(raw, converged=False)
-    return finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))
 
 
 def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
@@ -290,11 +278,11 @@ def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> li
     nodes: e^t t^(-s) on the upper side of the cut is the lower side's times
     e^(-2 pi i s), whose exponent is taken from Re s less its nearest
     integer, so that at an integer s the rays cancel exactly.  A point that
-    fails there falls back to the adaptive engine on the same loop (its
-    path and bounds are built only then), which answers only where its
-    summed estimate meets the tolerance, and raises ConvergenceError
-    otherwise.  A point gets the bits it gets alone, whatever its
-    neighbours.
+    fails there falls back to ``recip_gamma_contour`` with the explicit
+    spec of the same loop, GammaContourSpec(radius, 0, pi, pi), whose
+    adaptive engine converges on the summed value too, and raises
+    ConvergenceError otherwise.  A point gets the bits it gets alone,
+    whatever its neighbours.
     """
     points = [complex(s) for s in points]
     out: list = [None] * len(points)
@@ -323,8 +311,11 @@ def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> li
             [loop.end for _, loop in chunk], [loop.tail for _, loop in chunk], cfg)
         for (i, loop), raw in zip(chunk, raws):
             try:
-                out[i] = (finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))
-                          if raw.converged else _adaptive(loop, cfg))
+                if raw.converged:
+                    out[i] = finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))
+                else:  # the explicit spec of the same loop
+                    out[i] = recip_gamma_contour(
+                        loop.s, GammaContourSpec(loop.radius, 0.0, _CUT_ANGLE, _CUT_ANGLE), cfg)
             except MlcError as exc:
                 out[i] = exc
     return out
@@ -340,8 +331,8 @@ def recip_gamma_contour(s: complex,
     With no ``spec`` and lam = 1 this is the default loop through the
     saddle, a batch of one of ``recip_gamma_points``: an exact 0 at a pole,
     PreconditionError for a non-finite s or where ``loop_bounds`` refuses,
-    and ConvergenceError where neither the fixed rule nor the adaptive
-    engine meets the tolerance on the summed value.
+    and ConvergenceError where neither the fixed rule nor its fallback, the
+    explicit spec of the same loop, meets the tolerance on the summed value.
 
     Otherwise the adaptive engine integrates the loop of ``spec``
     (``DEFAULT_GAMMA_SPEC`` if none), the unit loop, scaled by lam.
@@ -350,7 +341,8 @@ def recip_gamma_contour(s: complex,
     of ``lam``, the same value that shifts the window.  Raises, before
     integrating, PreconditionError for a non-finite s, where lam^(1-s) leaves
     the double range or ``loop_bounds`` refuses, and ContourValidityError for
-    an inadmissible (spec, lam); ConvergenceError when the quadrature stalls.
+    an inadmissible (spec, lam); ConvergenceError where the summed estimate
+    misses the tolerance on the summed value.
     """
     if spec is None and lam == UNIT_LAMBDA:
         result, = recip_gamma_points([s], cfg)

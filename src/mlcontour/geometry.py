@@ -15,7 +15,6 @@ itself and a small guard band around it.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -369,16 +368,11 @@ def loop_path(radius: float, a_in: float, a_out: float) -> IntegrationPath:
     ))
 
 
-@functools.lru_cache(maxsize=32)
 def build_gamma_path(spec: GammaContourSpec,
                      lam: PolarComplex = UNIT_LAMBDA) -> IntegrationPath:
     """Loop for the gamma integral scaled by ``lam``: ray in at -delta1+psi,
     arc of radius epsilon/|lam| swept counterclockwise, ray out at
-    delta2+psi.
-
-    Cached: both arguments and the path are frozen, and a sweep of one
-    spec over many s asks for the same loop at every point.  A rejected
-    spec raises on every call."""
+    delta2+psi."""
     validate_gamma_contour(spec, lam=lam)
     return loop_path(spec.epsilon / lam.modulus,
                      -spec.delta1 + spec.psi, spec.delta2 + spec.psi)

@@ -12,12 +12,13 @@ write, such as t itself, it copies first.
 
 Each segment is integrated with composite fixed-order Gauss-Legendre panels.
 Refinement doubles the panel count; the error estimate is the difference
-between the last two refinement levels; each segment is held to the
-tolerances on its own.  Infinite rays are cut where the caller's analytic
-decay bound puts the tail below abs_tol / 10, and the tail bound is folded
-into the error estimate.  On every ray the bound is a plain exponential
-e^(-c u) in the ray's own variable u = r**p (``DecayModel``), so
-``truncation_radius`` is the closed form R**p = K / c.
+between the last two refinement levels.  Each segment stops refining on the
+tolerances on its own, and a path converges on its sum: its summed estimate
+must meet them on its summed value (``integrate_path``).  Infinite rays are
+cut where the caller's analytic decay bound puts the tail below abs_tol /
+10, and the tail bound is folded into the error estimate.  On every ray the
+bound is a plain exponential e^(-c u) in the ray's own variable u = r**p
+(``DecayModel``), so ``truncation_radius`` is the closed form R**p = K / c.
 
 ``integrate_path`` refines all segments of a path together, in rounds.  All
 truncation radii are computed first.  Round 0 evaluates levels 0 and 1 of
@@ -125,12 +126,11 @@ def _float_exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances.  In ``integrate_path`` they apply per segment: a segment
-    converges when its error estimate is at most max(abs_tol, rel_tol *
-    |segment value|), and a path is ``converged`` when all its segments
-    are; that engine does not check the summed error against the summed
-    value (defect D1 in ROADMAP.md).  ``fixed_rule.fixed_loops`` checks
-    each loop's summed estimate against its summed value."""
+    """Tolerances.  An integral converges where its error estimate is at
+    most max(abs_tol, rel_tol * |value|).  In ``integrate_path`` each
+    segment stops refining on that test of its own estimate and value, and
+    the path converges on the same test of its summed estimate and value;
+    ``fixed_rule.fixed_loops`` tests each loop's sum."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -498,6 +498,12 @@ def integrate_path(f: Integrand, path: IntegrationPath,
                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> QuadratureResult:
     """Sum of segment integrals of f(t, log_t) in path order.
 
+    Each segment refines until its own estimate meets the tolerances on its
+    own value, or its doubling rule gives up.  The path is ``converged``
+    only when every segment stopped converged and the summed estimate is at
+    most max(abs_tol, rel_tol * |summed value|), so that segments that
+    cancel cannot pass an error larger than their sum.
+
     ``decay`` may be a single model or a callable mapping each ray segment to
     its own model (rays at different angles usually decay at different rates).
     An infinite ray requires one; it is truncated at ``truncation_radius``,
@@ -541,4 +547,5 @@ def integrate_path(f: Integrand, path: IntegrationPath,
         err += seg_err
         panels += seg_panels
         converged = converged and seg_converged
+    converged = converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(total))
     return QuadratureResult(total, err, max(trunc, default=0.0), panels, converged)

@@ -26,7 +26,10 @@ the benchmark judges it: within 1e-8 relative, or 1e-9 absolute where
 raised, wrong), of answers whose error is above their estimate, and of those
 the fixed-node rule gave (the others come from the adaptive fallback); and
 the fixed rule's work: its nodes per point of the box, the loops that took
-its level 1, and the points that fell back to the adaptive engine.
+its level 1, and the points that fell back, each an explicit-spec call of
+``recip_gamma_contour`` made from inside ``recip_gamma_points``.  It scores
+the unit loop, ``recip_gamma_contour(s, DEFAULT_GAMMA_SPEC)``, on the same
+points, and prints its outcomes per box as ``unit_loop``.
 
 Run from the repository root (mpmath needed; the threshold sweep takes a few
 minutes, the coverage and gamma sweeps under a minute):
@@ -132,12 +135,21 @@ GAMMA_BOXES = {
 
 
 def gamma_counts() -> dict:
-    fell_back, work = set(), Counter()
-    adaptive, fixed_loops = gamma._adaptive, fixed_rule.fixed_loops
+    fell_back, work, batches = set(), Counter(), []
+    contour, points, fixed_loops = (gamma.recip_gamma_contour, gamma.recip_gamma_points,
+                                    fixed_rule.fixed_loops)
 
-    def noted(loop, cfg):
-        fell_back.add(loop.s)
-        return adaptive(loop, cfg)
+    def batched(*args, **kwargs):
+        batches.append(None)
+        try:
+            return points(*args, **kwargs)
+        finally:
+            batches.pop()
+
+    def noted(s, spec=None, *args, **kwargs):
+        if batches and spec is not None:  # a fallback: the explicit spec of the same loop
+            fell_back.add(complex(s))
+        return contour(s, spec, *args, **kwargs)
 
     def counted(exponent, *args):
         levels = []
@@ -151,11 +163,26 @@ def gamma_counts() -> dict:
         work["level_1"] += sum(levels[1:])
         return results
 
-    gamma._adaptive, fixed_rule.fixed_loops = noted, counted
+    def score(counts, s, ref, spec=None) -> bool:
+        """Count the outcome of ``recip_gamma_contour(s, spec)``: True for an
+        answer whose error is above its estimate."""
+        try:
+            ev = gamma.recip_gamma_contour(s, spec)
+        except MlcError:
+            counts["raised"] += 1
+            return False
+        err = abs(ev.value - ref)
+        right = err <= 1e-9 if abs(ref) < 1e-3 else err <= WRONG * abs(ref)
+        counts["ok" if right else "wrong"] += 1
+        return err > ev.diagnostics.error_estimate
+
+    gamma.recip_gamma_points, gamma.recip_gamma_contour = batched, noted
+    fixed_rule.fixed_loops = counted
     out = {}
     try:
         for name, ((re_lo, re_step, n_re), (im_lo, im_step, n_im)) in GAMMA_BOXES.items():
             counts = Counter(ok=0, raised=0, wrong=0, above_estimate=0, above_estimate_fixed=0)
+            unit = Counter(ok=0, raised=0, wrong=0)
             fell_back.clear()
             work.clear()
             for k in range(n_re):
@@ -163,21 +190,16 @@ def gamma_counts() -> dict:
                     s = complex(re_lo + k * re_step, im_lo + j * im_step)
                     with mpmath.workdps(30):
                         ref = complex(mpmath.rgamma(mpmath.mpc(s.real, s.imag)))
-                    try:
-                        ev = gamma.recip_gamma_contour(s)
-                    except MlcError:
-                        counts["raised"] += 1
-                        continue
-                    err = abs(ev.value - ref)
-                    right = err <= 1e-9 if abs(ref) < 1e-3 else err <= WRONG * abs(ref)
-                    counts["ok" if right else "wrong"] += 1
-                    if err > ev.diagnostics.error_estimate:
+                    if score(counts, s, ref):
                         counts["above_estimate"] += 1
                         counts["above_estimate_fixed"] += s not in fell_back
+                    score(unit, s, ref, gamma.DEFAULT_GAMMA_SPEC)
             out[name] = {**counts, "nodes_per_point": work["nodes"] / (n_re * n_im),
-                         "level_1": work["level_1"], "fell_back": len(fell_back)}
+                         "level_1": work["level_1"], "fell_back": len(fell_back),
+                         "unit_loop": dict(unit)}
     finally:
-        gamma._adaptive, fixed_rule.fixed_loops = adaptive, fixed_loops
+        gamma.recip_gamma_points, gamma.recip_gamma_contour = points, contour
+        fixed_rule.fixed_loops = fixed_loops
     return out
 
 

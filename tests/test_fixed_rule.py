@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mlcontour import ConvergenceError, fixed_rule, gamma, recip_gamma_contour
+from mlcontour.geometry import GammaContourSpec
 from mlcontour.quadrature import DEFAULT_QUADRATURE
 
 
@@ -93,8 +94,9 @@ class TestOneRay:
     def test_agrees_with_the_adaptive_engine_on_the_same_loop(self, s):
         ev = recip_gamma_contour(s)
         assert ev.diagnostics.panels_used == 3  # the fixed rule answered
-        loop = gamma._default_loop(complex(s), DEFAULT_QUADRATURE)
-        adaptive = gamma._adaptive(loop, DEFAULT_QUADRATURE)
+        # the fallback's route: the explicit spec of the same loop
+        radius = gamma._default_loop(complex(s), DEFAULT_QUADRATURE).radius
+        adaptive = recip_gamma_contour(s, GammaContourSpec(radius, 0.0, math.pi, math.pi))
         assert adaptive.diagnostics.panels_used > 3
         assert abs(ev.value - adaptive.value) <= (ev.diagnostics.error_estimate
                                                   + adaptive.diagnostics.error_estimate)

@@ -181,6 +181,16 @@ class TestContour:
         with pytest.raises(ConvergenceError):
             recip_gamma_contour(2 + 1j, GammaContourSpec(1.0, 0.0, PI / 2 + 1e-6, PI / 2 + 1e-6))
 
+    @pytest.mark.parametrize("s", [10 + 10j, 0.5 + 30j, 0.5 - 30j, -11.0, -12.0])
+    def test_unit_loop_refuses_where_its_segments_cancel(self, s):
+        # D1: each segment of the unit loop meets the tolerance on its own
+        # value, but the summed estimate misses it on the summed value.  The
+        # loop answered these wrong and converged: 10 + 10i by 3.0 relative,
+        # 0.5 +- 30i by 2.5e4 relative, the poles -11 and -12 by 6.4e-8 and
+        # 2.4e-7 absolute
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            recip_gamma_contour(s, DEFAULT_GAMMA_SPEC)
+
     @pytest.mark.parametrize("s", [complex("nan"), complex("inf"), complex(1.0, math.nan)])
     def test_non_finite_s_is_precondition_error(self, s):
         with pytest.raises(PreconditionError, match="s must be finite"):
@@ -364,21 +374,22 @@ class TestDefaultRoute:
 
     def test_fallback_refuses_a_summed_estimate_past_the_tolerance(self, monkeypatch):
         # on the unit loop at s = 10 + 10i every segment converges, but the
-        # summed estimate is far above rel_tol times the summed value (D1)
+        # summed estimate is far above rel_tol times the summed value (D1):
+        # the fallback, the explicit spec of the same loop, refuses it
         def fails(exponent, radius, *args):
             return [QuadratureResult(0j, 1.0, 30.0, 3, False)] * len(radius)
 
         def unit_loop(s, cfg):
-            # the adaptive engine builds the loop of radius 1, rays at -pi
-            # and pi: the unit loop
+            # the fallback takes the spec of the loop of radius 1, rays at
+            # -pi and pi: the unit loop
             return gamma._Loop(s, 1.0, 30.0, 0.0)
 
         monkeypatch.setattr(fixed_rule, "fixed_loops", fails)
         monkeypatch.setattr(gamma, "_default_loop", unit_loop)
         assert rel_err(recip_gamma_contour(2.0).value, 1.0) <= 1e-14
-        assert recip_gamma_contour(10 + 10j, DEFAULT_GAMMA_SPEC).diagnostics.converged
-        with pytest.raises(ConvergenceError, match=r"did not converge at s=\(10\+10j\)"):
-            recip_gamma_contour(10 + 10j)
+        for spec in (None, DEFAULT_GAMMA_SPEC):
+            with pytest.raises(ConvergenceError, match=r"did not converge at s=\(10\+10j\)"):
+                recip_gamma_contour(10 + 10j, spec)
 
     def test_summed_nodes_per_point_on_the_gamma_grid(self, monkeypatch):
         # the points of the benchmark's gamma-grid workload at seed 1 (its

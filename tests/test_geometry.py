@@ -353,7 +353,7 @@ class TestPaths:
         samples = self.zeta_samples(path, rho, z.to_complex())
         for ray, zetas in zip(path.segments[::2], samples[::2]):
             sampled = min(1.0, *(abs(1.0 - 1.0 / zeta) for zeta in zetas))
-            gap = pole_gap(ray, 1.0 / rho, z)
+            gap = pole_gap(ray.angle, ray.start_radius, 1.0 / rho, z)
             assert gap == pytest.approx(sampled, rel=1e-7)
             assert gap > 0.0
 

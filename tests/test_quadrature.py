@@ -20,8 +20,8 @@ from mlcontour import (
     ml_dzhrbashyan,
     recip_gamma_contour,
 )
-from mlcontour import quadrature
-from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment
+from mlcontour import gamma, quadrature
+from mlcontour.geometry import ArcSegment, IntegrationPath, RaySegment, build_gamma_path
 from mlcontour.quadrature import (
     DecayModel,
     integrate_path,
@@ -36,6 +36,15 @@ def adaptive_gamma(s):
     """1/Gamma(s) by the adaptive engine on the unit loop: an explicit spec,
     since the default loop is integrated on fixed nodes."""
     return recip_gamma_contour(s, DEFAULT_GAMMA_SPEC)
+
+
+def unit_loop_integral(s):
+    """The loop integral of e^t t^(-s) on the unit loop, before the route's
+    factor 1/(2 pi i) and its convergence check: ``adaptive_gamma``'s raw
+    result, also where that raises."""
+    path = build_gamma_path(DEFAULT_GAMMA_SPEC)
+    return integrate_path(gamma.loop_integrand(s), path,
+                          decay=gamma.loop_bounds(path, s).__getitem__)
 
 
 class TestArc:
@@ -341,6 +350,22 @@ class TestPath:
         res = integrate_path(lambda t, log_t: 1.0 / t, path)
         assert res.panels_used >= 8
 
+    def test_converges_on_the_sum_not_on_each_segment(self):
+        # the two rays cancel exactly: each meets its own tolerance, 1.8e-13
+        # against 1e-10 times 0.29, but their summed estimate, 3.7e-13, is
+        # above abs_tol, the tolerance on their sum of 0
+        def f(t, log_t):
+            return 1.0 / (1.0 + 100.0 * (t - 2.0) ** 2)
+
+        out = RaySegment(0.0, 1.0, "outbound", end_radius=3.0)
+        back = RaySegment(0.0, 1.0, "inbound", end_radius=3.0)
+        for ray in (out, back):
+            assert integrate_path(f, IntegrationPath((ray,))).converged
+        res = integrate_path(f, IntegrationPath((out, back)))
+        assert res.value == 0.0
+        assert QuadratureConfig().abs_tol < res.error_estimate
+        assert not res.converged
+
     def test_non_convergence_reported(self):
         # a pole 1e-5 off the arc: doubling stalls on the near-singular panels
         res = integrate_path(lambda t, log_t: 1.0 / (t - 0.99999),
@@ -614,7 +639,8 @@ class TestGolden:
     +- 10i before a round was laid out at once, the zeta and Bateman loops
     as noted); they must not move by one bit.  The gamma cases pass the
     unit loop's spec, since the default loop is now integrated on fixed
-    nodes (``TestGoldenFixedRule``)."""
+    nodes (``TestGoldenFixedRule``); at s = 2 +- 10i, where that route
+    raises, they pin its raw integral."""
 
     CASES = [
         (lambda: adaptive_gamma(3.0).diagnostics,
@@ -630,15 +656,18 @@ class TestGolden:
          "error_estimate=3.3025092661634144e-11, truncation_radius=50.93988684341959, "
          "panels_used=48, converged=True)"),
         # the D1/D2 knife edge: against mpmath, 2 + 10i has a relative error of
-        # 1.023e-8 and counts as failed in the benchmark, 2 - 10i 9.78e-9 and passes
-        (lambda: adaptive_gamma(2 + 10j).diagnostics,
-         "QuadratureResult(value=(-75577.63882466381-35020.96138259768j), "
-         "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
-         "panels_used=48, converged=True)"),
-        (lambda: adaptive_gamma(2 - 10j).diagnostics,
-         "QuadratureResult(value=(-75577.63886352+35020.96138259768j), "
-         "error_estimate=0.000986370717836714, truncation_radius=66.64785011136857, "
-         "panels_used=48, converged=True)"),
+        # 1.023e-8, 2 - 10i 9.78e-9.  Each segment meets its own tolerance,
+        # but the summed estimate, 6.2e-3, is above 1e-10 times the summed
+        # value, 5.2e-5, so the path is not converged and the route raises:
+        # the raw integral is pinned
+        (lambda: unit_loop_integral(2 + 10j),
+         "QuadratureResult(value=(220043.1900024414-474868.3098144531j), "
+         "error_estimate=0.0061975500017438226, truncation_radius=66.64785011136857, "
+         "panels_used=48, converged=False)"),
+        (lambda: unit_loop_integral(2 - 10j),
+         "QuadratureResult(value=(-220043.1900024414-474868.31005859375j), "
+         "error_estimate=0.0061975500017438226, truncation_radius=66.64785011136857, "
+         "panels_used=48, converged=False)"),
         # the zeta and Bateman loops, re-recorded when both began to integrate
         # the one loop kernel in s = tau^rho under its one ray bound.  The
         # arc at tau-plane radius 1, inside the pole; test_inner_arc_case

@@ -189,7 +189,8 @@ def test_ray_bounds_at_the_edges(name, params, z, options):
     route = ml_bateman if "epsilon" in options else ml_contour
     f, path, decay = handed_over(mittag_leffler, lambda: route(params, z, **options))
     assert rays_checked(f, path, decay) == 2
-    least = min(pole_gap(ray, 1.0 / params.rho, z) for ray in path.segments[::2])
+    least = min(pole_gap(ray.angle, ray.start_radius, 1.0 / params.rho, z)
+                for ray in path.segments[::2])
     lo, hi = LEAST_GAPS[name]
     assert lo <= least <= hi
 
@@ -212,18 +213,17 @@ def test_dzhrbashyan_bound_at_a_tiny_arc():
 
 
 class TestPoleGap:
-    RAY = RaySegment(0.5, 600.0)
+    RAY = (0.5, 600.0)  # angle, start radius
 
     def test_is_one_without_a_pole(self):
-        assert pole_gap(self.RAY, 1.0, PolarComplex(0.0, 0.0)) == 1.0
+        assert pole_gap(*self.RAY, 1.0, PolarComplex(0.0, 0.0)) == 1.0
 
     def test_is_one_where_the_pole_term_underflows(self):
         # 1e-300 * 600**(-10) underflows to 0
-        assert pole_gap(self.RAY, 10.0, PolarComplex(1e-300, 5.0)) == 1.0
+        assert pole_gap(*self.RAY, 10.0, PolarComplex(1e-300, 5.0)) == 1.0
 
     def test_ray_through_the_pole_is_refused(self):
         # z t^(-1) sweeps (0, 2] along the positive axis, through 1
-        ray = RaySegment(0.0, 1.0)
-        assert pole_gap(ray, 1.0, PolarComplex(2.0, 0.0)) == 0.0
+        assert pole_gap(0.0, 1.0, 1.0, PolarComplex(2.0, 0.0)) == 0.0
         with pytest.raises(PreconditionError, match="meets the pole"):
-            loop_ray_bound(ray, 1.0, z=PolarComplex(2.0, 0.0))
+            loop_ray_bound(0.0, 1.0, 1.0, z=PolarComplex(2.0, 0.0))
