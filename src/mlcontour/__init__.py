@@ -15,6 +15,7 @@ from .gamma import (
     log_gamma,
     recip_gamma_contour,
     recip_gamma_oracle,
+    recip_gamma_points,
     reflection_residual,
 )
 from .geometry import (
@@ -80,6 +81,7 @@ __all__ = [
     "ml_series",
     "recip_gamma_contour",
     "recip_gamma_oracle",
+    "recip_gamma_points",
     "reflection_residual",
     "validate_gamma_contour",
 ]

@@ -341,6 +341,8 @@ def cmd_invariance(ns: argparse.Namespace) -> int:
                 values.append(recip_gamma_contour(s, spec, cfg).value)
             except ContourValidityError:
                 skipped.append(f"psi={psi:.6g} inadmissible")
+            except (PreconditionError, ConvergenceError) as exc:
+                skipped.append(f"psi={psi:.6g}: {exc}")
         swept = "psi"
     else:
         params = resolve_params(ns)

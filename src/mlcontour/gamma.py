@@ -2,21 +2,25 @@
 
 The contour route evaluates 1/Gamma(s) as a loop integral of e^t * t^(-s),
 where t^(-s) is always computed from the unwrapped path angle.  By default
-the loop is the classical one, rays along the cut, with its arc through the
-saddle of the integrand (``saddle_radius``), and a batch of points is
-integrated at once on fixed nodes (``recip_gamma_points``, which the grid
-command calls; one point is a batch of one).  There the two rays, whose
-integrands differ by the factor e^(-2 pi i s), are integrated as one; a
-point the fixed rule misses falls back to the explicit spec of the same
-loop.  An explicit loop spec, or an optional complex scaling lambda, goes to
-the adaptive engine (``quadrature.integrate_path``) instead: it integrates
-e^(lambda t) t^(-s), times lambda^(1-s), over the loop of radius
-epsilon/|lambda|, where psi is the rotation within the window shifted by
--arg lambda.  The oracle is a fixed-coefficient Lanczos approximation with
-reflection for Re s < 1/2; it shares no code with the contour machinery and
-anchors all cross-checks.  One array kernel computes log Gamma, and
-``log_gamma`` and ``recip_gamma_oracle`` are thin wrappers over it that take
-a scalar or an array.
+the loop is the classical one turned by psi(s) = -0.15 pi Im s/|s|
+(``rotation``), 0 for real s: its arc goes through the saddle of the
+integrand (``saddle_radius``) from -pi + psi to pi + psi, off the peak that
+t^(-s) takes at the arc's end on the side of Im s, and its rays lie at
+pi + psi on both sheets.  A batch of points is integrated at once on fixed
+nodes (``recip_gamma_points``, which the grid command calls; one point is a
+batch of one).  There the two rays, whose integrands differ by the factor
+e^(-2 pi i s), are integrated as one, judged by the ray's convergence ratio,
+with a rounding floor weighted by |w| for e^w; a point the fixed rule misses
+falls back to the explicit spec of the unturned loop.  An explicit loop
+spec, or an optional complex scaling lambda, goes to the adaptive engine
+(``quadrature.integrate_path``) instead: it integrates e^(lambda t) t^(-s),
+times lambda^(1-s), over the loop of radius epsilon/|lambda|, where psi is
+the rotation within the window shifted by -arg lambda.  The oracle is a
+fixed-coefficient Lanczos approximation with reflection for Re s < 1/2; it
+shares no code with the contour machinery and anchors all cross-checks.  One
+array kernel computes log Gamma, and ``log_gamma`` and
+``recip_gamma_oracle`` are thin wrappers over it that take a scalar or an
+array.
 """
 
 from __future__ import annotations
@@ -221,8 +225,15 @@ def loop_bounds(path, mu: complex, lam: PolarComplex = UNIT_LAMBDA, alpha: float
             for ray in path.segments[::2]}
 
 
-#: The rays of the default loop lie along the cut.
+#: The rays of the default loop lie along the cut, turned by ``rotation``.
 _CUT_ANGLE = math.pi
+#: The default loop turns by up to this, against the sign of Im s.  A sweep
+#: of the bound k pi/2 (``tests/auto_route_sweep.py gamma``) left 222 points
+#: of the 1,625-point box raised at k = 0.15, 66 at 0.2 and none from 0.25;
+#: the wide box answered 2,611 points at 0.25 and 2,659 at k = 0.3, this
+#: one; from 0.4 points of the 1,625-point box fell back (12), and at 0.5
+#: two of the gamma-grid box.
+_ROTATION = 0.15 * math.pi
 #: The most loops one ``fixed_loops`` call takes: past 16 its arrays pass
 #: 128 KB, and a point took 17% longer in chunks of 64 (2-vCPU x86_64).
 _CHUNK = 16
@@ -231,12 +242,20 @@ _UNIT_FACTOR = 1.0 / TWO_PI_I
 
 class _Loop(NamedTuple):
     """The default loop at s, ready for the fixed rule: its arc radius, its
-    rays' common truncation radius and the sum of their tails there."""
+    rays' common truncation radius and the sum of their tails there.  The
+    loop is turned by ``rotation(s)``, which the fixed rule is handed with
+    it."""
 
     s: complex
     radius: float
     end: float
     tail: float
+
+
+def rotation(s: complex) -> float:
+    """The default loop's turn psi(s) = -0.15 pi Im s/|s|: 0 for real s,
+    and otherwise of the sign opposite to Im s, |psi| <= 0.15 pi."""
+    return -_ROTATION * (s.imag / abs(s)) if s.imag else 0.0
 
 
 def saddle_radius(s: complex) -> float:
@@ -252,14 +271,16 @@ def _failure(s: complex) -> str:
 
 
 def _default_loop(s: complex, cfg: QuadratureConfig) -> _Loop:
-    """The default loop at s: both rays are cut at the larger of their
-    ``truncation_radius``; raises for a non-finite s, and raises
-    ``loop_bounds``' and ``truncation_radius``'s refusals."""
+    """The default loop at s: both rays, at -pi + psi and pi + psi (psi =
+    ``rotation(s)``), are cut at the larger of their ``truncation_radius``;
+    raises for a non-finite s, and raises ``loop_bounds``' and
+    ``truncation_radius``'s refusals."""
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise PreconditionError("s must be finite")
     radius = saddle_radius(s)
     refuse_arc_growth(radius)
-    models = [loop_ray_bound(angle, radius, s) for angle in (-_CUT_ANGLE, _CUT_ANGLE)]
+    psi = rotation(s)
+    models = [loop_ray_bound(angle + psi, radius, s) for angle in (-_CUT_ANGLE, _CUT_ANGLE)]
     # quadrature's own name, so that a wrapper set on it sees these calls
     end = max([quadrature.truncation_radius(model, radius, cfg) for model in models])
     return _Loop(s, radius, end, sum(model.tail_bound(end) for model in models))
@@ -267,22 +288,26 @@ def _default_loop(s: complex, cfg: QuadratureConfig) -> _Loop:
 
 def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
     """1/Gamma(s) by the default loop at each of ``points``: for each, its
-    ``Evaluation`` or the ``MlcError`` it raises.
+    ``Evaluation`` or the ``MlcError`` it raises.  One call for a list of
+    points spares each point the batch's fixed cost.
 
-    The loop is the classical one, rays along the cut at -pi and pi, with
-    its arc through the saddle (``saddle_radius``); a pole gives an exact 0.
-    Each point first passes ``loop_bounds``' refusals, and its rays are cut
-    at the larger of their two ``truncation_radius``; the points left go to
-    ``fixed_rule.fixed_loops``, ``_CHUNK`` to a call, each call one array
-    evaluation per level.  It integrates the two rays as one, on one set of
-    nodes: e^t t^(-s) on the upper side of the cut is the lower side's times
-    e^(-2 pi i s), whose exponent is taken from Re s less its nearest
-    integer, so that at an integer s the rays cancel exactly.  A point that
-    fails there falls back to ``recip_gamma_contour`` with the explicit
-    spec of the same loop, GammaContourSpec(radius, 0, pi, pi), whose
-    adaptive engine converges on the summed value too, and raises
-    ConvergenceError otherwise.  A point gets the bits it gets alone,
-    whatever its neighbours.
+    The loop is the classical one turned by psi = ``rotation(s)``: its arc
+    goes through the saddle (``saddle_radius``) from -pi + psi to pi + psi,
+    and its rays lie at pi + psi on both sheets, t = -r e^(i psi); a pole
+    gives an exact 0.  Each point first passes ``loop_bounds``' refusals,
+    and its rays are cut at the larger of their two ``truncation_radius``;
+    the points left go to ``fixed_rule.fixed_loops``, ``_CHUNK`` to a call,
+    each call one array evaluation per level.  It integrates the two rays
+    as one, on one set of nodes: e^t t^(-s) on the upper sheet is the lower
+    sheet's times e^(-2 pi i s), whose exponent is taken from Re s less its
+    nearest integer, so that at an integer s the rays cancel exactly.  Its
+    estimate judges the ray by its convergence ratio and adds a rounding
+    floor weighted by |w|, w = t - s log t.  A point that fails there falls
+    back to ``recip_gamma_contour`` with the explicit spec of the unturned
+    loop, GammaContourSpec(radius, 0, pi, pi), whose adaptive engine
+    converges on the summed value too, and raises ConvergenceError
+    otherwise.  A point gets the bits it gets alone, whatever its
+    neighbours.
     """
     points = [complex(s) for s in points]
     out: list = [None] * len(points)
@@ -304,16 +329,17 @@ def recip_gamma_points(points, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> li
             w += t
             return w
 
-        # w on the upper side of the cut is w - 2 pi i s, or, for the same
+        # w on the upper sheet is w - 2 pi i s, or, for the same
         # e^w, w - 2 pi i (s - round(Re s))
         raws = fixed_rule.fixed_loops(
-            exponent, [loop.radius for _, loop in chunk], TWO_PI_I * (np.round(mu.real) - mu),
+            exponent, [loop.radius for _, loop in chunk], [rotation(loop.s) for _, loop in chunk],
+            TWO_PI_I * (np.round(mu.real) - mu),
             [loop.end for _, loop in chunk], [loop.tail for _, loop in chunk], cfg)
         for (i, loop), raw in zip(chunk, raws):
             try:
                 if raw.converged:
                     out[i] = finish_loop(raw, _UNIT_FACTOR, "contour", lambda: _failure(loop.s))
-                else:  # the explicit spec of the same loop
+                else:  # the explicit spec of the same loop, unturned
                     out[i] = recip_gamma_contour(
                         loop.s, GammaContourSpec(loop.radius, 0.0, _CUT_ANGLE, _CUT_ANGLE), cfg)
             except MlcError as exc:
@@ -329,7 +355,8 @@ def recip_gamma_contour(s: complex,
     e^(lam t) t^(-s).
 
     With no ``spec`` and lam = 1 this is the default loop through the
-    saddle, a batch of one of ``recip_gamma_points``: an exact 0 at a pole,
+    saddle, turned by ``rotation(s)``, a batch of one of
+    ``recip_gamma_points``: an exact 0 at a pole,
     PreconditionError for a non-finite s or where ``loop_bounds`` refuses,
     and ConvergenceError where neither the fixed rule nor its fallback, the
     explicit spec of the same loop, meets the tolerance on the summed value.

@@ -18,21 +18,23 @@ and prints the count of each outcome, ok, flagged, raised and wrong (unflagged
 but off by more than 1e-8), by the route auto took.
 
 ``gamma`` scores the default gamma loop, ``recip_gamma_contour(s)``, against
-``mpmath.rgamma`` over two boxes: the gamma-grid box, Re s in [-6, 12] step
-0.5 by Im s in [-10, 10] step 2 (407 points), and the 1,625-point box, Re s
-in [-12, 20] step 0.5 by Im s in [-30, 30] step 2.5.  A value is judged as
-the benchmark judges it: within 1e-8 relative, or 1e-9 absolute where
-|1/Gamma| < 1e-3.  It prints, per box, the count of each outcome (ok,
-raised, wrong), of answers whose error is above their estimate, and of those
-the fixed-node rule gave (the others come from the adaptive fallback); and
-the fixed rule's work: its nodes per point of the box, the loops that took
-its level 1, and the points that fell back, each an explicit-spec call of
-``recip_gamma_contour`` made from inside ``recip_gamma_points``.  It scores
-the unit loop, ``recip_gamma_contour(s, DEFAULT_GAMMA_SPEC)``, on the same
-points, and prints its outcomes per box as ``unit_loop``.
+``mpmath.rgamma`` over three boxes: the gamma-grid box, Re s in [-6, 12] step
+0.5 by Im s in [-10, 10] step 2 (407 points); the 1,625-point box, Re s in
+[-12, 20] step 0.5 by Im s in [-30, 30] step 2.5; and the wide box, Re s in
+[-40, 104] step 2 by Im s in [-200, 200] step 4 (7,373 points, most of which
+raise).  A value is judged as the benchmark judges it: within 1e-8 relative,
+or 1e-9 absolute where |1/Gamma| < 1e-3.  It prints, per box, the count of
+each outcome (ok, raised, wrong), of answers whose error is above their
+estimate, and of those the fixed-node rule gave (the others come from the
+adaptive fallback); and the fixed rule's work: its nodes per point of the box,
+the loops that took its level 1, and the points that fell back, each an
+explicit-spec call of ``recip_gamma_contour`` made from inside
+``recip_gamma_points``.  It scores the unit loop, ``recip_gamma_contour(s,
+DEFAULT_GAMMA_SPEC)``, on the same points, and prints its outcomes per box as
+``unit_loop``.
 
 Run from the repository root (mpmath needed; the threshold sweep takes a few
-minutes, the coverage and gamma sweeps under a minute):
+minutes, the coverage and gamma sweeps under a minute each):
 
     PYTHONPATH=src:tests python tests/auto_route_sweep.py threshold
     PYTHONPATH=src:tests python tests/auto_route_sweep.py coverage
@@ -131,6 +133,7 @@ GAMMA_BOXES = {
     # name: (Re s min, step, count), (Im s min, step, count)
     "gamma-grid": ((-6.0, 0.5, 37), (-10.0, 2.0, 11)),
     "box-1625": ((-12.0, 0.5, 65), (-30.0, 2.5, 25)),
+    "wide": ((-40.0, 2.0, 73), (-200.0, 4.0, 101)),
 }
 
 

@@ -47,7 +47,8 @@ PUBLIC = [
     "compare_methods", "default_ml_deltas", "evaluate_ml", "gamma_psi_window",
     "is_gamma_pole", "log_gamma", "ml_arg_window", "ml_bateman", "ml_closed_form",
     "ml_contour", "ml_dzhrbashyan", "ml_route", "ml_series", "recip_gamma_contour",
-    "recip_gamma_oracle", "reflection_residual", "validate_gamma_contour",
+    "recip_gamma_oracle", "recip_gamma_points", "reflection_residual",
+    "validate_gamma_contour",
 ]
 
 

@@ -298,6 +298,23 @@ class TestRayBoundEdges:
         assert code == 2
         assert "B underflows to 0" in capsys.readouterr().err
 
+    def test_gamma_invariance_skips_a_psi_that_does_not_converge(self, capsys):
+        # at s = 0.5 + 8i the loops at the two largest psi miss the tolerance;
+        # the other three are scored, as the ml sweep scores what converges
+        code = main(["invariance", "gamma", "--s-re", "0.5", "--s-im", "8", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["points_used"] == 3
+        assert captured.err.count("did not converge") == 2
+
+    def test_gamma_invariance_refuses_fewer_than_3_converged_points(self, capsys):
+        # at s = 2 + 8i only the two smallest psi converge
+        code = main(["invariance", "gamma", "--s-re", "2", "--s-im", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("did not converge") == 3
+        assert "fewer than 3 admissible sweep points" in err
+
     # Where the zeta loop's ray bounds leave the double range, auto answers
     # with the series (TestZetaLoopDecides checks it against mpmath) and
     # contour still refuses

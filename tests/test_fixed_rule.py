@@ -14,29 +14,29 @@ from mlcontour.quadrature import DEFAULT_QUADRATURE
 
 class TestGoldenFixedRule:
     """The default gamma loop on fixed nodes at the five s of TestGolden's
-    gamma cases, recorded when its two rays became one; each is checked
-    against mpmath in ``test_within_estimate``."""
+    gamma cases, recorded when the loop was turned by psi(s); each is
+    checked against mpmath in ``test_within_estimate``."""
 
     CASES = [
         (3.0,
          "QuadratureResult(value=(0.4999999999999999-1.766974823035287e-17j), "
-         "error_estimate=1.2935836308127373e-15, truncation_radius=31.936086709466302, "
+         "error_estimate=1.3183824597086333e-15, truncation_radius=31.936086709466302, "
          "panels_used=3, converged=True)"),
         (-4.5 + 2j,
-         "QuadratureResult(value=(2997.9442295517074-395.28140400965225j), "
-         "error_estimate=3.6377811815329645e-11, truncation_radius=95.1915333224463, "
+         "QuadratureResult(value=(2997.944229551709-395.28140400965356j), "
+         "error_estimate=5.108917972733049e-09, truncation_radius=96.38863420607454, "
          "panels_used=3, converged=True)"),
         (0.5 + 5j,
-         "QuadratureResult(value=(-1023.8611659975484-88.32141731486338j), "
-         "error_estimate=5.469715143358947e-08, truncation_radius=50.132680304489256, "
+         "QuadratureResult(value=(-1023.861165997555-88.32141731486003j), "
+         "error_estimate=2.9040787442642372e-11, truncation_radius=53.698273646475585, "
          "panels_used=3, converged=True)"),
         (2 + 10j,
-         "QuadratureResult(value=(-75577.63964933802-35020.96116858775j), "
-         "error_estimate=9.115627783825035e-08, truncation_radius=62.003459212227185, "
+         "QuadratureResult(value=(-75577.63964934186-35020.96116859516j), "
+         "error_estimate=9.290162517996637e-09, truncation_radius=64.2295312707528, "
          "panels_used=3, converged=True)"),
         (2 - 10j,
-         "QuadratureResult(value=(-75577.6396493383+35020.96116858775j), "
-         "error_estimate=9.121900135200202e-08, truncation_radius=62.003459212227185, "
+         "QuadratureResult(value=(-75577.63964934186+35020.96116859516j), "
+         "error_estimate=9.290162517996636e-09, truncation_radius=64.2295312707528, "
          "panels_used=3, converged=True)"),
     ]
 
@@ -63,13 +63,15 @@ class TestOneRay:
     S = [3.0, 1 + 1e-9, 2 + 10j, 2 - 10j, -4.5 + 2j]
 
     @staticmethod
-    def ray_radii(s, monkeypatch) -> np.ndarray:
-        """The r of the ray nodes the default loop's level 0 lays at s."""
+    def ray_nodes(s, monkeypatch) -> tuple[np.ndarray, float]:
+        """The t of the ray nodes the default loop's level 0 lays at s, and
+        the loop's turn psi: its rays lie at -pi + psi and pi + psi."""
+        psi = gamma.rotation(complex(s))
         seen, fixed_loops = [], fixed_rule.fixed_loops
 
         def recorded(exponent, *args):
             def record(rows, t, log_t):
-                seen.append(t[np.abs(log_t.imag) == math.pi])
+                seen.append(t[np.isin(log_t.imag, (-math.pi + psi, math.pi + psi))])
                 return exponent(rows, t, log_t)
             return fixed_loops(record, *args)
 
@@ -77,16 +79,17 @@ class TestOneRay:
         recip_gamma_contour(s)
         monkeypatch.undo()
         assert seen[0].size == 129
-        return -seen[0].real
+        return seen[0], psi
 
     @pytest.mark.parametrize("s", S)
     def test_upper_side_is_the_lower_side_times_its_shift(self, s, monkeypatch):
-        # t = -r on both sides; log t = ln r -+ i pi
-        r = self.ray_radii(s, monkeypatch)
+        # t = -r e^(i psi) on both sheets; log t = ln r + i (psi -+ pi)
+        t, psi = self.ray_nodes(s, monkeypatch)
+        assert np.abs(np.angle(-t) - psi).max() <= 1e-15
+        log_r = np.log(np.abs(t))
         f = gamma.loop_integrand(s)
-        lower, upper = (f(-r + 0j, np.log(r) + 1j * a) for a in (-math.pi, math.pi))
-        w_size = 1.0 + np.abs(-r - s * (np.log(r) - 1j * math.pi)) + np.abs(
-            -r - s * (np.log(r) + 1j * math.pi))
+        lower, upper = (f(t, log_r + 1j * (a + psi)) for a in (-math.pi, math.pi))
+        w_size = 1.0 + sum(np.abs(t - s * (log_r + 1j * (a + psi))) for a in (-math.pi, math.pi))
         gap = np.abs(upper - lower * cmath.exp(-2j * math.pi * s))
         assert (gap <= 4 * 2.0 ** -53 * w_size * np.abs(upper)).all()
 

@@ -353,24 +353,39 @@ class TestDefaultRoute:
         assert ev.value == 0 and ev.diagnostics.error_estimate == 0.0
         assert ev.diagnostics.converged
 
-    @pytest.mark.parametrize("s", [0.5 + 30j, 0.5 - 30j])
-    def test_large_imaginary_part_raises(self, s):
-        # the arc through the saddle peaks near e^64 while |1/Gamma| is near
-        # e^46: the rounding floor refuses what the unit loop labelled good
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            recip_gamma_contour(s)
+    @pytest.mark.parametrize("s", [0.5 + 30j, 0.5 - 30j, -10.5 + 20j, -10.5 - 20j,
+                                   9.5 + 17.5j, 9.5 - 17.5j])
+    def test_turned_loop_is_within_its_estimate(self, s):
+        # unturned, the arc through the saddle at 0.5 +- 30i peaked near e^64
+        # while |1/Gamma| is near e^46, and its rounding floor refused it (D1's
+        # row); at -10.5 +- 20i it and its fallback raised (F1); turned by
+        # psi(s) with its floor weighted by |Re w| in place of |w|, it
+        # answered 9.5 +- 17.5i 1.41-1.42 times past its estimate
+        ev = recip_gamma_contour(s)
+        ref = mp_rgamma(s)
+        assert ev.diagnostics.panels_used == 3
+        assert rel_err(ev.value, ref) <= 1e-12
+        assert abs(ev.value - ref) <= ev.diagnostics.error_estimate
 
-    @pytest.mark.parametrize("s", [-10.5 + 20j, -10.5 - 20j])
-    def test_f1_still_raises(self, s):
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            recip_gamma_contour(s)
+    @pytest.mark.parametrize("s", [2.0, -3.5, 20.0, 1e-300])
+    def test_rotation_is_zero_on_the_real_axis(self, s):
+        assert gamma.rotation(complex(s)) == 0.0
+
+    @pytest.mark.parametrize("s", [0.5 + 30j, 0.5 - 30j, -10.5 + 20j, 2 - 10j, 1e-300j,
+                                   -1e-300j, 100 + 1e-10j, -4.5 + 2j])
+    def test_rotation_is_bounded_and_against_im_s(self, s):
+        psi = gamma.rotation(s)
+        assert 0.0 < abs(psi) <= 0.15 * PI
+        assert psi * s.imag < 0.0
 
     def test_failed_fixed_rule_falls_back_to_the_adaptive_engine(self):
-        # the fixed rule's floor misses the tolerance here; the adaptive
-        # engine on the same loop meets it on the summed value
-        ev = recip_gamma_contour(-12 + 5j)
+        # the fixed rule's estimate misses the tolerance here; the adaptive
+        # engine on the same, unturned, loop meets it on the summed value
+        s = -16 + 8j
+        ev = recip_gamma_contour(s)
         assert ev.diagnostics.panels_used > 3
-        assert rel_err(ev.value, mp_rgamma(-12 + 5j)) <= 1e-14
+        assert rel_err(ev.value, mp_rgamma(s)) <= 1e-14
+        assert abs(ev.value - mp_rgamma(s)) <= ev.diagnostics.error_estimate
 
     def test_fallback_refuses_a_summed_estimate_past_the_tolerance(self, monkeypatch):
         # on the unit loop at s = 10 + 10i every segment converges, but the
@@ -415,4 +430,4 @@ class TestDefaultRoute:
         results = gamma.recip_gamma_points(grid)
         assert all(r.diagnostics.panels_used in (0, 3) for r in results)
         assert len(grid) == 397
-        assert sum(nodes) / len(grid) == pytest.approx(452.69017632241815, rel=1e-12)
+        assert sum(nodes) / len(grid) == pytest.approx(327.91435768261965, rel=1e-12)

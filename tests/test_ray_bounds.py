@@ -42,8 +42,9 @@ def handed_over(module, call):
     or None where the route refuses before integrating.  1/Gamma's default
     route integrates its ``_default_loop`` on fixed nodes, cut where the two
     ray models that loop hands ``truncation_radius`` say; its loop is then
-    the classical loop of that arc radius with those models on its rays,
-    and a pole, which it answers with an exact 0 unintegrated, gives None."""
+    the classical loop of that arc radius, turned by ``gamma.rotation``,
+    with those models on its rays, and a pole, which it answers with an
+    exact 0 unintegrated, gives None."""
     seen = []
 
     def record(f, path, decay=None, cfg=None):
@@ -62,7 +63,8 @@ def handed_over(module, call):
 
             def record_loop(s, cfg):
                 loop = default_loop(s, cfg)
-                path = loop_path(loop.radius, -PI, PI)
+                psi = gamma.rotation(loop.s)
+                path = loop_path(loop.radius, -PI + psi, PI + psi)
                 seen.append((gamma.loop_integrand(loop.s), path,
                              dict(zip(path.segments[::2], models)).__getitem__))
                 return loop
